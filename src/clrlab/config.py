@@ -17,7 +17,7 @@ MAX_MATRIX_DIM = 16
 # tuples and refuses to start past this many.
 ENUMERATION_BUDGET = 10**6
 
-# Largest monomial power handled by the closed-form multinomial route.
+# Largest power accepted by time_ordered_monomial.
 MONOMIAL_MAX_POWER = 12
 
 # Largest number of exponential atoms in a discretized function class.

@@ -48,6 +48,7 @@ from ..transforms import (
     lt_rhs,
     lw_product_check,
     minimize_R,
+    r_bound,
     r_of_a,
 )
 from .generators import (
@@ -458,7 +459,7 @@ def _run_survey(cfg: ExperimentConfig) -> ExperimentReport:
             v = generate_potential(s, grid, 1, "gaussian-bumps",
                                    amplitude=amplitude)
             count = count_negative(hamiltonian(grid, v, sign=-1.0))
-            rhs = clr_rhs(v, 10.332)
+            rhs = clr_rhs(v, r_bound(0.0))
             ratio = count / rhs if rhs > 0 else math.inf
             eps = max(0.0, ratio - 1.0)
             eps_chain.append(eps)

@@ -261,14 +261,14 @@ def _check_dense(dim: int, what: str) -> None:
 # Laplacians.
 
 def _lap_1d(m: int, h: float, boundary: str) -> sp.csr_matrix:
-    # L = (2 I - S - S^T) / h^2 with S the (cyclic) forward shift.
-    shift = sp.lil_matrix((m, m))
-    for i in range(m - 1):
-        shift[i, i + 1] = 1.0
-    if boundary == "periodic":
-        shift[m - 1, 0] = shift[m - 1, 0] + 1.0
-    shift = shift.tocsr()
-    return (2.0 * sp.eye(m) - shift - shift.T).tocsr() / h**2
+    # L = (2 I - S - S^T) / h^2 with S the (cyclic) forward shift i -> i + 1.
+    i = np.arange(m)
+    src = i if boundary == "periodic" else i[:-1]
+    dst = (src + 1) % m
+    vals = np.concatenate([np.full(m, 2.0), np.full(2 * src.size, -1.0)]) / h**2
+    rows = np.concatenate([i, src, dst])
+    cols = np.concatenate([i, dst, src])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
 
 def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
@@ -357,10 +357,11 @@ def count_negative(op: DiscreteOperator, method: str = "auto") -> int:
     method "inertia" uses the symmetric-indefinite factorization (no
     eigenvectors) of the band-shifted matrix H + zero_tol * I; "dense"
     uses a full eigendecomposition and applies the zero band directly;
-    "auto" tries inertia and falls back to dense.  The two paths agree
-    whenever no eigenvalue sits essentially on the band edge -zero_tol;
-    instances that violate that are considered degenerate and should be
-    re-drawn by the caller.
+    "auto" tries inertia and falls back to dense only when the
+    factorization raises LinAlgError; any other error propagates.  The two
+    paths agree whenever no eigenvalue sits essentially on the band edge
+    -zero_tol; instances that violate that are considered degenerate and
+    should be re-drawn by the caller.
     """
     if method not in ("auto", "inertia", "dense"):
         raise ValueError(f"unknown method {method!r}")
@@ -377,7 +378,7 @@ def count_negative(op: DiscreteOperator, method: str = "auto") -> int:
         dense[idx, idx] += zero_tol
         try:
             return _ldl_negative_count(dense)
-        except Exception:
+        except np.linalg.LinAlgError:
             if method == "inertia":
                 raise
         dense[idx, idx] -= zero_tol

@@ -8,9 +8,15 @@ the time-ordered application of a scalar function f is
 
 with the projector product taken in the fixed order 1..n.  The result is
 generally non-Hermitian for n >= 2; its real trace is the quantity of
-interest.  Three closed forms avoid the exponential-cost enumeration:
-monomials (multinomial expansion), exponentials (ordered product of
-matrix exponentials), and mu * exp(alpha mu) (product rule).
+interest.  Enumeration (time_ordered_apply) costs N**n terms and serves as
+the oracle.  The closed forms are all coefficients C_q(alpha) of one
+truncated ordered product,
+
+    e^{(alpha+x)W_1} .. e^{(alpha+x)W_n} = sum_q x^q C_q(alpha),
+
+with T e^{alpha mu} = C_0(alpha), T mu e^{alpha mu} = C_1(alpha) and
+T mu^k = k! C_k(0).  T is linear in f, so the Jensen gap of an admissible
+f below is a finite combination of these coefficients.
 
 The admissible scalar class for the convexity inequality is
 
@@ -26,7 +32,7 @@ rates r_k unconstrained).  For PSD inputs, averaging beats time ordering:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,23 +202,44 @@ def time_ordered_apply(f, matrices, budget: int = ENUMERATION_BUDGET) -> TimeOrd
     return _result(matrix)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of non-negative ints of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _decompositions(matrices) -> list:
+    return [eig_hermitian(m) for m in _validated_tuple(matrices)]
+
+
+def _ordered_series(decs, alpha, k: int) -> np.ndarray:
+    """Coefficients C_0..C_k of x in the ordered product
+
+        e^{(alpha+x)W_1} .. e^{(alpha+x)W_n} = sum_{q<=k} x^q C_q + O(x^{k+1}),
+
+    with shape alpha.shape + (k+1, N, N), so a 1-D alpha gives one series
+    per rate.  Factor j is the series e^{alpha W_j} sum_q x^q W_j^q / q!,
+    diagonal in the eigenbasis V_j.  The running product is kept as
+    A(x) V_j^H, so each factor costs one change of basis of the k+1
+    coefficients of A and one Cauchy product with a diagonal series.
+    """
+    w = np.array([d.eigenvalues for d in decs])[:, None, :]
+    v = np.array([d.vectors for d in decs])
+    q = np.arange(k + 1)
+    lag = q[:, None] - q[None, :]
+    inv_fact = np.array([1.0 / math.factorial(p) for p in q])[:, None]
+    alpha = np.asarray(alpha, dtype=float)[..., None, None, None]
+    coef = np.exp(alpha * w) * (w ** q[:, None] * inv_fact)
+    # cauchy[..., j, q, p, :] multiplies coefficient p of A into coefficient q.
+    cauchy = np.where((lag >= 0)[..., None], coef[..., lag, :], 0.0)
+    overlap = v[:-1].conj().swapaxes(1, 2) @ v[1:]
+    series = v[0] * coef[..., 0, :, None, :]
+    for j in range(1, len(decs)):
+        series = np.einsum("...pij,...qpj->...qij", series @ overlap[j - 1],
+                           cauchy[..., j, :, :, :])
+    return series @ v[-1].conj().T
 
 
 def time_ordered_monomial(k: int, matrices) -> TimeOrderedResult:
-    """Closed form of T mu^k: the multinomial expansion
+    """Closed form of T mu^k = k! C_k at alpha = 0 (see _ordered_series).
 
-        sum over j_1+..+j_n = k of  k! / (j_1! .. j_n!)  W_1^{j_1} .. W_n^{j_n}.
-
-    Exact up to rounding; cost grows with the number of compositions, so k
-    is capped at MONOMIAL_MAX_POWER.
+    This is the multinomial sum over j_1+..+j_n = k of
+    k! / (j_1! .. j_n!) W_1^{j_1} .. W_n^{j_n}, without walking its words.
+    k stays capped at MONOMIAL_MAX_POWER.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"power must be a positive integer, got {k!r}")
@@ -220,78 +247,21 @@ def time_ordered_monomial(k: int, matrices) -> TimeOrderedResult:
         raise BudgetError(
             f"monomial power {k} exceeds the cap {MONOMIAL_MAX_POWER}"
         )
-    mats = _validated_tuple(matrices)
-    n = len(mats)
-    dim = mats[0].shape[0]
-
-    # Precompute W_i^p for all p <= k.
-    powers = []
-    for m in mats:
-        tower = [np.eye(dim, dtype=complex)]
-        for _ in range(k):
-            tower.append(tower[-1] @ m)
-        powers.append(tower)
-
-    k_fact = math.factorial(k)
-    total = np.zeros((dim, dim), dtype=complex)
-    for js in _compositions(k, n):
-        coeff = k_fact
-        for j in js:
-            coeff //= math.factorial(j)
-        word = powers[0][js[0]]
-        for i in range(1, n):
-            if js[i]:
-                word = word @ powers[i][js[i]]
-        total += coeff * word
-    return _result(total)
+    series = _ordered_series(_decompositions(matrices), 0.0, k)
+    return _result(math.factorial(k) * series[k])
 
 
 def time_ordered_exponential(alpha: float, matrices) -> TimeOrderedResult:
-    """Closed form of T exp(alpha mu): the ordered product e^{aW_1}..e^{aW_n}."""
-    alpha = float(alpha)
-    mats = _validated_tuple(matrices)
-    word = None
-    for m in mats:
-        dec = eig_hermitian(m)
-        factor = dec.apply(np.exp(alpha * dec.eigenvalues))
-        word = factor if word is None else word @ factor
-    return _result(word)
+    """Closed form of T exp(alpha mu) = C_0: the product e^{aW_1}..e^{aW_n}."""
+    return _result(_ordered_series(_decompositions(matrices), float(alpha), 0)[0])
 
 
 def time_ordered_mu_exp(alpha: float, matrices) -> TimeOrderedResult:
-    """Closed form of T mu e^{alpha mu}.
-
-    Differentiating the exponential closed form in alpha inserts one
-    factor W_m at each position:
+    """Closed form of T mu e^{alpha mu} = C_1, the alpha-derivative of C_0:
 
         sum_m e^{aW_1}..e^{aW_{m-1}} (W_m e^{aW_m}) e^{aW_{m+1}}..e^{aW_n}.
     """
-    alpha = float(alpha)
-    mats = _validated_tuple(matrices)
-    n = len(mats)
-    dim = mats[0].shape[0]
-
-    exps = []
-    inserted = []
-    for m in mats:
-        dec = eig_hermitian(m)
-        ew = np.exp(alpha * dec.eigenvalues)
-        exps.append(dec.apply(ew))
-        inserted.append(dec.apply(dec.eigenvalues * ew))
-
-    # Prefix products of exps[0..m) and suffix products of exps(m..n-1].
-    prefix = [np.eye(dim, dtype=complex)]
-    for e in exps[:-1]:
-        prefix.append(prefix[-1] @ e)
-    suffix = [np.eye(dim, dtype=complex)]
-    for e in reversed(exps[1:]):
-        suffix.append(e @ suffix[-1])
-    suffix.reverse()
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for m in range(n):
-        total += prefix[m] @ inserted[m] @ suffix[m]
-    return _result(total)
+    return _result(_ordered_series(_decompositions(matrices), float(alpha), 1)[1])
 
 
 def _require_admissible(f) -> ScalarFunctionClass:
@@ -320,18 +290,24 @@ def averaged_trace(f, matrices) -> float:
     return total / n
 
 
-def jensen_gap(f, matrices, budget: int = ENUMERATION_BUDGET) -> float:
+def jensen_gap(f, matrices) -> float:
     """Gap (1/n) sum_j tr f(n W_j) - Re tr T f(W_1..W_n).
 
     Preconditions: f admissible (ScalarFunctionClass) and every W_j PSD.
+    T is linear in f, so T f = sum_j alpha_j j! C_j(0) + sum_k beta_k C_0(-r_k)
+    in the notation of _ordered_series; no enumeration, hence no budget.
     The gap is guaranteed non-negative mathematically; numerically it may
     dip to -1e-9 * (1 + |average side|), which callers should treat as zero.
     """
     f = _require_admissible(f)
     mats, _ = _psd_tuple(matrices)
-    lhs = time_ordered_apply(f, mats, budget=budget).real_trace
-    rhs = averaged_trace(f, mats)
-    return rhs - lhs
+    alphas = [0.0] + [-r for _, r in f.exp_atoms]
+    series = _ordered_series([eig_hermitian(m) for m in mats], alphas, f.degree)
+    traces = np.trace(series, axis1=-2, axis2=-1).real
+    lhs = sum(a * math.factorial(j) * t
+              for j, (a, t) in enumerate(zip(f.poly_coeffs, traces[0])))
+    lhs += sum(w * t for (w, _), t in zip(f.exp_atoms, traces[1:, 0]))
+    return averaged_trace(f, mats) - float(lhs)
 
 
 def convex_probe(kink: float, matrices, budget: int = ENUMERATION_BUDGET) -> float:

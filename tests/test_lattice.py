@@ -109,6 +109,22 @@ def test_laplacian_dirichlet_floor():
         assert abs(w[0] - floor) < 1e-10 * max(1.0, floor)
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_laplacian_1d_matches_shift_formula(m, boundary):
+    h = 0.5
+    shift = np.eye(m, k=1)
+    if boundary == "periodic":
+        shift[m - 1, 0] += 1.0
+    want = (2.0 * np.eye(m) - shift - shift.T) / h**2
+    got = build_laplacian(grid1d(m, h, boundary)).toarray()
+    assert np.array_equal(got, want)
+    if boundary == "periodic" and m == 1:
+        assert not np.any(got)
+    if boundary == "periodic" and m == 2:
+        assert got[0, 1] == got[1, 0] == -2.0 / h**2
+
+
 # ---------------------------------------------------------------------------
 # counting
 
@@ -127,6 +143,30 @@ def test_count_negative_explicit_diagonal():
     assert count_negative(op, method="dense") == 2
     with pytest.raises(ValueError):
         count_negative(op, method="sloppy")
+
+
+def _diagonal_op(values):
+    return DiscreteOperator(matrix=sp.diags(values).tocsr(), nsites=len(values), fiber=1)
+
+
+def test_count_negative_auto_propagates_non_lapack_errors(monkeypatch):
+    def broken(dense):
+        raise ValueError("not a LAPACK failure")
+
+    monkeypatch.setattr("clrlab.lattice._ldl_negative_count", broken)
+    with pytest.raises(ValueError, match="not a LAPACK failure"):
+        count_negative(_diagonal_op([-1.0, -2.0, 3.0]))
+
+
+def test_count_negative_auto_falls_back_on_linalg_error(monkeypatch):
+    def failing(dense):
+        raise np.linalg.LinAlgError("factorization failed")
+
+    monkeypatch.setattr("clrlab.lattice._ldl_negative_count", failing)
+    op = _diagonal_op([-1.0, -2.0, 3.0, 1e-13])
+    assert count_negative(op) == 2
+    with pytest.raises(np.linalg.LinAlgError):
+        count_negative(op, method="inertia")
 
 
 def test_count_negative_inertia_matches_dense():

@@ -196,6 +196,31 @@ def test_mu_exp_matches_enumeration():
         assert np.max(np.abs(got - want)) < 1e-8
 
 
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want)))
+
+
+def test_closed_forms_match_enumeration_at_workload_sizes():
+    # n <= 8 factors of order N <= 4, powers k <= 6, rates alpha in [-2, 2]
+    for seed in range(60):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(1, 9))
+        dim = int(rng.integers(1, 5))
+        ws = [random_psd(rng, dim, scale=float(rng.uniform(0.3, 1.0)))
+              for _ in range(n)]
+        k = int(rng.integers(1, 7))
+        alpha = float(rng.uniform(-2.0, 2.0))
+        pairs = [
+            (time_ordered_monomial(k, ws), ScalarFunctionClass.monomial(k)),
+            (time_ordered_exponential(alpha, ws),
+             ScalarFunctionClass.exponential(alpha)),
+            (time_ordered_mu_exp(alpha, ws),
+             lambda mu: mu * np.exp(alpha * mu)),
+        ]
+        for closed, f in pairs:
+            assert _rel_err(closed.matrix, time_ordered_apply(f, ws).matrix) < 1e-12
+
+
 def test_linearity_of_time_ordering():
     rng = np.random.default_rng(8)
     ws = [random_psd(rng, 3) for _ in range(2)]
@@ -267,6 +292,28 @@ def test_jensen_property_nonnegative_gap():
         gap = jensen_gap(f, ws)
         scale = 1.0 + abs(averaged_trace(f, ws))
         assert gap >= -1e-9 * scale
+
+
+def test_jensen_gap_matches_enumeration():
+    for seed in range(100):
+        rng = np.random.default_rng(800 + seed)
+        n = int(rng.integers(1, 7))
+        dim = int(rng.integers(1, 5))
+        f = random_admissible(rng)
+        ws = [random_psd(rng, dim, scale=float(rng.uniform(0.1, 1.5)))
+              for _ in range(n)]
+        rhs = averaged_trace(f, ws)
+        want = rhs - time_ordered_apply(f, ws).real_trace
+        assert abs(jensen_gap(f, ws) - want) < 1e-12 * (1.0 + abs(rhs))
+
+
+def test_jensen_gap_beyond_enumeration_budget():
+    rng = np.random.default_rng(1)
+    ws = [random_psd(rng, 16, scale=0.3) for _ in range(5)]  # 16^5 > 10^6 terms
+    f = ScalarFunctionClass(poly_coeffs=(0.2, -0.5, 0.3, 0.0, 0.1),
+                            exp_atoms=((0.5, 1.0), (0.2, -0.4)))
+    gap = jensen_gap(f, ws)
+    assert gap >= -1e-9 * (1.0 + abs(averaged_trace(f, ws)))
 
 
 def test_holder_chain_for_monomials():
