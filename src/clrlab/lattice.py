@@ -24,12 +24,10 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .config import MAX_MATRIX_DIM, dense_budget
 from .errors import (
@@ -204,10 +202,14 @@ class MatrixPotential:
         return np.nonzero(mags > tol)[0]
 
     def block(self) -> sp.csr_matrix:
-        """Block-diagonal operator with the site matrices on the diagonal."""
+        """Block-diagonal operator with the site matrices on the diagonal.
+
+        Real when no site matrix has an imaginary part.
+        """
+        vals = self.values if np.any(self.values.imag) else self.values.real
         if self.N == 1:
-            return sp.diags(self.values[:, 0, 0], format="csr", dtype=complex)
-        return sp.block_diag(list(self.values), format="csr", dtype=complex)
+            return sp.diags(vals[:, 0, 0], format="csr")
+        return sp.block_diag(list(vals), format="csr")
 
 
 @dataclass(frozen=True)
@@ -220,6 +222,8 @@ class DiscreteOperator:
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix)
+        if np.iscomplexobj(m) and not np.any(m.data.imag):
+            m = m.real  # real LAPACK paths are several times faster
         if m.shape[0] != m.shape[1]:
             raise NonHermitianError(f"operator must be square, got {m.shape}")
         if m.shape[0] != self.nsites * self.fiber:
@@ -281,7 +285,6 @@ def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
     fiber = int(fiber)
     if fiber < 1:
         raise ValueError(f"fiber dimension must be positive, got {fiber}")
-    _check_dense(grid.nsites * fiber, "Laplacian assembly")
     total = None
     pts = grid.points_per_axis
     for ax, m in enumerate(pts):
@@ -296,6 +299,46 @@ def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
     if fiber > 1:
         total = sp.kron(total, sp.eye(fiber))
     return DiscreteOperator(matrix=total.tocsr(), nsites=grid.nsites, fiber=fiber)
+
+
+def _axis_modes(m: int, h: float, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs (lam, U) of the 1-D stencil _lap_1d(m, h, boundary).
+
+    lam_j = (4/h^2) sin^2(theta_j / 2), with theta_j = pi j / (m+1) and the
+    DST-I basis U_ij = sqrt(2/(m+1)) sin(i theta_j) (Dirichlet), or
+    theta_k = 2 pi k / m and the Fourier basis U_jk = e^{i j theta_k} / sqrt(m)
+    (periodic).
+    """
+    i = np.arange(m)
+    if boundary == "dirichlet":
+        theta = np.pi * (i + 1) / (m + 1)
+        u = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(i + 1, theta))
+    else:
+        theta = 2.0 * np.pi * i / m
+        u = np.exp(1j * np.outer(i, theta)) / math.sqrt(m)
+    return 4.0 / h**2 * np.sin(theta / 2.0) ** 2, u
+
+
+def _laplacian_function(grid: GridSpec, f, cols: np.ndarray) -> np.ndarray:
+    """Columns cols of f(L), L the spatial (fiber-1) Laplacian; shape (nsites, len(cols)).
+
+    L is the Kronecker sum of the per-axis stencils, so f(L) = U f(Lambda) U^H
+    with U the tensor product of the axis bases: transform the unit columns
+    along every axis with U^H, scale by f of the summed axis eigenvalues,
+    transform back.  Costs O(nsites * sum(m) * len(cols)).
+    """
+    pts = grid.points_per_axis
+    modes = [_axis_modes(m, grid.h, grid.boundary) for m in pts]
+    lam = sum(np.ix_(*(w for w, _ in modes)))  # broadcast Kronecker sum
+    x = np.zeros((grid.nsites, len(cols)))
+    x[cols, np.arange(len(cols))] = 1.0
+    x = x.reshape(*pts, len(cols))
+    for ax, (_, u) in enumerate(modes):
+        x = np.moveaxis(np.tensordot(u.conj().T, x, axes=(1, ax)), 0, ax)
+    x = x * f(lam)[..., np.newaxis]
+    for ax, (_, u) in enumerate(modes):
+        x = np.moveaxis(np.tensordot(u, x, axes=(1, ax)), 0, ax)
+    return x.reshape(grid.nsites, len(cols)).real
 
 
 def hamiltonian(grid: GridSpec, V: MatrixPotential, sign: float = -1.0) -> DiscreteOperator:
@@ -322,8 +365,6 @@ def _ldl_negative_count(dense: np.ndarray) -> int:
     """
     if dense.shape[0] == 0:
         return 0
-    if np.iscomplexobj(dense) and not np.any(dense.imag):
-        dense = dense.real  # real symmetric path is ~4x faster in sytrf
     with warnings.catch_warnings():
         # hermitian=True on complex input warns that the (zero) imaginary
         # diagonal is ignored; that is exactly the contract here
@@ -403,28 +444,14 @@ def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # Birman-Schwinger.
 
-def _support_columns(V: MatrixPotential) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of V^{1/2} restricted to the support sites.
-
-    Returns (W, support) with W of shape (nsites*N, len(support)*N); the
-    complement of the support is annihilated by V^{1/2}, so nothing is
-    lost by the restriction.
-    """
-    support = V.support()
-    n = V.N
-    w = np.zeros((V.dim, support.size * n), dtype=complex)
-    roots = V.sqrt_sites()
-    for col, site in enumerate(support):
-        w[site * n : (site + 1) * n, col * n : (col + 1) * n] = roots[site]
-    return w, support
-
-
 def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> DiscreteOperator:
     """K = V^{1/2} L^{-1} V^{1/2} restricted to the support of V.
 
     Requires a Dirichlet grid (the periodic Laplacian is singular) and a
-    sitewise-PSD potential.  K is PSD; its eigenvalues above 1 count the
-    negative eigenvalues of L - V exactly.
+    sitewise-PSD potential.  The Green's function G = L^{-1} comes from the
+    per-axis eigenpairs on the support columns only, and
+    K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab.  K is PSD; its
+    eigenvalues above 1 count the negative eigenvalues of L - V exactly.
     """
     if grid.boundary != "dirichlet":
         raise ValueError(
@@ -436,15 +463,11 @@ def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> DiscreteOperator:
     V.require_psd()
     _check_dense(V.dim, "Birman-Schwinger assembly")
 
-    w, support = _support_columns(V)
-    if support.size == 0:
-        return DiscreteOperator(
-            matrix=sp.csr_matrix((0, 0), dtype=complex), nsites=0, fiber=V.N
-        )
-    lap = build_laplacian(grid, fiber=V.N).matrix.astype(complex).tocsc()
-    solve = splu(lap)
-    k = w.conj().T @ solve.solve(w)
-    k = 0.5 * (k + k.conj().T)
+    support = V.support()
+    n = support.size * V.N
+    green = _laplacian_function(grid, np.reciprocal, support)[support]
+    roots = V.sqrt_sites()[support]
+    k = np.einsum("xy,xab,ybc->xayc", green, roots, roots).reshape(n, n)
     return DiscreteOperator(matrix=sp.csr_matrix(k), nsites=int(support.size), fiber=V.N)
 
 
@@ -492,21 +515,6 @@ def heat_kernel_free(x, y, t: float, d: int) -> float:
     return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-r2 / (4.0 * t))
 
 
-@lru_cache(maxsize=16)
-def _grid_eig(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Dense eigendecomposition of the spatial (fiber-1) Laplacian, cached."""
-    lap = build_laplacian(grid, fiber=1).toarray().real
-    w, u = np.linalg.eigh(lap)
-    return w, u
-
-
-@lru_cache(maxsize=64)
-def _heat_factor(grid: GridSpec, s: float) -> np.ndarray:
-    """exp(-s L) on the spatial grid, cached per (grid, s)."""
-    w, u = _grid_eig(grid)
-    return (u * np.exp(-s * w)) @ u.T
-
-
 def _potential_exp_blocks(V: MatrixPotential, s: float) -> np.ndarray:
     """Sitewise exp(-s V(x)) as a stack of blocks."""
     w, u = np.linalg.eigh(V.values)
@@ -516,10 +524,10 @@ def _potential_exp_blocks(V: MatrixPotential, s: float) -> np.ndarray:
 def trotter_trace(grid: GridSpec, V: MatrixPotential, alpha: float, t: float, n: int) -> float:
     """tr of the Trotter sandwich V^{1/2} (e^{-tL/n} e^{-t alpha V/n})^n V^{1/2}.
 
-    Both factors are exact matrix exponentials (eigendecompositions, the
-    spatial one cached per (grid, t/n)).  Converges to the semigroup
-    sandwich trace with O(1/n) error; the value is real because the trace
-    lets V^{1/2} close the cycle.
+    Both factors are exact matrix exponentials: the spatial one from the
+    per-axis eigenpairs of L, the potential one sitewise.  Converges to the
+    semigroup sandwich trace with O(1/n) error; the value is real because
+    the trace lets V^{1/2} close the cycle.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -535,22 +543,13 @@ def trotter_trace(grid: GridSpec, V: MatrixPotential, alpha: float, t: float, n:
     _check_dense(V.dim, "Trotter product")
 
     s = t / n
-    a_sp = _heat_factor(grid, s)
-    nf = V.N
-    a = np.kron(a_sp, np.eye(nf)) if nf > 1 else a_sp
-    b_blocks = _potential_exp_blocks(V, s * alpha)
-    if nf == 1:
-        step = a * b_blocks[:, 0, 0][np.newaxis, :]
-    else:
-        b = scipy.linalg.block_diag(*b_blocks)
-        step = a @ b
-    power = np.linalg.matrix_power(step, n)
-
-    total = 0.0 + 0.0j
-    for site in range(grid.nsites):
-        sl = slice(site * nf, (site + 1) * nf)
-        total += np.trace(V.values[site] @ power[sl, sl])
-    return float(total.real)
+    heat = _laplacian_function(grid, lambda lam: np.exp(-s * lam),
+                               np.arange(grid.nsites))
+    # step[(x,i),(y,j)] = e^{-sL}(x,y) e^{-s alpha V(y)}_ij
+    step = np.einsum("xy,yij->xiyj", heat, _potential_exp_blocks(V, s * alpha))
+    power = np.linalg.matrix_power(step.reshape(V.dim, V.dim), n)
+    power = power.reshape(grid.nsites, V.N, grid.nsites, V.N)
+    return float(np.einsum("xij,xjxi->", V.values, power).real)
 
 
 def semigroup_sandwich_trace(grid: GridSpec, V: MatrixPotential, alpha: float, t: float) -> float:
@@ -574,7 +573,8 @@ def resolvent_trace(grid: GridSpec, V: MatrixPotential, alpha: float) -> float:
 
     Equals sum_k lambda_k / (1 + alpha lambda_k) over the spectrum of the
     Birman-Schwinger operator K, the resolvent identity that converts
-    time integrals of Trotter traces into counting information.
+    time integrals of Trotter traces into counting information.  By
+    cyclicity it is tr[(L + alpha V)^{-1} V], one dense solve.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -586,17 +586,14 @@ def resolvent_trace(grid: GridSpec, V: MatrixPotential, alpha: float) -> float:
     V.require_psd()
     _check_dense(V.dim, "resolvent trace")
 
-    w, support = _support_columns(V)
-    if support.size == 0:
-        return 0.0
     h_dense = hamiltonian(grid, V, sign=alpha).toarray()
     try:
-        x = np.linalg.solve(h_dense, w)
+        x = np.linalg.solve(h_dense, V.block().toarray())
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             f"L + alpha V unexpectedly singular (alpha={alpha})"
         ) from exc
-    return float(np.trace(w.conj().T @ x).real)
+    return float(np.trace(x).real)
 
 
 # ---------------------------------------------------------------------------

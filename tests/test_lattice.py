@@ -30,6 +30,7 @@ from clrlab.lattice import (
     semigroup_sandwich_trace,
     trotter_trace,
 )
+from clrlab.lattice import _axis_modes, _lap_1d
 from clrlab.transforms import classical_constant, corollary_constant, f_a_transform
 
 import scipy.sparse as sp
@@ -123,6 +124,16 @@ def test_laplacian_1d_matches_shift_formula(m, boundary):
         assert not np.any(got)
     if boundary == "periodic" and m == 2:
         assert got[0, 1] == got[1, 0] == -2.0 / h**2
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_axis_modes_diagonalize_1d_stencil(m, boundary):
+    h = 0.3
+    lam, u = _axis_modes(m, h, boundary)
+    assert np.allclose(u.conj().T @ u, np.eye(m), atol=1e-14)
+    want = _lap_1d(m, h, boundary).toarray()
+    assert np.allclose((u * lam) @ u.conj().T, want, atol=1e-12 / h**2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +265,36 @@ def test_birman_schwinger_counts_match_hamiltonian():
     assert checked >= 25
 
 
+def _dense_bs_oracle(grid, v):
+    """W^H (L x I_N)^{-1} W with W the support columns of V^{1/2}."""
+    n = v.N
+    support = v.support()
+    roots = v.sqrt_sites()
+    w = np.zeros((v.dim, support.size * n), dtype=complex)
+    for col, site in enumerate(support):
+        w[site * n:(site + 1) * n, col * n:(col + 1) * n] = roots[site]
+    lap = build_laplacian(grid, fiber=n).toarray()
+    return w.conj().T @ np.linalg.solve(lap, w)
+
+
+@pytest.mark.parametrize("pts,N", [
+    ((14,), 1), ((14,), 3), ((5, 7), 2), ((5, 7), 3),
+    ((3, 3, 3), 2), ((3, 3, 3), 3), ((9, 9, 9), 1), ((9, 9, 9), 2),
+])
+def test_birman_schwinger_matches_dense_solve(pts, N):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.4)
+    v = generate_potential((77, N, g.nsites), g, N, "random-psd-field", 5.0)
+    vals = v.values.copy()
+    vals[::3] = 0.0  # sites outside the support
+    v = MatrixPotential(grid=g, N=N, values=vals)
+    k = birman_schwinger(g, v)
+    want = _dense_bs_oracle(g, v)
+    assert k.nsites == v.support().size < g.nsites
+    got = k.toarray()
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
 def test_birman_schwinger_requires_dirichlet():
     g = GridSpec(d=1, points_per_axis=(6,), h=0.5, boundary="periodic")
     with pytest.raises(ValueError, match="Dirichlet"):
@@ -375,6 +416,22 @@ def test_trotter_small_time_recovers_potential_trace():
     assert abs(got - want) < 1e-6 * (1.0 + abs(want))
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("pts", [(7,), (4, 5), (3, 3, 3)])
+@pytest.mark.parametrize("N", [1, 2])
+def test_trotter_trace_matches_expm_oracle(pts, N, boundary):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.6, boundary=boundary)
+    v = generate_potential((31, N, g.nsites), g, N, "random-psd-field", 2.0)
+    alpha, t, n = 1.3, 0.9, 3
+    s = t / n
+    heat = scipy.linalg.expm(-s * build_laplacian(g, fiber=N).toarray())
+    pot = scipy.linalg.block_diag(*[scipy.linalg.expm(-s * alpha * b) for b in v.values])
+    power = np.linalg.matrix_power(heat @ pot, n)
+    want = float(np.trace(v.block().toarray() @ power).real)
+    got = trotter_trace(g, v, alpha, t, n)
+    assert abs(got - want) < 1e-12 * (1.0 + abs(want))
+
+
 def test_trotter_domain_and_budget():
     g = grid1d(6, 0.5)
     v = scalar_potential(g, np.ones(6))
@@ -492,6 +549,17 @@ def test_matrix_potential_validation():
         MatrixPotential(grid=g, N=17, values=np.zeros((3, 17, 17)))
 
 
+def test_hamiltonian_real_for_real_potentials():
+    g = grid1d(9, 0.5)
+    v1 = generate_potential(5, g, 1, "random-psd-field", 3.0)
+    assert v1.values.dtype == np.complex128
+    assert v1.block().dtype == np.float64
+    assert hamiltonian(g, v1).matrix.dtype == np.float64
+    v2 = generate_potential(5, g, 2, "random-psd-field", 3.0)
+    assert np.any(v2.values.imag)
+    assert hamiltonian(g, v2).matrix.dtype == np.complex128
+
+
 def test_matrix_potential_moment_and_sqrt():
     g = grid1d(2, 0.5)
     vals = np.zeros((2, 2, 2), dtype=complex)
@@ -552,9 +620,16 @@ def test_potential_digest_sensitivity():
 # budgets
 
 def test_dense_budget_env_override(monkeypatch):
-    big = GridSpec(d=1, points_per_axis=(5000,), h=0.1)
-    with pytest.raises(BudgetError):
-        build_laplacian(big)
-    monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "6000")
-    op = build_laplacian(big)
-    assert op.dim == 5000
+    # sparse assembly is not charged against the dense budget; every dense
+    # consumer is, and CLRLAB_DENSE_BUDGET moves the cap
+    big = GridSpec(d=3, points_per_axis=(17, 17, 17), h=0.1)
+    assert build_laplacian(big).dim == 4913
+    h_big = hamiltonian(big, scalar_potential(big, np.ones(big.nsites)))
+    assert h_big.dim == 4913
+    with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
+        count_negative(h_big)
+    monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "8")
+    with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
+        count_negative(hamiltonian(grid1d(9), scalar_potential(grid1d(9), np.ones(9))))
+    g8 = grid1d(8, 0.5)
+    assert count_negative(hamiltonian(g8, scalar_potential(g8, 100.0 * np.ones(8)))) == 8
