@@ -293,10 +293,10 @@ def _trotter_instance(cfg: ExperimentConfig, index: int):
 
 
 def _k_eigenvalues(grid: GridSpec, v) -> np.ndarray:
-    k_op = birman_schwinger(grid, v)
-    if k_op.dim == 0:
+    k = birman_schwinger(grid, v)
+    if k.shape[0] == 0:
         return np.zeros(0)
-    return np.maximum(np.linalg.eigvalsh(k_op.toarray()), 0.0)
+    return np.maximum(np.linalg.eigvalsh(k), 0.0)
 
 
 def _barrier_instance(cfg: ExperimentConfig, index: int):

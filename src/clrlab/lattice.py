@@ -3,7 +3,8 @@
 Grids are 1-D to 3-D boxes with Dirichlet or periodic boundary; the
 Laplacian is the standard 2d+1-point stencil acting as the identity on
 the internal C^N fiber.  On top of it sit the counting and comparison
-routines: negative-eigenvalue counts via symmetric-indefinite inertia,
+routines: negative-eigenvalue counts via symmetric-indefinite inertia of
+the block-tridiagonal Schur complements (the dense H is never formed),
 the Birman-Schwinger operator K = V^{1/2} L^{-1} V^{1/2} with its
 counting bound, heat-kernel and Trotter-product traces, the resolvent
 trace, and Riemann-sum right-hand sides of the counting and Riesz-mean
@@ -22,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +40,9 @@ from .transforms import classical_constant
 
 SUPPORT_TOL = 1e-12
 ZERO_BAND_RTOL = 1e-10
+# Narrowest slab of the Schur inertia count: slabs thinner than this do not
+# repay their per-slab solve, so small operators are factored whole.
+_MIN_SLAB = 128
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +123,14 @@ class GridSpec:
         return [tuple(int(i) for i in row) for row in flat]
 
 
-def _hermiticity_defect_sites(values: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
-    return float(np.max(np.abs(values - values.conj().transpose(0, 2, 1))))
+def _require_hermitian_dense(a: np.ndarray, what: str) -> None:
+    """Reject max|A - A^H| > 1e-12 (1 + max|A|), for a matrix or a stack."""
+    if a.size == 0:
+        return
+    scale = 1.0 + float(np.max(np.abs(a)))
+    defect = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())))
+    if defect > 1e-12 * scale:
+        raise NonHermitianError(f"{what} is not Hermitian: defect {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -142,12 +149,7 @@ class MatrixPotential:
         want = (self.grid.nsites, n, n)
         if vals.shape != want:
             raise ValueError(f"values must have shape {want}, got {vals.shape}")
-        scale = 1.0 + (float(np.max(np.abs(vals))) if vals.size else 0.0)
-        defect = _hermiticity_defect_sites(vals)
-        if defect > 1e-12 * scale:
-            raise NonHermitianError(
-                f"potential has a non-Hermitian site: defect {defect:.3e}"
-            )
+        _require_hermitian_dense(vals, "a potential site")
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "values", vals)
 
@@ -356,74 +358,113 @@ def hamiltonian(grid: GridSpec, V: MatrixPotential, sign: float = -1.0) -> Discr
 # ---------------------------------------------------------------------------
 # Counting.
 
-def _ldl_negative_count(dense: np.ndarray) -> int:
-    """Negative-eigenvalue count via Bunch-Kaufman LDL^H inertia.
+def _slab_bounds(matrix: sp.csr_matrix) -> np.ndarray:
+    """Row offsets of the slabs of the Schur recursion, from 0 to the order.
 
-    D is block diagonal with 1x1 and 2x2 blocks; congruence preserves
-    signs, so counting negative block eigenvalues counts negative
-    eigenvalues of the input exactly.
+    Slabs are runs of consecutive rows, each at least as wide as the
+    bandwidth (so the matrix is block tridiagonal over them; in C order a
+    grid operator gets one axis-0 slab per block) and at least _MIN_SLAB
+    wide (so a small operator is a single slab).
     """
-    if dense.shape[0] == 0:
-        return 0
-    with warnings.catch_warnings():
-        # hermitian=True on complex input warns that the (zero) imaginary
-        # diagonal is ignored; that is exactly the contract here
-        warnings.simplefilter("ignore")
-        _, d, _ = scipy.linalg.ldl(dense, hermitian=True)
-    n = d.shape[0]
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    offsets = np.abs(matrix.indices - rows)[matrix.data != 0]  # kron stores zeros
+    bandwidth = int(offsets.max()) if offsets.size else 0
+    slabs = max(n // max(bandwidth, _MIN_SLAB), 1)
+    return np.arange(slabs + 1) * n // slabs
+
+
+def _pivot_negative_count(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """Negative eigenvalues of D in a lower sytrf/hetrf factor LDL^H.
+
+    D has 1x1 blocks and 2x2 blocks; LAPACK marks a 2x2 block on rows
+    k, k+1 by negative ipiv[k] and ipiv[k+1], so the negative entries
+    pair up in order.
+    """
+    d = ldu.diagonal().real
+    two = ipiv < 0
+    first = np.flatnonzero(two)[::2]
+    a, c = d[first], d[first + 1]
+    half_tr = 0.5 * (a + c)
+    disc = np.hypot(0.5 * (a - c), np.abs(ldu[first + 1, first]))
+    return int(np.sum(d[~two] < 0.0) + np.sum(half_tr - disc < 0.0)
+               + np.sum(half_tr + disc < 0.0))
+
+
+def _schur_negative_count(matrix: sp.csr_matrix, bounds: np.ndarray, shift: float) -> int:
+    """Negative eigenvalues of matrix + shift * I by block LDL^H over slabs.
+
+    With diagonal blocks A_i and couplings C_i = matrix[slab i, slab i+1],
+    the Schur complements S_i = A_i + shift I - C_{i-1}^H S_{i-1}^{-1} C_{i-1}
+    are congruent to the whole matrix block by block, so by Sylvester's law
+    of inertia the count is the sum of their negative counts.  Each S_i is
+    factored once by Bunch-Kaufman (sytrf / hetrf): D gives its count and
+    the same factors solve for the next coupling.  Raises LinAlgError when
+    a Schur block that must be solved against is exactly singular.
+    """
+    if not np.all(np.isfinite(matrix.data)):
+        raise ValueError("operator has non-finite entries")
+    if np.iscomplexobj(matrix):
+        names = ("hetrf", "hetrs", "hetrf_lwork")
+    else:
+        names = ("sytrf", "sytrs", "sytrf_lwork")
+    trf, trs, trf_lwork = scipy.linalg.get_lapack_funcs(names, (matrix.data,))
     count = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and (d[i + 1, i] != 0.0 or d[i, i + 1] != 0.0):
-            a = d[i, i].real
-            b = d[i + 1, i + 1].real
-            off = abs(d[i + 1, i]) or abs(d[i, i + 1])
-            half_tr = 0.5 * (a + b)
-            det = a * b - off**2
-            disc = math.sqrt(max(half_tr**2 - det, 0.0))
-            for lam in (half_tr - disc, half_tr + disc):
-                if lam < 0.0:
-                    count += 1
-            i += 2
-        else:
-            if d[i, i].real < 0.0:
-                count += 1
-            i += 1
+    # C_{i-1}^H S_{i-1}^{-1} C_{i-1} on the columns `cols` that C_{i-1} reaches
+    cols = schur = None
+    for lo, hi, nxt in zip(bounds[:-1], bounds[1:], np.append(bounds[2:], bounds[-1])):
+        slab = matrix[lo:hi, lo:nxt].toarray()
+        s = slab[:, : hi - lo]
+        s[np.diag_indices_from(s)] += shift
+        if schur is not None:
+            s[np.ix_(cols, cols)] -= schur
+            s = 0.5 * (s + s.conj().T)
+        lwork = int(trf_lwork(hi - lo, lower=1)[0].real)
+        ldu, ipiv, info = trf(s, lower=1, lwork=max(lwork, 1))
+        count += _pivot_negative_count(ldu, ipiv)
+        if nxt > hi:
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular Schur block on rows {lo}:{hi}")
+            coupling = slab[:, hi - lo :]
+            cols = np.flatnonzero(coupling.any(axis=0))
+            coupling = coupling[:, cols]
+            x, _ = trs(ldu, ipiv, coupling, lower=1)
+            schur = coupling.conj().T @ x
     return count
 
 
 def count_negative(op: DiscreteOperator, method: str = "auto") -> int:
     """Number of eigenvalues below -zero_tol, zero_tol = 1e-10 * |H|_inf.
 
-    method "inertia" uses the symmetric-indefinite factorization (no
-    eigenvectors) of the band-shifted matrix H + zero_tol * I; "dense"
-    uses a full eigendecomposition and applies the zero band directly;
-    "auto" tries inertia and falls back to dense only when the
-    factorization raises LinAlgError; any other error propagates.  The two
-    paths agree whenever no eigenvalue sits essentially on the band edge
+    method "inertia" counts by a block-tridiagonal Schur recursion over the
+    sparse operator (see _schur_negative_count), applied to the band-shifted
+    H + zero_tol * I and never forming the dense H; "dense" uses a full
+    eigendecomposition and applies the zero band directly; "auto" tries
+    inertia and falls back to dense only when a Schur block is exactly
+    singular (LinAlgError); any other error propagates.  The two paths
+    agree whenever no eigenvalue sits essentially on the band edge
     -zero_tol; instances that violate that are considered degenerate and
-    should be re-drawn by the caller.
+    should be re-drawn by the caller.  The dense budget is charged with
+    the largest slab factored, or with the full order for the dense path.
     """
     if method not in ("auto", "inertia", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    _check_dense(op.dim, "negative-eigenvalue counting")
     if op.dim == 0:
         return 0
     zero_tol = ZERO_BAND_RTOL * op.scale()
-    dense = op.toarray()
-    if method in ("auto", "inertia"):
-        idx = np.arange(dense.shape[0])
-        # shift the spectrum up by the band width so the strict lambda < 0
-        # inertia count realizes the same lambda < -zero_tol rule as the
-        # dense path (exact kernels land at +zero_tol, not at rounding dust)
-        dense[idx, idx] += zero_tol
+    if method != "dense":
+        bounds = _slab_bounds(op.matrix)
+        _check_dense(int(np.max(np.diff(bounds))), "negative-eigenvalue counting")
         try:
-            return _ldl_negative_count(dense)
+            # shift the spectrum up by the band width so the strict lambda < 0
+            # inertia count realizes the same lambda < -zero_tol rule as the
+            # dense path (exact kernels land at +zero_tol, not at rounding dust)
+            return _schur_negative_count(op.matrix, bounds, zero_tol)
         except np.linalg.LinAlgError:
             if method == "inertia":
                 raise
-        dense[idx, idx] -= zero_tol
-    w = np.linalg.eigvalsh(dense)
+    _check_dense(op.dim, "negative-eigenvalue counting")
+    w = np.linalg.eigvalsh(op.toarray())
     return int(np.sum(w < -zero_tol))
 
 
@@ -444,14 +485,15 @@ def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # Birman-Schwinger.
 
-def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> DiscreteOperator:
-    """K = V^{1/2} L^{-1} V^{1/2} restricted to the support of V.
+def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
+    """K = V^{1/2} L^{-1} V^{1/2} restricted to the support of V, a dense array.
 
     Requires a Dirichlet grid (the periodic Laplacian is singular) and a
     sitewise-PSD potential.  The Green's function G = L^{-1} comes from the
     per-axis eigenpairs on the support columns only, and
-    K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab.  K is PSD; its
-    eigenvalues above 1 count the negative eigenvalues of L - V exactly.
+    K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab, of order
+    |support| * N and real when V is.  K is PSD; its eigenvalues above 1
+    count the negative eigenvalues of L - V exactly.
     """
     if grid.boundary != "dirichlet":
         raise ValueError(
@@ -467,24 +509,31 @@ def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> DiscreteOperator:
     n = support.size * V.N
     green = _laplacian_function(grid, np.reciprocal, support)[support]
     roots = V.sqrt_sites()[support]
+    if not np.any(V.values.imag):
+        roots = roots.real  # real LAPACK paths are several times faster
     k = np.einsum("xy,xab,ybc->xayc", green, roots, roots).reshape(n, n)
-    return DiscreteOperator(matrix=sp.csr_matrix(k), nsites=int(support.size), fiber=V.N)
+    _require_hermitian_dense(k, "Birman-Schwinger operator")
+    return k
 
 
-def bs_bound(F, K: DiscreteOperator) -> float:
-    """Counting bound F(1)^{-1} sum_k F(lambda_k(K)).
+def bs_bound(F, K: np.ndarray) -> float:
+    """Counting bound F(1)^{-1} sum_k F(lambda_k(K)) for a dense Hermitian K.
 
     For F non-negative, non-decreasing on [0, inf) with F(1) > 0 this
     dominates the number of eigenvalues of K at or above 1, hence the
     number of negative eigenvalues of L - V.
     """
-    _check_dense(K.dim, "Birman-Schwinger bound")
+    K = np.asarray(K)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise NonHermitianError(f"K must be square, got shape {K.shape}")
+    _check_dense(K.shape[0], "Birman-Schwinger bound")
+    _require_hermitian_dense(K, "K")
     f1 = float(F(1.0))
     if not f1 > 0.0:
         raise ValueError(f"F(1) must be positive, got {f1}")
-    if K.dim == 0:
+    if K.shape[0] == 0:
         return 0.0
-    lam = np.linalg.eigvalsh(K.toarray())
+    lam = np.linalg.eigvalsh(K)
     scale = 1.0 + float(np.max(np.abs(lam)))
     if lam[0] < -1e-10 * scale:
         raise NotPositiveSemidefiniteError(

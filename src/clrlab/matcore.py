@@ -276,8 +276,11 @@ def require_psd(a, *, rtol: float = PSD_RTOL) -> np.ndarray:
 
     Returns the eigenvalues (ascending) so callers can reuse them.
     """
-    m = require_hermitian(a)
-    w = np.linalg.eigvalsh(m)
+    return require_psd_spectrum(np.linalg.eigvalsh(require_hermitian(a)), rtol=rtol)
+
+
+def require_psd_spectrum(w: np.ndarray, *, rtol: float = PSD_RTOL) -> np.ndarray:
+    """The PSD check of require_psd on ascending eigenvalues already at hand."""
     scale = 1.0 + (float(np.max(np.abs(w))) if w.size else 0.0)
     if w.size and w[0] < -rtol * scale:
         raise NotPositiveSemidefiniteError(

@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import ENUMERATION_BUDGET, MONOMIAL_MAX_POWER
 from .errors import AdmissibilityError, BudgetError
-from .matcore import eig_hermitian, require_hermitian, require_psd
+from .matcore import eig_hermitian, require_hermitian, require_psd, require_psd_spectrum
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,16 @@ class TimeOrderedResult:
         return self.matrix.shape[0]
 
 
+def _require_shared_dimension(dims: list[int]) -> None:
+    if not dims:
+        raise ValueError("need at least one matrix")
+    if len(set(dims)) != 1:
+        raise ValueError(f"matrices must share a dimension, got {sorted(set(dims))}")
+
+
 def _validated_tuple(matrices) -> list[np.ndarray]:
     mats = [require_hermitian(m) for m in matrices]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    dims = {m.shape[0] for m in mats}
-    if len(dims) != 1:
-        raise ValueError(f"matrices must share a dimension, got {sorted(dims)}")
+    _require_shared_dimension([m.shape[0] for m in mats])
     return mats
 
 
@@ -203,7 +206,9 @@ def time_ordered_apply(f, matrices, budget: int = ENUMERATION_BUDGET) -> TimeOrd
 
 
 def _decompositions(matrices) -> list:
-    return [eig_hermitian(m) for m in _validated_tuple(matrices)]
+    decs = [eig_hermitian(m) for m in matrices]  # eig_hermitian validates
+    _require_shared_dimension([d.dim for d in decs])
+    return decs
 
 
 def _ordered_series(decs, alpha, k: int) -> np.ndarray:
@@ -281,13 +286,12 @@ def _psd_tuple(matrices) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 def averaged_trace(f, matrices) -> float:
     """(1/n) sum_j tr f(n W_j), evaluated on eigenvalues."""
-    mats = _validated_tuple(matrices)
-    n = len(mats)
-    total = 0.0
-    for m in mats:
-        w = np.linalg.eigvalsh(m)
-        total += float(np.sum(np.asarray(f(n * w), dtype=float)))
-    return total / n
+    return _averaged(f, [np.linalg.eigvalsh(m) for m in _validated_tuple(matrices)])
+
+
+def _averaged(f, spectra) -> float:
+    n = len(spectra)
+    return sum(float(np.sum(np.asarray(f(n * w), dtype=float))) for w in spectra) / n
 
 
 def jensen_gap(f, matrices) -> float:
@@ -300,14 +304,16 @@ def jensen_gap(f, matrices) -> float:
     dip to -1e-9 * (1 + |average side|), which callers should treat as zero.
     """
     f = _require_admissible(f)
-    mats, _ = _psd_tuple(matrices)
+    decs = _decompositions(matrices)
+    for d in decs:
+        require_psd_spectrum(d.eigenvalues)
     alphas = [0.0] + [-r for _, r in f.exp_atoms]
-    series = _ordered_series([eig_hermitian(m) for m in mats], alphas, f.degree)
+    series = _ordered_series(decs, alphas, f.degree)
     traces = np.trace(series, axis1=-2, axis2=-1).real
     lhs = sum(a * math.factorial(j) * t
               for j, (a, t) in enumerate(zip(f.poly_coeffs, traces[0])))
     lhs += sum(w * t for (w, _), t in zip(f.exp_atoms, traces[1:, 0]))
-    return averaged_trace(f, mats) - float(lhs)
+    return _averaged(f, [d.eigenvalues for d in decs]) - float(lhs)
 
 
 def convex_probe(kink: float, matrices, budget: int = ENUMERATION_BUDGET) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import quad
+from scipy.sparse.linalg import eigsh
 
 from clrlab.errors import BudgetError, NonHermitianError, NotPositiveSemidefiniteError
 from clrlab.harness import generate_potential
@@ -30,7 +31,7 @@ from clrlab.lattice import (
     semigroup_sandwich_trace,
     trotter_trace,
 )
-from clrlab.lattice import _axis_modes, _lap_1d
+from clrlab.lattice import _axis_modes, _lap_1d, _slab_bounds
 from clrlab.transforms import classical_constant, corollary_constant, f_a_transform
 
 import scipy.sparse as sp
@@ -161,19 +162,19 @@ def _diagonal_op(values):
 
 
 def test_count_negative_auto_propagates_non_lapack_errors(monkeypatch):
-    def broken(dense):
+    def broken(*args):
         raise ValueError("not a LAPACK failure")
 
-    monkeypatch.setattr("clrlab.lattice._ldl_negative_count", broken)
+    monkeypatch.setattr("clrlab.lattice._schur_negative_count", broken)
     with pytest.raises(ValueError, match="not a LAPACK failure"):
         count_negative(_diagonal_op([-1.0, -2.0, 3.0]))
 
 
 def test_count_negative_auto_falls_back_on_linalg_error(monkeypatch):
-    def failing(dense):
+    def failing(*args):
         raise np.linalg.LinAlgError("factorization failed")
 
-    monkeypatch.setattr("clrlab.lattice._ldl_negative_count", failing)
+    monkeypatch.setattr("clrlab.lattice._schur_negative_count", failing)
     op = _diagonal_op([-1.0, -2.0, 3.0, 1e-13])
     assert count_negative(op) == 2
     with pytest.raises(np.linalg.LinAlgError):
@@ -198,6 +199,93 @@ def test_count_negative_inertia_matches_dense():
             assert ci == cd
             seen += ci
     assert seen > 0  # the ensembles must actually bind
+
+
+def _assert_structured_matches_dense(op):
+    count = count_negative(op, method="inertia")
+    assert count == count_negative(op, method="dense")
+    assert count == count_negative(op)
+    return count
+
+
+@pytest.mark.parametrize("m,N,kind", [
+    (5, 1, "real"), (5, 2, "real"), (5, 2, "complex"),
+    (7, 1, "real"), (7, 2, "complex"), (9, 1, "real"), (9, 2, "real"),
+    (11, 1, "real"),
+])
+def test_structured_count_matches_dense_3d(m, N, kind):
+    g = GridSpec(d=3, points_per_axis=(m, m, m), h=1.0 / (m + 1))
+    seen = 0
+    for trial, amp in enumerate((300.0, 3000.0)):
+        v = generate_potential((m, N, trial), g, N, "random-psd-field", amp)
+        vals = v.values.real if kind == "real" else v.values
+        assert np.any(vals.imag) == (kind == "complex")
+        ham = hamiltonian(g, MatrixPotential(grid=g, N=N, values=vals))
+        assert ham.matrix.dtype == (np.complex128 if kind == "complex" else np.float64)
+        seen += _assert_structured_matches_dense(ham)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("pts,N", [((13, 17), 2), ((13, 17), 3), ((60, 7), 1), ((7, 60), 1)])
+def test_structured_count_matches_dense_2d_unequal_axes(pts, N):
+    g = GridSpec(d=2, points_per_axis=pts, h=0.2)
+    v = generate_potential((pts, N), g, N, "random-psd-field", 150.0)
+    assert _assert_structured_matches_dense(hamiltonian(g, v)) > 0
+
+
+@pytest.mark.parametrize("pts", [(6, 6, 6), (20, 11)])
+def test_structured_count_periodic_runs_as_one_slab(pts):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.3, boundary="periodic")
+    v = generate_potential((31, *pts), g, 1, "random-psd-field", 60.0)
+    ham = hamiltonian(g, v)
+    assert g.nsites > 128
+    assert list(_slab_bounds(ham.matrix)) == [0, g.nsites]  # wrap-around band
+    assert _assert_structured_matches_dense(ham) > 0
+
+
+@pytest.mark.parametrize("n,band,dtype", [(500, 30, float), (500, 30, complex),
+                                          (600, 150, complex)])
+def test_structured_count_matches_dense_banded_operator(n, band, dtype):
+    rng = np.random.default_rng(band)
+    a = rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    i, j = np.indices((n, n))
+    a[np.abs(i - j) > band] = 0.0
+    op = DiscreteOperator(matrix=sp.csr_matrix(a + a.conj().T), nsites=n, fiber=1)
+    assert len(_slab_bounds(op.matrix)) > 2
+    count = _assert_structured_matches_dense(op)
+    assert 0 < count < n
+
+
+def test_structured_count_orders_zero_and_one():
+    empty = DiscreteOperator(matrix=sp.csr_matrix((0, 0)), nsites=0, fiber=1)
+    for method in ("auto", "inertia", "dense"):
+        assert count_negative(empty, method=method) == 0
+    for value, want in ((-2.0, 1), (3.0, 0), (0.0, 0)):
+        assert _assert_structured_matches_dense(_diagonal_op([value])) == want
+
+
+def test_slab_bounds_follow_the_bandwidth():
+    g = GridSpec(d=3, points_per_axis=(15, 15, 15), h=0.1)
+    bounds = _slab_bounds(build_laplacian(g).matrix)
+    assert np.all(np.diff(bounds) == 225)  # one axis-0 slab each
+    lifted = _slab_bounds(build_laplacian(g, fiber=2).matrix)
+    assert np.all(np.diff(lifted) == 450)
+    assert list(_slab_bounds(build_laplacian(grid1d(100)).matrix)) == [0, 100]
+
+
+def test_structured_count_never_densifies(monkeypatch):
+    g = GridSpec(d=3, points_per_axis=(9, 9, 9), h=0.1)
+    ham = hamiltonian(g, generate_potential(4, g, 1, "gaussian-bumps", 600.0))
+    want = count_negative(ham, method="dense")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the structured count densified H")
+
+    monkeypatch.setattr(DiscreteOperator, "toarray", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert count_negative(ham) == count_negative(ham, method="inertia") == want > 0
 
 
 def test_riesz_mean_matches_eig_oracle():
@@ -237,7 +325,7 @@ def test_count_monotone_under_psd_addition():
 def test_birman_schwinger_zero_potential():
     g = grid1d(6)
     k = birman_schwinger(g, scalar_potential(g, np.zeros(6)))
-    assert k.dim == 0
+    assert k.shape == (0, 0)
     assert bs_bound(lambda x: x, k) == 0.0
 
 
@@ -246,9 +334,9 @@ def test_birman_schwinger_single_site_oracle():
     diag = np.zeros(7)
     diag[3] = 2.5
     k = birman_schwinger(g, scalar_potential(g, diag))
-    assert k.dim == 1
+    assert k.shape == (1, 1)
     linv = np.linalg.inv(build_laplacian(g).toarray())
-    assert abs(k.toarray()[0, 0].real - 2.5 * linv[3, 3]) < 1e-12
+    assert abs(k[0, 0].real - 2.5 * linv[3, 3]) < 1e-12
 
 
 def test_birman_schwinger_counts_match_hamiltonian():
@@ -257,7 +345,7 @@ def test_birman_schwinger_counts_match_hamiltonian():
     for trial in range(30):
         v = generate_potential((11, trial), g, 1, "random-psd-field", 6.0)
         ham = hamiltonian(g, v)
-        lam = np.linalg.eigvalsh(birman_schwinger(g, v).toarray())
+        lam = np.linalg.eigvalsh(birman_schwinger(g, v))
         if np.any(np.abs(lam - 1.0) < 1e-8):
             continue  # eigenvalue pinned at the threshold: degenerate draw
         assert int(np.sum(lam > 1.0)) == count_negative(ham)
@@ -277,22 +365,32 @@ def _dense_bs_oracle(grid, v):
     return w.conj().T @ np.linalg.solve(lap, w)
 
 
+def _check_bs_against_dense(pts, N, real):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.4)
+    v = generate_potential((77, N, g.nsites), g, N, "random-psd-field", 5.0)
+    vals = v.values.real.copy() if real else v.values.copy()
+    vals[::3] = 0.0  # sites outside the support
+    v = MatrixPotential(grid=g, N=N, values=vals)
+    k = birman_schwinger(g, v)
+    want = _dense_bs_oracle(g, v)
+    assert v.support().size < g.nsites
+    assert k.shape == want.shape == (v.support().size * N,) * 2
+    # K is real exactly when the potential is
+    assert k.dtype == (np.complex128 if np.any(v.values.imag) else np.float64)
+    assert np.max(np.abs(k - want)) < 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("pts,N", [
     ((14,), 1), ((14,), 3), ((5, 7), 2), ((5, 7), 3),
     ((3, 3, 3), 2), ((3, 3, 3), 3), ((9, 9, 9), 1), ((9, 9, 9), 2),
 ])
 def test_birman_schwinger_matches_dense_solve(pts, N):
-    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.4)
-    v = generate_potential((77, N, g.nsites), g, N, "random-psd-field", 5.0)
-    vals = v.values.copy()
-    vals[::3] = 0.0  # sites outside the support
-    v = MatrixPotential(grid=g, N=N, values=vals)
-    k = birman_schwinger(g, v)
-    want = _dense_bs_oracle(g, v)
-    assert k.nsites == v.support().size < g.nsites
-    got = k.toarray()
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) < 1e-13 * (1.0 + np.max(np.abs(want)))
+    _check_bs_against_dense(pts, N, real=False)
+
+
+@pytest.mark.parametrize("pts,N", [((14,), 1), ((5, 7), 3), ((3, 3, 3), 2)])
+def test_birman_schwinger_real_potential_matches_dense_solve(pts, N):
+    _check_bs_against_dense(pts, N, real=True)
 
 
 def test_birman_schwinger_requires_dirichlet():
@@ -312,7 +410,7 @@ def test_bs_bound_linear_f_is_trace():
     g = grid1d(9, 0.5)
     v = generate_potential(5, g, 1, "random-psd-field", 5.0)
     k = birman_schwinger(g, v)
-    lam = np.linalg.eigvalsh(k.toarray())
+    lam = np.linalg.eigvalsh(k)
     got = bs_bound(lambda x: x, k)
     assert abs(got - float(np.sum(np.maximum(lam, 0.0)))) < 1e-10 * (1.0 + got)
 
@@ -333,8 +431,15 @@ def test_bs_bound_small_potential():
     v = scalar_potential(g, 0.01 * np.ones(8))
     k = birman_schwinger(g, v)
     assert count_negative(hamiltonian(g, v)) == 0
-    assert np.linalg.eigvalsh(k.toarray()).max() < 1.0
+    assert np.linalg.eigvalsh(k).max() < 1.0
     assert bs_bound(lambda lam: f_a_transform(1.13, lam), k) >= 0.0
+
+
+def test_bs_bound_rejects_non_hermitian_k():
+    with pytest.raises(NonHermitianError):
+        bs_bound(lambda x: x, np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(NonHermitianError):
+        bs_bound(lambda x: x, np.ones((2, 3)))
 
 
 def test_bs_bound_rejects_bad_f():
@@ -477,7 +582,7 @@ def test_resolvent_identity_against_bs_spectrum():
     g = grid1d(10, 0.5)
     for trial in range(10):
         v = generate_potential((55, trial), g, 1, "random-psd-field", 4.0)
-        lam = np.linalg.eigvalsh(birman_schwinger(g, v).toarray())
+        lam = np.linalg.eigvalsh(birman_schwinger(g, v))
         for alpha in (0.5, 1.0, 2.0):
             want = float(np.sum(lam / (1.0 + alpha * lam)))
             got = resolvent_trace(g, v, alpha)
@@ -620,14 +725,23 @@ def test_potential_digest_sensitivity():
 # budgets
 
 def test_dense_budget_env_override(monkeypatch):
-    # sparse assembly is not charged against the dense budget; every dense
-    # consumer is, and CLRLAB_DENSE_BUDGET moves the cap
+    # sparse assembly is not charged against the dense budget; the inertia
+    # count is charged with its largest slab (17^2 = 289 rows on 17^3), the
+    # dense count with the full order; CLRLAB_DENSE_BUDGET moves the cap
     big = GridSpec(d=3, points_per_axis=(17, 17, 17), h=0.1)
     assert build_laplacian(big).dim == 4913
-    h_big = hamiltonian(big, scalar_potential(big, np.ones(big.nsites)))
+    values = 300.0 * np.exp(-np.sum((big.site_coords() - 0.9) ** 2, axis=1) / 0.1)
+    h_big = hamiltonian(big, scalar_potential(big, values))
     assert h_big.dim == 4913
+    count = count_negative(h_big)
+    # independent oracle: shift-invert Lanczos below the spectrum (L >= 0)
+    threshold = -1e-10 * h_big.scale()
+    eigs = eigsh(h_big.matrix, k=40, sigma=-values.max() - 1.0,
+                 which="LM", tol=0.0, return_eigenvectors=False)
+    assert eigs.max() >= threshold  # the Lanczos window covers every negative one
+    assert count == int(np.sum(eigs < threshold)) > 0
     with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
-        count_negative(h_big)
+        count_negative(h_big, method="dense")
     monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "8")
     with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
         count_negative(hamiltonian(grid1d(9), scalar_potential(grid1d(9), np.ones(9))))

@@ -307,6 +307,35 @@ def test_jensen_gap_matches_enumeration():
         assert abs(jensen_gap(f, ws) - want) < 1e-12 * (1.0 + abs(rhs))
 
 
+def test_jensen_gap_one_validation_and_one_eigh_per_matrix(monkeypatch):
+    import clrlab.matcore as matcore
+
+    rng = np.random.default_rng(12)
+    ws = [random_psd(rng, 3) for _ in range(4)]
+    f = random_admissible(rng)
+    want = jensen_gap(f, ws)
+    calls = {"hermitian": 0, "eigh": 0}
+    require_hermitian, eigh = matcore.require_hermitian, np.linalg.eigh
+
+    def counted_hermitian(*args, **kwargs):
+        calls["hermitian"] += 1
+        return require_hermitian(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("jensen_gap took a second spectrum")
+
+    monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
+    monkeypatch.setattr("clrlab.timeorder.require_hermitian", counted_hermitian)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert jensen_gap(f, ws) == want
+    assert calls == {"hermitian": 4, "eigh": 4}
+
+
 def test_jensen_gap_beyond_enumeration_budget():
     rng = np.random.default_rng(1)
     ws = [random_psd(rng, 16, scale=0.3) for _ in range(5)]  # 16^5 > 10^6 terms
