@@ -41,7 +41,6 @@ from .errors import (
 )
 from .matcore import (
     EigenDecomposition,
-    HermitianMatrix,
     apply_spectral,
     eig_hermitian,
     holder_trace_product,
@@ -117,7 +116,7 @@ __all__ = [
     "EigenSolverError", "NonHermitianError", "NotPositiveSemidefiniteError",
     "SpectralDomainError",
     # matcore
-    "EigenDecomposition", "HermitianMatrix", "apply_spectral",
+    "EigenDecomposition", "apply_spectral",
     "eig_hermitian", "holder_trace_product", "negative_part",
     "positive_part", "split_parts",
     # timeorder

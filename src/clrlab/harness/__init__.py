@@ -4,12 +4,11 @@ from .generators import (
     POTENTIAL_STYLES,
     generate_potential,
     random_admissible_function,
-    random_hermitian,
     random_psd,
     rng_from,
 )
-from .reports import EXPERIMENT_NAMES, ExperimentConfig, ExperimentReport, derive_seed
-from .experiments import EXPERIMENTS, run_experiment
+from .reports import ExperimentConfig, ExperimentReport, derive_seed
+from .experiments import EXPERIMENT_NAMES, EXPERIMENTS, run_experiment
 
 __all__ = [
     "EXPERIMENTS",
@@ -20,7 +19,6 @@ __all__ = [
     "derive_seed",
     "generate_potential",
     "random_admissible_function",
-    "random_hermitian",
     "random_psd",
     "rng_from",
     "run_experiment",

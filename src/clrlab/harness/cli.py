@@ -17,9 +17,9 @@ from pathlib import Path
 
 from ..errors import ClrlabError, ConfigError
 from ..lattice import GridSpec, save_potential
-from .experiments import run_experiment
+from .experiments import EXPERIMENT_NAMES, run_experiment
 from .generators import POTENTIAL_STYLES, generate_potential
-from .reports import EXPERIMENT_NAMES, ExperimentConfig
+from .reports import ExperimentConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from ..errors import ClrlabError
 from ..lattice import (
+    ZERO_BAND_RTOL,
     GridSpec,
     MatrixPotential,
     birman_schwinger,
@@ -29,7 +30,7 @@ from ..lattice import (
     semigroup_sandwich_trace,
     trotter_trace,
 )
-from ..matcore import apply_spectral, holder_trace_product
+from ..matcore import apply_spectral, eig_hermitian, holder_trace_product
 from ..timeorder import (
     ScalarFunctionClass,
     averaged_trace,
@@ -164,8 +165,9 @@ def _run_jensen(cfg: ExperimentConfig) -> ExperimentReport:
         f = random_admissible_function(rng)
         ws = [random_psd(rng, nf, eig_max=float(rng.uniform(0.1, 1.2)))
               for _ in range(n)]
-        rhs = averaged_trace(f, ws)
-        gap = jensen_gap(f, ws)
+        decs = [eig_hermitian(w) for w in ws]
+        rhs = averaged_trace(f, decs)
+        gap = jensen_gap(f, decs)
         scale = 1.0 + abs(rhs)
         records.append({
             "kind": "jensen-gap", "gate": "hard", "trial": i, "seed": s,
@@ -400,7 +402,7 @@ def _bs_instance(cfg: ExperimentConfig, trial: int):
 
         h_op = hamiltonian(grid, v, sign=-1.0)
         w_h = np.linalg.eigvalsh(h_op.toarray())
-        band = 10.0 * 1e-10 * h_op.scale()
+        band = 10.0 * ZERO_BAND_RTOL * h_op.scale()
         if w_h.size and float(np.min(np.abs(w_h))) <= band:
             continue
         lam_k = _k_eigenvalues(grid, v)
@@ -416,7 +418,7 @@ def _run_bs(cfg: ExperimentConfig) -> ExperimentReport:
     records = []
     for i in range(trials):
         s, grid, v, h_op, w_h, lam_k = _bs_instance(cfg, i)
-        zero_tol = 1e-10 * h_op.scale()
+        zero_tol = ZERO_BAND_RTOL * h_op.scale()
         count_inertia = count_negative(h_op, method="inertia")
         count_dense = int(np.sum(w_h < -zero_tol))
         k_above_one = int(np.sum(lam_k > 1.0))
@@ -555,6 +557,7 @@ EXPERIMENTS = {
     "lt-moments": _run_lt,
     "remark-probe": _run_probe,
 }
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -19,11 +19,6 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * 0.5 * (g + g.conj().T) / np.sqrt(n)
-
-
 def random_psd(rng: np.random.Generator, n: int, eig_max: float = 1.0) -> np.ndarray:
     """Random PSD matrix with largest eigenvalue exactly eig_max."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -16,18 +16,6 @@ import scipy
 from ..config import ENUMERATION_BUDGET, MAX_MATRIX_DIM
 from ..errors import ConfigError
 
-EXPERIMENT_NAMES = (
-    "constants",
-    "jensen",
-    "holder",
-    "timeorder-consistency",
-    "trotter",
-    "bs-equivalence",
-    "clr-survey",
-    "lt-moments",
-    "remark-probe",
-)
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -72,6 +60,9 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        # experiments.py imports this module, so the registry is looked up here.
+        from .experiments import EXPERIMENT_NAMES
+
         if self.experiment not in EXPERIMENT_NAMES:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; pick one of "

@@ -30,12 +30,13 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .config import MAX_MATRIX_DIM, dense_budget
-from .errors import (
-    BudgetError,
-    NonHermitianError,
-    NotPositiveSemidefiniteError,
+from .errors import BudgetError, NonHermitianError
+from .matcore import (
+    HERMITICITY_RTOL,
+    apply_spectral,
+    require_hermitian_stack,
+    require_psd_spectrum,
 )
-from .matcore import apply_spectral
 from .transforms import classical_constant
 
 SUPPORT_TOL = 1e-12
@@ -123,16 +124,6 @@ class GridSpec:
         return [tuple(int(i) for i in row) for row in flat]
 
 
-def _require_hermitian_dense(a: np.ndarray, what: str) -> None:
-    """Reject max|A - A^H| > 1e-12 (1 + max|A|), for a matrix or a stack."""
-    if a.size == 0:
-        return
-    scale = 1.0 + float(np.max(np.abs(a)))
-    defect = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())))
-    if defect > 1e-12 * scale:
-        raise NonHermitianError(f"{what} is not Hermitian: defect {defect:.3e}")
-
-
 @dataclass(frozen=True)
 class MatrixPotential:
     """Matrix-valued potential: one Hermitian N x N block per grid site."""
@@ -149,7 +140,7 @@ class MatrixPotential:
         want = (self.grid.nsites, n, n)
         if vals.shape != want:
             raise ValueError(f"values must have shape {want}, got {vals.shape}")
-        _require_hermitian_dense(vals, "a potential site")
+        require_hermitian_stack(vals, "a potential site")
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "values", vals)
 
@@ -161,15 +152,9 @@ class MatrixPotential:
         """Eigenvalues of every site block, shape (nsites, N), ascending."""
         return np.linalg.eigvalsh(self.values)
 
-    def require_psd(self, rtol: float = 1e-10) -> np.ndarray:
-        w = self.eigenvalues_sites()
-        scale = 1.0 + (float(np.max(np.abs(w))) if w.size else 0.0)
-        if w.size and float(w.min()) < -rtol * scale:
-            raise NotPositiveSemidefiniteError(
-                f"potential has a site eigenvalue {w.min():.6e}; "
-                f"apply positive_part sitewise first"
-            )
-        return w
+    def require_psd(self) -> np.ndarray:
+        """Site eigenvalues (see eigenvalues_sites), rejecting a non-PSD site."""
+        return require_psd_spectrum(self.eigenvalues_sites(), "a potential site")
 
     def moment(self, p: float) -> float:
         """h^d * sum_x tr[(V_+(x))^p], the Riemann-sum potential moment."""
@@ -190,9 +175,7 @@ class MatrixPotential:
         after a positive-part); anything more negative raises.
         """
         w, u = np.linalg.eigh(self.values)
-        scale = 1.0 + (float(np.max(np.abs(w))) if w.size else 0.0)
-        if w.size and float(w.min()) < -1e-12 * scale:
-            self.require_psd(rtol=1e-12)
+        require_psd_spectrum(w, "a potential site", rtol=1e-12)
         root = np.sqrt(np.maximum(w, 0.0))
         return np.einsum("xij,xj,xkj->xik", u, root, u.conj())
 
@@ -236,7 +219,7 @@ class DiscreteOperator:
         defect = m - m.getH()
         worst = float(np.max(np.abs(defect.data))) if defect.nnz else 0.0
         scale = 1.0 + (float(np.max(np.abs(m.data))) if m.nnz else 0.0)
-        if worst > 1e-12 * scale:
+        if worst > HERMITICITY_RTOL * scale:
             raise NonHermitianError(f"operator is not Hermitian: defect {worst:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -512,7 +495,7 @@ def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
     if not np.any(V.values.imag):
         roots = roots.real  # real LAPACK paths are several times faster
     k = np.einsum("xy,xab,ybc->xayc", green, roots, roots).reshape(n, n)
-    _require_hermitian_dense(k, "Birman-Schwinger operator")
+    require_hermitian_stack(k, "Birman-Schwinger operator")
     return k
 
 
@@ -527,19 +510,13 @@ def bs_bound(F, K: np.ndarray) -> float:
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise NonHermitianError(f"K must be square, got shape {K.shape}")
     _check_dense(K.shape[0], "Birman-Schwinger bound")
-    _require_hermitian_dense(K, "K")
+    require_hermitian_stack(K, "K")
     f1 = float(F(1.0))
     if not f1 > 0.0:
         raise ValueError(f"F(1) must be positive, got {f1}")
     if K.shape[0] == 0:
         return 0.0
-    lam = np.linalg.eigvalsh(K)
-    scale = 1.0 + float(np.max(np.abs(lam)))
-    if lam[0] < -1e-10 * scale:
-        raise NotPositiveSemidefiniteError(
-            f"K has eigenvalue {lam[0]:.6e}; Birman-Schwinger operators are PSD"
-        )
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(require_psd_spectrum(np.linalg.eigvalsh(K), "K"), 0.0)
     vals = np.array([float(F(x)) for x in lam])
     if not np.all(np.isfinite(vals)) or np.any(vals < -1e-12 * (1.0 + np.max(np.abs(vals)))):
         raise ValueError("F must be finite and non-negative on the spectrum of K")

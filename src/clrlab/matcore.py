@@ -2,21 +2,22 @@
 
 Everything downstream (time-ordered functional calculus, discretized
 Schroedinger operators, the experiment harness) funnels matrix work
-through this module: validated Hermitian containers, eigendecompositions
-with spectral projectors, scalar functional calculus f(A), positive and
-negative parts, and the trace form of Hoelder's inequality used by the
-convexity estimates.
+through this module: the validation rules, eigendecompositions, scalar
+functional calculus f(A), positive and negative parts, and the trace form
+of Hoelder's inequality used by the convexity estimates.
 
-Matrices are plain complex numpy arrays throughout; ``HermitianMatrix``
-is a thin validated wrapper accepted anywhere an array is.  Validation
-always rejects non-Hermitian input rather than symmetrizing silently;
-``hermitize`` is the explicit projection for callers that want it.
+This module owns the two rules every check rests on: a matrix (or a stack
+of them) is Hermitian when max|A - A^H| <= HERMITICITY_RTOL (1 + max|A|)
+(``require_hermitian_stack``), and a Hermitian matrix is PSD when its
+least eigenvalue is >= -PSD_RTOL (1 + spectral radius)
+(``require_psd_spectrum``).  Matrices are plain complex numpy arrays
+throughout.  Validation always rejects non-Hermitian input rather than
+symmetrizing silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,36 +31,36 @@ from .errors import (
 
 # Relative tolerances, scaled by (1 + magnitude of the input).
 HERMITICITY_RTOL = 1e-12
-CLUSTER_RTOL = 1e-9
 PSD_RTOL = 1e-10
 HOLDER_SLACK = 1e-10
 
 
-def _as_square_array(entries) -> np.ndarray:
-    if isinstance(entries, HermitianMatrix):
-        return entries.entries
+def require_hermitian_stack(a: np.ndarray, what: str) -> None:
+    """Reject max|A - A^H| > HERMITICITY_RTOL (1 + max|A|), for a matrix or a stack.
+
+    The maxima run over the whole stack, so one scale serves every matrix.
+    """
+    if a.size == 0:
+        return
+    scale = 1.0 + float(np.max(np.abs(a)))
+    defect = float(np.max(np.abs(a - a.swapaxes(-1, -2).conj())))
+    if defect > HERMITICITY_RTOL * scale:
+        raise NonHermitianError(
+            f"{what} is not Hermitian: defect {defect:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.1e} * (1 + max|entry|) = {HERMITICITY_RTOL * scale:.3e}"
+        )
+
+
+def require_hermitian(entries) -> np.ndarray:
+    """Return the input as a complex ndarray, rejecting non-Hermitian data.
+
+    The rule is require_hermitian_stack's.  Empty matrices and dimensions
+    above MAX_MATRIX_DIM are refused; large operators live in the lattice
+    module and never pass through here.
+    """
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def hermiticity_defect(entries) -> float:
-    """Max entrywise deviation |A - A^H| of a square array."""
-    a = _as_square_array(entries)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
-def require_hermitian(entries, *, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Return the input as a complex ndarray, rejecting non-Hermitian data.
-
-    The tolerance is relative: the defect max|A - A^H| must not exceed
-    rtol * (1 + max|A_ij|).  Dimensions above MAX_MATRIX_DIM are refused;
-    large operators live in the lattice module and never pass through here.
-    """
-    a = _as_square_array(entries)
     n = a.shape[0]
     if n == 0:
         raise NonHermitianError("empty matrix")
@@ -67,58 +68,8 @@ def require_hermitian(entries, *, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise NonHermitianError(
             f"matrix dimension {n} exceeds the cap {MAX_MATRIX_DIM}"
         )
-    scale = 1.0 + float(np.max(np.abs(a)))
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    if defect > rtol * scale:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{rtol:.1e} * (1 + max|entry|) = {rtol * scale:.3e}"
-        )
+    require_hermitian_stack(a, "matrix")
     return a
-
-
-def hermitize(entries) -> np.ndarray:
-    """Explicit Hermitian projection (A + A^H) / 2 of a square array."""
-    a = _as_square_array(entries)
-    return 0.5 * (a + a.conj().T)
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Validated N x N complex Hermitian matrix.
-
-    Construction rejects non-Hermitian entries outright.  Use
-    ``hermitize`` first if a noisy matrix should be projected.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if isinstance(self.entries, HermitianMatrix):
-            object.__setattr__(self, "entries", self.entries.entries)
-            return
-        a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
-        a = require_hermitian(a)
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    @classmethod
-    def identity(cls, n: int) -> "HermitianMatrix":
-        return cls(np.eye(n, dtype=complex))
-
-    @classmethod
-    def diagonal(cls, values) -> "HermitianMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -136,19 +87,6 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @cached_property
-    def projectors(self) -> np.ndarray:
-        """Stack of rank-one projectors, shape (N, N, N)."""
-        v = self.vectors
-        return np.einsum("ik,jk->kij", v, v.conj())
-
-    def projector(self, k: int) -> np.ndarray:
-        u = self.vectors[:, k : k + 1]
-        return u @ u.conj().T
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
-
     def apply(self, values) -> np.ndarray:
         """Assemble sum_k values[k] P_k; values must be real, one per eigenvalue."""
         fw = np.asarray(values, dtype=float)
@@ -158,33 +96,6 @@ class EigenDecomposition:
             )
         out = (self.vectors * fw) @ self.vectors.conj().T
         return 0.5 * (out + out.conj().T)
-
-    def clusters(self, rtol: float = CLUSTER_RTOL) -> list[list[int]]:
-        """Indices grouped into near-degenerate runs.
-
-        Consecutive eigenvalues closer than rtol * (1 + spectral radius)
-        land in the same cluster, so projectors onto clusters stay stable
-        where individual eigenvectors are not.
-        """
-        w = self.eigenvalues
-        if w.size == 0:
-            return []
-        tol = rtol * (1.0 + float(np.max(np.abs(w))))
-        groups = [[0]]
-        for k in range(1, w.size):
-            if w[k] - w[groups[-1][-1]] <= tol:
-                groups[-1].append(k)
-            else:
-                groups.append([k])
-        return groups
-
-    def clustered_projectors(self, rtol: float = CLUSTER_RTOL) -> list[tuple[float, np.ndarray]]:
-        """(mean eigenvalue, orthogonal projector) per near-degenerate cluster."""
-        out = []
-        for grp in self.clusters(rtol):
-            v = self.vectors[:, grp]
-            out.append((float(np.mean(self.eigenvalues[grp])), v @ v.conj().T))
-        return out
 
 
 def eig_hermitian(a) -> EigenDecomposition:
@@ -271,21 +182,20 @@ def negative_part(a) -> np.ndarray:
     return split_parts(a)[1]
 
 
-def require_psd(a, *, rtol: float = PSD_RTOL) -> np.ndarray:
-    """Validate that a Hermitian matrix is PSD within a relative tolerance.
+def require_psd_spectrum(w: np.ndarray, what: str, *, rtol: float = PSD_RTOL) -> np.ndarray:
+    """Reject eigenvalues below -rtol (1 + spectral radius); return w.
 
-    Returns the eigenvalues (ascending) so callers can reuse them.
+    w holds the eigenvalues of one Hermitian matrix or of a stack of them
+    (any shape); the spectral radius is taken over all of them.
     """
-    return require_psd_spectrum(np.linalg.eigvalsh(require_hermitian(a)), rtol=rtol)
-
-
-def require_psd_spectrum(w: np.ndarray, *, rtol: float = PSD_RTOL) -> np.ndarray:
-    """The PSD check of require_psd on ascending eigenvalues already at hand."""
-    scale = 1.0 + (float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and w[0] < -rtol * scale:
-        raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {w[0]:.6e} below -{rtol:.1e} * (1 + spectral radius)"
-        )
+    if w.size:
+        scale = 1.0 + float(np.max(np.abs(w)))
+        low = float(w.min())
+        if low < -rtol * scale:
+            raise NotPositiveSemidefiniteError(
+                f"{what} has eigenvalue {low:.6e} below "
+                f"-{rtol:.1e} * (1 + spectral radius)"
+            )
     return w
 
 
@@ -314,15 +224,8 @@ def holder_trace_product(matrices, powers) -> tuple[float, float]:
     if len(dims) != 1:
         raise ValueError(f"matrices must share a dimension, got {sorted(dims)}")
 
-    eigs = []
-    for m in mats:
-        w = np.linalg.eigvalsh(m)
-        scale = 1.0 + float(np.max(np.abs(w)))
-        if w[0] < -PSD_RTOL * scale:
-            raise NotPositiveSemidefiniteError(
-                f"factor has eigenvalue {w[0]:.6e}; Hoelder needs PSD factors"
-            )
-        eigs.append(np.maximum(w, 0.0))
+    eigs = [np.maximum(require_psd_spectrum(np.linalg.eigvalsh(m), "Hoelder factor"), 0.0)
+            for m in mats]
 
     word = np.eye(mats[0].shape[0], dtype=complex)
     for m, j in zip(mats, js):

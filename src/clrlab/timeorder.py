@@ -8,8 +8,11 @@ the time-ordered application of a scalar function f is
 
 with the projector product taken in the fixed order 1..n.  The result is
 generally non-Hermitian for n >= 2; its real trace is the quantity of
-interest.  Enumeration (time_ordered_apply) costs N**n terms and serves as
-the oracle.  The closed forms are all coefficients C_q(alpha) of one
+interest.  Every routine takes the W_j as Hermitian arrays or as
+EigenDecompositions from matcore.eig_hermitian, used as given, so a caller
+that reuses a tuple validates and decomposes each matrix once.
+Enumeration (time_ordered_apply) costs N**n terms and serves as the
+oracle.  The closed forms are all coefficients C_q(alpha) of one
 truncated ordered product,
 
     e^{(alpha+x)W_1} .. e^{(alpha+x)W_n} = sum_q x^q C_q(alpha),
@@ -38,7 +41,7 @@ import numpy as np
 
 from .config import ENUMERATION_BUDGET, MONOMIAL_MAX_POWER
 from .errors import AdmissibilityError, BudgetError
-from .matcore import eig_hermitian, require_hermitian, require_psd, require_psd_spectrum
+from .matcore import EigenDecomposition, eig_hermitian, require_psd_spectrum
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,12 @@ def _require_shared_dimension(dims: list[int]) -> None:
         raise ValueError(f"matrices must share a dimension, got {sorted(set(dims))}")
 
 
-def _validated_tuple(matrices) -> list[np.ndarray]:
-    mats = [require_hermitian(m) for m in matrices]
-    _require_shared_dimension([m.shape[0] for m in mats])
-    return mats
+def _decompositions(matrices) -> list[EigenDecomposition]:
+    """One validated spectrum per matrix; EigenDecompositions pass through."""
+    decs = [m if isinstance(m, EigenDecomposition) else eig_hermitian(m)
+            for m in matrices]
+    _require_shared_dimension([d.dim for d in decs])
+    return decs
 
 
 def _result(matrix: np.ndarray) -> TimeOrderedResult:
@@ -168,9 +173,13 @@ def time_ordered_apply(f, matrices, budget: int = ENUMERATION_BUDGET) -> TimeOrd
     N**n index tuples; if that exceeds ``budget`` a BudgetError points the
     caller at the closed forms instead.  Cost is O(N**n) memory and time.
     """
-    mats = _validated_tuple(matrices)
-    n = len(mats)
-    dim = mats[0].shape[0]
+    return _result(_enumerated(f, _decompositions(matrices), budget))
+
+
+def _enumerated(f, decs, budget: int) -> np.ndarray:
+    """Matrix of T f(W_1..W_n) by enumeration over the decompositions' indices."""
+    n = len(decs)
+    dim = decs[0].dim
     if dim**n > budget:
         raise BudgetError(
             f"joint enumeration needs {dim}**{n} = {dim**n} terms, over the "
@@ -178,7 +187,6 @@ def time_ordered_apply(f, matrices, budget: int = ENUMERATION_BUDGET) -> TimeOrd
             f"time_ordered_exponential / time_ordered_mu_exp closed forms"
         )
 
-    decs = [eig_hermitian(m) for m in mats]
     # Overlap matrices between consecutive eigenbases.
     gaps = [
         decs[j].vectors.conj().T @ decs[j + 1].vectors for j in range(n - 1)
@@ -201,14 +209,7 @@ def time_ordered_apply(f, matrices, budget: int = ENUMERATION_BUDGET) -> TimeOrd
     # T f = V_1 [ sum over tuples chain * e_{k_1} e_{k_n}^T ] V_n^H.
     core = np.zeros((dim, dim), dtype=complex)
     np.add.at(core, (idx[0], idx[-1]), chain)
-    matrix = decs[0].vectors @ core @ decs[-1].vectors.conj().T
-    return _result(matrix)
-
-
-def _decompositions(matrices) -> list:
-    decs = [eig_hermitian(m) for m in matrices]  # eig_hermitian validates
-    _require_shared_dimension([d.dim for d in decs])
-    return decs
+    return decs[0].vectors @ core @ decs[-1].vectors.conj().T
 
 
 def _ordered_series(decs, alpha, k: int) -> np.ndarray:
@@ -278,20 +279,12 @@ def _require_admissible(f) -> ScalarFunctionClass:
     return f
 
 
-def _psd_tuple(matrices) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    mats = _validated_tuple(matrices)
-    eigs = [require_psd(m) for m in mats]
-    return mats, eigs
-
-
 def averaged_trace(f, matrices) -> float:
     """(1/n) sum_j tr f(n W_j), evaluated on eigenvalues."""
-    return _averaged(f, [np.linalg.eigvalsh(m) for m in _validated_tuple(matrices)])
-
-
-def _averaged(f, spectra) -> float:
-    n = len(spectra)
-    return sum(float(np.sum(np.asarray(f(n * w), dtype=float))) for w in spectra) / n
+    decs = _decompositions(matrices)
+    n = len(decs)
+    return sum(float(np.sum(np.asarray(f(n * d.eigenvalues), dtype=float)))
+               for d in decs) / n
 
 
 def jensen_gap(f, matrices) -> float:
@@ -306,14 +299,14 @@ def jensen_gap(f, matrices) -> float:
     f = _require_admissible(f)
     decs = _decompositions(matrices)
     for d in decs:
-        require_psd_spectrum(d.eigenvalues)
+        require_psd_spectrum(d.eigenvalues, "time-ordered factor")
     alphas = [0.0] + [-r for _, r in f.exp_atoms]
     series = _ordered_series(decs, alphas, f.degree)
     traces = np.trace(series, axis1=-2, axis2=-1).real
     lhs = sum(a * math.factorial(j) * t
               for j, (a, t) in enumerate(zip(f.poly_coeffs, traces[0])))
     lhs += sum(w * t for (w, _), t in zip(f.exp_atoms, traces[1:, 0]))
-    return _averaged(f, [d.eigenvalues for d in decs]) - float(lhs)
+    return averaged_trace(f, decs) - float(lhs)
 
 
 def convex_probe(kink: float, matrices, budget: int = ENUMERATION_BUDGET) -> float:
@@ -325,11 +318,12 @@ def convex_probe(kink: float, matrices, budget: int = ENUMERATION_BUDGET) -> flo
     kink = float(kink)
     if not kink > 0.0:
         raise ValueError(f"hinge offset must be positive, got {kink}")
-    mats, _ = _psd_tuple(matrices)
+    decs = _decompositions(matrices)
+    for d in decs:
+        require_psd_spectrum(d.eigenvalues, "time-ordered factor")
 
     def hinge(mu):
         return np.maximum(np.asarray(mu, dtype=float) - kink, 0.0)
 
-    lhs = time_ordered_apply(hinge, mats, budget=budget).real_trace
-    rhs = averaged_trace(hinge, mats)
-    return rhs - lhs
+    lhs = float(np.trace(_enumerated(hinge, decs, budget)).real)
+    return averaged_trace(hinge, decs) - lhs

@@ -360,13 +360,6 @@ def f_a_atoms(a: float, order: int) -> ScalarFunctionClass:
     )
 
 
-def f_a_atoms_sup_error(a: float, order: int, samples: int = 4001) -> float:
-    """Sup-norm error of f_a_atoms against f_a_eval on [0, 20a]."""
-    fc = f_a_atoms(a, order)
-    mu = np.linspace(0.0, 20.0 * float(a), samples)
-    return float(np.max(np.abs(fc(mu) - f_a_eval(a, mu))))
-
-
 def f_a_transform(a: float, lam: float) -> float:
     """Closed form of the Laplace-type transform of f_a:
 

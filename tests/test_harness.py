@@ -179,6 +179,38 @@ def test_experiment_smoke(cfg):
         assert rec.get("gate") in ("hard", "monitor", "info")
 
 
+def test_jensen_run_takes_one_spectrum_per_matrix(monkeypatch):
+    # one eigh per matrix; the only eigvalsh is random_psd's normalisation
+    import clrlab.harness.experiments as experiments
+
+    calls = {"eigh": 0, "eigvalsh": 0}
+    drawing = [False]
+    random_psd, eigh, eigvalsh = experiments.random_psd, np.linalg.eigh, np.linalg.eigvalsh
+
+    def tracked_random_psd(*args, **kwargs):
+        drawing[0] = True
+        try:
+            return random_psd(*args, **kwargs)
+        finally:
+            drawing[0] = False
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_eigvalsh(*args, **kwargs):
+        if not drawing[0]:
+            calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "random_psd", tracked_random_psd)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    rep = run_experiment(ExperimentConfig(experiment="jensen", trials=100, seed=7))
+    assert rep.passed
+    assert calls == {"eigh": sum(r["n"] for r in rep.records), "eigvalsh": 0}
+
+
 def test_experiment_names_cover_dispatch():
     assert set(EXPERIMENT_NAMES) == {
         "constants",

@@ -32,6 +32,7 @@ from clrlab.lattice import (
     trotter_trace,
 )
 from clrlab.lattice import _axis_modes, _lap_1d, _slab_bounds
+from clrlab.matcore import require_psd_spectrum
 from clrlab.transforms import classical_constant, corollary_constant, f_a_transform
 
 import scipy.sparse as sp
@@ -433,6 +434,34 @@ def test_bs_bound_small_potential():
     assert count_negative(hamiltonian(g, v)) == 0
     assert np.linalg.eigvalsh(k).max() < 1.0
     assert bs_bound(lambda lam: f_a_transform(1.13, lam), k) >= 0.0
+
+
+def test_psd_rule_boundary_is_shared():
+    # spectral radius 2, so the rule's floor is -1e-10 * (1 + 2)
+    floor = -1e-10 * 3.0
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+
+    def rotated(w):
+        m = (q * np.asarray(w)) @ q.conj().T
+        return 0.5 * (m + m.conj().T)
+
+    for factor, ok in ((0.9, True), (1.1, False)):
+        low = factor * floor
+        stack = np.array([[0.1, 0.5, 2.0], [low, 0.3, 1.0]])
+        vals = np.array([np.diag([0.1, 0.5, 2.0]), rotated([low, 0.3, 1.0])])
+        v = MatrixPotential(grid=grid1d(2), N=3, values=vals)
+        checks = [
+            lambda: require_psd_spectrum(stack, "stack"),
+            v.require_psd,
+            lambda: bs_bound(lambda x: x, rotated([low, 0.5, 2.0])),
+        ]
+        for check in checks:
+            if ok:
+                check()
+            else:
+                with pytest.raises(NotPositiveSemidefiniteError):
+                    check()
 
 
 def test_bs_bound_rejects_non_hermitian_k():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clrlab.errors import AdmissibilityError, BudgetError, NotPositiveSemidefiniteError
-from clrlab.matcore import apply_spectral
+from clrlab.matcore import apply_spectral, eig_hermitian
 from clrlab.timeorder import (
     ScalarFunctionClass,
     averaged_trace,
@@ -329,7 +329,6 @@ def test_jensen_gap_one_validation_and_one_eigh_per_matrix(monkeypatch):
         raise AssertionError("jensen_gap took a second spectrum")
 
     monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
-    monkeypatch.setattr("clrlab.timeorder.require_hermitian", counted_hermitian)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     assert jensen_gap(f, ws) == want
@@ -367,6 +366,55 @@ def test_probe_single_factor_zero():
     rng = np.random.default_rng(12)
     w = random_psd(rng, 3)
     assert convex_probe(1.0, [w]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_probe_one_validation_and_one_eigh_per_matrix(monkeypatch):
+    import clrlab.matcore as matcore
+
+    rng = np.random.default_rng(13)
+    ws = [random_psd(rng, 3) for _ in range(4)]
+    want = convex_probe(0.7, ws)
+    calls = {"hermitian": 0, "eigh": 0}
+    require_hermitian, eigh = matcore.require_hermitian, np.linalg.eigh
+
+    def counted_hermitian(*args, **kwargs):
+        calls["hermitian"] += 1
+        return require_hermitian(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("convex_probe took a second spectrum")
+
+    monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert convex_probe(0.7, ws) == want
+    assert calls == {"hermitian": 4, "eigh": 4}
+
+
+def test_probe_rejects_indefinite_and_over_budget():
+    with pytest.raises(NotPositiveSemidefiniteError):
+        convex_probe(1.0, [np.diag([1.0, -0.2])])
+    rng = np.random.default_rng(14)
+    ws = [random_psd(rng, 4) for _ in range(3)]  # 4**3 = 64 terms
+    convex_probe(1.0, ws, budget=64)
+    with pytest.raises(BudgetError):
+        convex_probe(1.0, ws, budget=63)
+
+
+def test_decompositions_give_the_same_results_as_arrays():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 4):
+        ws = [random_psd(rng, 3, scale=0.8) for _ in range(n)]
+        decs = [eig_hermitian(w) for w in ws]
+        f = random_admissible(rng)
+        assert averaged_trace(f, decs) == averaged_trace(f, ws)
+        assert jensen_gap(f, decs) == jensen_gap(f, ws)
+        assert np.array_equal(time_ordered_apply(f, decs).matrix,
+                              time_ordered_apply(f, ws).matrix)
 
 
 def test_probe_commuting_inputs_nonnegative():
