@@ -89,6 +89,7 @@ from .lattice import (
     hamiltonian,
     heat_diagonal_step,
     heat_kernel_free,
+    k_spectrum,
     load_potential,
     potential_digest,
     resolvent_trace,
@@ -132,7 +133,7 @@ __all__ = [
     # lattice
     "DiscreteOperator", "GridSpec", "MatrixPotential", "birman_schwinger",
     "bs_bound", "build_laplacian", "clr_rhs", "count_negative",
-    "hamiltonian", "heat_diagonal_step", "heat_kernel_free",
+    "hamiltonian", "heat_diagonal_step", "heat_kernel_free", "k_spectrum",
     "load_potential", "potential_digest", "resolvent_trace", "riesz_mean",
     "save_potential", "semigroup_sandwich_trace", "trotter_trace",
     # harness

@@ -24,6 +24,7 @@ from ..lattice import (
     clr_rhs,
     count_negative,
     hamiltonian,
+    k_spectrum,
     potential_digest,
     resolvent_trace,
     riesz_mean,
@@ -294,13 +295,6 @@ def _trotter_instance(cfg: ExperimentConfig, index: int):
     return s, grid, v, alpha
 
 
-def _k_eigenvalues(grid: GridSpec, v) -> np.ndarray:
-    k = birman_schwinger(grid, v)
-    if k.shape[0] == 0:
-        return np.zeros(0)
-    return np.maximum(np.linalg.eigvalsh(k), 0.0)
-
-
 def _barrier_instance(cfg: ExperimentConfig, index: int):
     """Strong barrier on an otherwise empty line.
 
@@ -337,7 +331,7 @@ def _run_trotter(cfg: ExperimentConfig) -> ExperimentReport:
     for i in range(trials):
         s, grid, v, alpha = _trotter_instance(cfg, i)
         r_direct = resolvent_trace(grid, v, alpha)
-        lam = _k_eigenvalues(grid, v)
+        lam = k_spectrum(birman_schwinger(grid, v))
         r_spectral = float(np.sum(lam / (1.0 + alpha * lam)))
         rel = abs(r_direct - r_spectral) / max(abs(r_spectral), 1e-30)
         records.append({
@@ -379,6 +373,13 @@ def _run_trotter(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # bs-equivalence
 
+def _lambda_floor(grid: GridSpec) -> float:
+    """4/h^2 sin^2(pi / (2(m+1))) for the longest axis m: the lowest eigenvalue
+    of the 1-D Dirichlet stencil along it, the unit of the drawn amplitudes."""
+    return 4.0 / grid.h**2 * math.sin(
+        math.pi / (2.0 * (max(grid.points_per_axis) + 1))) ** 2
+
+
 def _bs_instance(cfg: ExperimentConfig, trial: int):
     """Draw an instance, re-seeding while eigenvalues sit in a zero band."""
     for attempt in range(8):
@@ -395,9 +396,7 @@ def _bs_instance(cfg: ExperimentConfig, trial: int):
         cap = 2 if grid.d == 3 else cfg.N_max
         nf = int(rng.integers(1, cap + 1))
         style = "random-psd-field" if rng.integers(0, 2) else "gaussian-bumps"
-        lam_floor = 4.0 / grid.h**2 * math.sin(
-            math.pi / (2.0 * (max(grid.points_per_axis) + 1))) ** 2
-        amp = float(rng.uniform(0.3, 3.0)) * lam_floor * 3.0
+        amp = float(rng.uniform(0.3, 3.0)) * _lambda_floor(grid) * 3.0
         v = generate_potential(s, grid, nf, style, amplitude=amp)
 
         h_op = hamiltonian(grid, v, sign=-1.0)
@@ -405,7 +404,7 @@ def _bs_instance(cfg: ExperimentConfig, trial: int):
         band = 10.0 * ZERO_BAND_RTOL * h_op.scale()
         if w_h.size and float(np.min(np.abs(w_h))) <= band:
             continue
-        lam_k = _k_eigenvalues(grid, v)
+        lam_k = k_spectrum(birman_schwinger(grid, v))
         if lam_k.size and float(np.min(np.abs(lam_k - 1.0))) <= 1e-9 * (
                 1.0 + float(lam_k.max())):
             continue
@@ -429,8 +428,7 @@ def _run_bs(cfg: ExperimentConfig) -> ExperimentReport:
             "k_count": k_above_one, "margin": 0.0 if match else -1.0,
         })
         for a in (0.7, 1.13, 2.0):
-            bound = (sum(f_a_transform(a, float(l)) for l in lam_k if l > 0.0)
-                     / f_a_transform(a, 1.0)) if lam_k.size else 0.0
+            bound = bs_bound(lambda lam: f_a_transform(a, lam), lam_k)
             records.append({
                 "kind": "bs-bound", "gate": "hard", "trial": i, "seed": s,
                 "dim": v.dim, "a": a, "bound": bound, "count": count_inertia,
@@ -496,9 +494,7 @@ def _run_lt(cfg: ExperimentConfig) -> ExperimentReport:
         grid = GridSpec(d=len(pts), points_per_axis=pts,
                         h=float(rng.uniform(0.4, 0.6)))
         nf = int(rng.integers(1, 3))
-        lam_floor = 4.0 / grid.h**2 * math.sin(
-            math.pi / (2.0 * (max(grid.points_per_axis) + 1))) ** 2
-        amp = float(rng.uniform(1.0, 3.0)) * lam_floor * 30.0
+        amp = float(rng.uniform(1.0, 3.0)) * _lambda_floor(grid) * 30.0
         v = generate_potential(s, grid, nf, "gaussian-bumps", amplitude=amp)
         h_op = hamiltonian(grid, v, sign=-1.0)
         for gamma in (0.5, 1.0, 2.0):

@@ -6,9 +6,9 @@ the internal C^N fiber.  On top of it sit the counting and comparison
 routines: negative-eigenvalue counts via symmetric-indefinite inertia of
 the block-tridiagonal Schur complements (the dense H is never formed),
 the Birman-Schwinger operator K = V^{1/2} L^{-1} V^{1/2} with its
-counting bound, heat-kernel and Trotter-product traces, the resolvent
-trace, and Riemann-sum right-hand sides of the counting and Riesz-mean
-bounds.
+spectrum and counting bound, heat-kernel and Trotter-product traces, the
+resolvent trace, and Riemann-sum right-hand sides of the counting and
+Riesz-mean bounds.
 
 Counting statements at fixed grid size are exact finite-dimensional
 theorems and are tested as hard gates; comparisons that stand in for
@@ -260,16 +260,8 @@ def _lap_1d(m: int, h: float, boundary: str) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
 
-def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
-    """Stencil Laplacian on the grid, identity on the C^fiber component.
-
-    Dirichlet boundary makes it positive definite with per-axis smallest
-    eigenvalue 4/h^2 sin^2(pi / (2(m+1))); periodic boundary has the
-    constant vector in its kernel.
-    """
-    fiber = int(fiber)
-    if fiber < 1:
-        raise ValueError(f"fiber dimension must be positive, got {fiber}")
+def _laplacian_matrix(grid: GridSpec, fiber: int) -> sp.csr_matrix:
+    """Kronecker sum of the per-axis stencils, times the fiber identity."""
     total = None
     pts = grid.points_per_axis
     for ax, m in enumerate(pts):
@@ -283,7 +275,21 @@ def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
         total = term if total is None else total + term
     if fiber > 1:
         total = sp.kron(total, sp.eye(fiber))
-    return DiscreteOperator(matrix=total.tocsr(), nsites=grid.nsites, fiber=fiber)
+    return total.tocsr()
+
+
+def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
+    """Stencil Laplacian on the grid, identity on the C^fiber component.
+
+    Dirichlet boundary makes it positive definite with per-axis smallest
+    eigenvalue 4/h^2 sin^2(pi / (2(m+1))); periodic boundary has the
+    constant vector in its kernel.
+    """
+    fiber = int(fiber)
+    if fiber < 1:
+        raise ValueError(f"fiber dimension must be positive, got {fiber}")
+    return DiscreteOperator(matrix=_laplacian_matrix(grid, fiber),
+                            nsites=grid.nsites, fiber=fiber)
 
 
 def _axis_modes(m: int, h: float, boundary: str) -> tuple[np.ndarray, np.ndarray]:
@@ -330,9 +336,8 @@ def hamiltonian(grid: GridSpec, V: MatrixPotential, sign: float = -1.0) -> Discr
     """L + sign * V as a sparse operator (sign = -1 gives -Delta - V)."""
     if V.grid != grid:
         raise ValueError("potential was generated on a different grid")
-    lap = build_laplacian(grid, fiber=V.N)
     return DiscreteOperator(
-        matrix=(lap.matrix + float(sign) * V.block()).tocsr(),
+        matrix=(_laplacian_matrix(grid, V.N) + float(sign) * V.block()).tocsr(),
         nsites=grid.nsites,
         fiber=V.N,
     )
@@ -499,26 +504,40 @@ def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
     return k
 
 
-def bs_bound(F, K: np.ndarray) -> float:
-    """Counting bound F(1)^{-1} sum_k F(lambda_k(K)) for a dense Hermitian K.
+def k_spectrum(K: np.ndarray) -> np.ndarray:
+    """Spectrum of a dense Hermitian PSD K, ascending and clipped at 0.
 
-    For F non-negative, non-decreasing on [0, inf) with F(1) > 0 this
-    dominates the number of eigenvalues of K at or above 1, hence the
-    number of negative eigenvalues of L - V.
+    K is the Birman-Schwinger operator or any matrix standing in for it, so
+    it is checked again: square, within the dense budget, Hermitian, and
+    passing the PSD rule, so the clip removes only rounding dust below 0.
     """
     K = np.asarray(K)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise NonHermitianError(f"K must be square, got shape {K.shape}")
-    _check_dense(K.shape[0], "Birman-Schwinger bound")
+    _check_dense(K.shape[0], "Birman-Schwinger spectrum")
     require_hermitian_stack(K, "K")
+    if K.shape[0] == 0:
+        return np.zeros(0)
+    return np.maximum(require_psd_spectrum(np.linalg.eigvalsh(K), "K"), 0.0)
+
+
+def bs_bound(F, lam: np.ndarray) -> float:
+    """Counting bound F(1)^{-1} sum_k F(lambda_k) over the spectrum lam of K.
+
+    lam is the 1-D array k_spectrum(K), and F is evaluated once on all of
+    it.  For F non-negative, non-decreasing on [0, inf) with F(1) > 0 this
+    dominates the number of eigenvalues of K at or above 1, hence the
+    number of negative eigenvalues of L - V.
+    """
+    lam = np.asarray(lam)
+    if lam.ndim != 1:
+        raise ValueError(f"lam must be the 1-D spectrum of K, got shape {lam.shape}")
     f1 = float(F(1.0))
     if not f1 > 0.0:
         raise ValueError(f"F(1) must be positive, got {f1}")
-    if K.shape[0] == 0:
-        return 0.0
-    lam = np.maximum(require_psd_spectrum(np.linalg.eigvalsh(K), "K"), 0.0)
-    vals = np.array([float(F(x)) for x in lam])
-    if not np.all(np.isfinite(vals)) or np.any(vals < -1e-12 * (1.0 + np.max(np.abs(vals)))):
+    vals = np.asarray(F(lam), dtype=float)
+    if (vals.shape != lam.shape or not np.all(np.isfinite(vals))
+            or np.any(vals < -1e-12 * (1.0 + np.max(np.abs(vals), initial=0.0)))):
         raise ValueError("F must be finite and non-negative on the spectrum of K")
     return float(np.sum(np.maximum(vals, 0.0)) / f1)
 

@@ -21,6 +21,7 @@ from clrlab.lattice import (
     hamiltonian,
     heat_diagonal_step,
     heat_kernel_free,
+    k_spectrum,
     load_potential,
     potential_digest,
     potential_from_json_dict,
@@ -327,7 +328,8 @@ def test_birman_schwinger_zero_potential():
     g = grid1d(6)
     k = birman_schwinger(g, scalar_potential(g, np.zeros(6)))
     assert k.shape == (0, 0)
-    assert bs_bound(lambda x: x, k) == 0.0
+    assert k_spectrum(k).shape == (0,)
+    assert bs_bound(lambda x: x, k_spectrum(k)) == 0.0
 
 
 def test_birman_schwinger_single_site_oracle():
@@ -412,7 +414,7 @@ def test_bs_bound_linear_f_is_trace():
     v = generate_potential(5, g, 1, "random-psd-field", 5.0)
     k = birman_schwinger(g, v)
     lam = np.linalg.eigvalsh(k)
-    got = bs_bound(lambda x: x, k)
+    got = bs_bound(lambda x: x, k_spectrum(k))
     assert abs(got - float(np.sum(np.maximum(lam, 0.0)))) < 1e-10 * (1.0 + got)
 
 
@@ -420,10 +422,10 @@ def test_bs_bound_dominates_count():
     g = grid1d(10, 0.5)
     for trial in range(15):
         v = generate_potential((99, trial), g, 1, "random-psd-field", 6.0)
-        k = birman_schwinger(g, v)
+        lam = k_spectrum(birman_schwinger(g, v))
         count = count_negative(hamiltonian(g, v))
         for a in (0.7, 1.13, 2.0):
-            bound = bs_bound(lambda lam, aa=a: f_a_transform(aa, lam), k)
+            bound = bs_bound(lambda x, aa=a: f_a_transform(aa, x), lam)
             assert bound >= count - 1e-9
 
 
@@ -433,7 +435,22 @@ def test_bs_bound_small_potential():
     k = birman_schwinger(g, v)
     assert count_negative(hamiltonian(g, v)) == 0
     assert np.linalg.eigvalsh(k).max() < 1.0
-    assert bs_bound(lambda lam: f_a_transform(1.13, lam), k) >= 0.0
+    assert bs_bound(lambda lam: f_a_transform(1.13, lam), k_spectrum(k)) >= 0.0
+
+
+@pytest.mark.parametrize("size", [0, 1, 50])
+def test_bs_bound_evaluates_f_once_on_the_spectrum(size):
+    lam = np.linspace(0.0, 3.0, size)
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return f_a_transform(1.13, x)
+
+    got = bs_bound(f, lam)
+    assert calls == [(), (size,)]
+    want = sum(f_a_transform(1.13, float(x)) for x in lam) / f_a_transform(1.13, 1.0)
+    assert abs(got - want) <= 1e-14 * (1.0 + want)
 
 
 def test_psd_rule_boundary_is_shared():
@@ -454,7 +471,7 @@ def test_psd_rule_boundary_is_shared():
         checks = [
             lambda: require_psd_spectrum(stack, "stack"),
             v.require_psd,
-            lambda: bs_bound(lambda x: x, rotated([low, 0.5, 2.0])),
+            lambda: k_spectrum(rotated([low, 0.5, 2.0])),
         ]
         for check in checks:
             if ok:
@@ -464,19 +481,26 @@ def test_psd_rule_boundary_is_shared():
                     check()
 
 
-def test_bs_bound_rejects_non_hermitian_k():
+def test_k_spectrum_rejects_non_hermitian_k():
     with pytest.raises(NonHermitianError):
-        bs_bound(lambda x: x, np.array([[1.0, 0.5], [0.0, 1.0]]))
+        k_spectrum(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(NonHermitianError):
-        bs_bound(lambda x: x, np.ones((2, 3)))
+        k_spectrum(np.ones((2, 3)))
 
 
 def test_bs_bound_rejects_bad_f():
     g = grid1d(6, 0.5)
     v = scalar_potential(g, np.ones(6))
     k = birman_schwinger(g, v)
+    lam = k_spectrum(k)
     with pytest.raises(ValueError):
-        bs_bound(lambda lam: lam - 1.0, k)  # F(1) = 0
+        bs_bound(lambda x: x - 1.0, lam)  # F(1) = 0
+    with pytest.raises(ValueError):
+        bs_bound(lambda x: x - 0.5, np.array([0.1, 2.0]))  # F(0.1) < 0
+    with pytest.raises(ValueError):
+        bs_bound(lambda x: 1.0, np.array([0.1, 2.0]))  # not elementwise
+    with pytest.raises(ValueError):
+        bs_bound(lambda x: x, k)  # K itself, not its spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +716,15 @@ def test_hamiltonian_real_for_real_potentials():
     v2 = generate_potential(5, g, 2, "random-psd-field", 3.0)
     assert np.any(v2.values.imag)
     assert hamiltonian(g, v2).matrix.dtype == np.complex128
+
+
+def test_hamiltonian_is_laplacian_plus_signed_block():
+    g = GridSpec(d=2, points_per_axis=(4, 5), h=0.5)
+    for nf, sign in ((1, -1.0), (2, 0.5)):
+        v = generate_potential(6, g, nf, "random-psd-field", 3.0)
+        want = build_laplacian(g, fiber=nf).matrix + sign * v.block()
+        got = hamiltonian(g, v, sign=sign).matrix
+        assert np.array_equal(got.toarray(), want.toarray())
 
 
 def test_matrix_potential_moment_and_sqrt():

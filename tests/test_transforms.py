@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 from scipy.integrate import quad
 
 from clrlab.errors import BudgetError
@@ -32,6 +31,17 @@ E1_ORACLE = {
     1.0: 0.21938393439552027,
     1.13: 0.17716661516956421,
     2.0: 0.04890051070806112,
+}
+# e^x E_1(x) on both sides of the switch to the asymptotic series at 600,
+# computed once with mpmath at 40 digits.
+E1_SCALED_ORACLE = {
+    1e-6: 13.238309131365003,
+    0.7: 0.7526780200295872,
+    5.0: 0.1704221762847322,
+    599.0: 0.0016666712809790046,
+    601.0: 0.0016611341366314562,
+    1e4: 9.999000199940023e-05,
+    1e9: 9.99999999e-10,
 }
 F_A1_ORACLE_113 = 0.380254908244127      # 1 - a e^a E1(a) at a = 1.13
 C_A_ORACLE_113 = 0.174470106585476       # (1/8)(pi a)^{-1/2} / F_a(1)
@@ -120,14 +130,11 @@ def test_e1_reference_values():
     assert abs(exp_integral_E1(1.13) - 0.177167) < 1e-6
 
 
-def test_e1_matches_scipy_across_switch():
-    # cross-library check either side of the series/continued-fraction
-    # switch at a = 1.5
-    for a in np.concatenate([np.linspace(0.05, 1.5, 30),
-                             np.linspace(1.5, 30.0, 30)]):
-        got = exp_integral_E1(float(a))
-        want = float(scipy.special.exp1(a))
-        assert abs(got - want) < 1e-12 * want
+def test_e1_scaled_frozen_oracle_values():
+    for x, want in E1_SCALED_ORACLE.items():
+        assert abs(e1_scaled(x) - want) < 1e-14 * want
+    xs, want = map(np.array, zip(*E1_SCALED_ORACLE.items()))
+    assert np.all(np.abs(e1_scaled(xs) - want) < 1e-14 * want)
 
 
 def test_e1_asymptotics_and_scaled_form():
@@ -144,6 +151,11 @@ def test_e1_domain():
         exp_integral_E1(0.0)
     with pytest.raises(ValueError):
         exp_integral_E1(-1.0)
+    for bad in (np.array([1.0, 0.0]), np.array([2.0, math.nan])):
+        with pytest.raises(ValueError):
+            exp_integral_E1(bad)
+        with pytest.raises(ValueError):
+            e1_scaled(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +277,19 @@ def test_f_a_transform_closed_form_vs_quadrature():
             want = laplace_type_transform(lambda mu: f_a_eval(a, mu), lam)
             got = f_a_transform(a, lam)
             assert abs(got - want) < 1e-9 * (1.0 + abs(want))
+
+
+def test_f_a_transform_elementwise_matches_scalar_calls():
+    a = 1.13
+    lam = np.array([0.0, 1e-9, 1e-4, 0.3, 1.0, 7.5, 1e6])  # 1e-9: a/lam > 600
+    got = f_a_transform(a, lam)
+    assert isinstance(got, np.ndarray) and got.shape == lam.shape
+    assert list(got) == [f_a_transform(a, float(x)) for x in lam]
+    assert got[0] == 0.0 and isinstance(f_a_transform(a, 0.0), float)
+    assert np.all(np.diff(got) > 0.0)
+    for bad in (np.array([1.0, -0.5]), np.array([0.0, math.nan])):
+        with pytest.raises(ValueError):
+            f_a_transform(a, bad)
 
 
 # ---------------------------------------------------------------------------
