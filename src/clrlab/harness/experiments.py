@@ -34,9 +34,8 @@ from ..lattice import (
 from ..matcore import apply_spectral, eig_hermitian, holder_trace_product
 from ..timeorder import (
     ScalarFunctionClass,
-    averaged_trace,
+    _jensen_sides,
     convex_probe,
-    jensen_gap,
     time_ordered_apply,
     time_ordered_exponential,
     time_ordered_monomial,
@@ -167,9 +166,9 @@ def _run_jensen(cfg: ExperimentConfig) -> ExperimentReport:
         ws = [random_psd(rng, nf, eig_max=float(rng.uniform(0.1, 1.2)))
               for _ in range(n)]
         decs = [eig_hermitian(w) for w in ws]
-        rhs = averaged_trace(f, decs)
-        gap = jensen_gap(f, decs)
-        scale = 1.0 + abs(rhs)
+        averaged, ordered = _jensen_sides(f, decs)
+        gap = averaged - ordered
+        scale = 1.0 + abs(averaged)
         records.append({
             "kind": "jensen-gap", "gate": "hard", "trial": i, "seed": s,
             "n": n, "N": nf,

@@ -2,10 +2,13 @@
 
 Grids are 1-D to 3-D boxes with Dirichlet or periodic boundary; the
 Laplacian is the standard 2d+1-point stencil acting as the identity on
-the internal C^N fiber.  On top of it sit the counting and comparison
-routines: negative-eigenvalue counts via symmetric-indefinite inertia of
-the block-tridiagonal Schur complements (the dense H is never formed),
-the Birman-Schwinger operator K = V^{1/2} L^{-1} V^{1/2} with its
+the internal C^N fiber.  It and H = L - V are assembled in one pass as a
+canonical CSR matrix straight from the box stencil (_stencil_matrix), and
+every operator's Hermiticity is checked by looking up each stored entry's
+transpose partner (_hermitian_defect).  On top of them sit the counting
+and comparison routines: negative-eigenvalue counts via symmetric-indefinite
+inertia of the block-tridiagonal Schur complements (the dense H is never
+formed), the Birman-Schwinger operator K = V^{1/2} L^{-1} V^{1/2} with its
 spectrum and counting bound, heat-kernel and Trotter-product traces, the
 resolvent trace, and Riemann-sum right-hand sides of the counting and
 Riesz-mean bounds.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -96,7 +99,7 @@ class GridSpec:
 
     @property
     def nsites(self) -> int:
-        return int(np.prod(self.points_per_axis))
+        return math.prod(self.points_per_axis)
 
     @property
     def extent(self) -> tuple[float, ...]:
@@ -186,15 +189,49 @@ class MatrixPotential:
         mags = np.max(np.abs(self.values), axis=(1, 2))
         return np.nonzero(mags > tol)[0]
 
+    def _entries(self) -> np.ndarray:
+        """values, as a real array when no site matrix has an imaginary part."""
+        return self.values if np.any(self.values.imag) else self.values.real
+
     def block(self) -> sp.csr_matrix:
         """Block-diagonal operator with the site matrices on the diagonal.
 
-        Real when no site matrix has an imaginary part.
+        Real when no site matrix has an imaginary part.  Row (x, a) holds
+        the N entries V(x)[a, :], so the CSR row pointer steps by N before
+        exact zeros are dropped.
         """
-        vals = self.values if np.any(self.values.imag) else self.values.real
-        if self.N == 1:
-            return sp.diags(vals[:, 0, 0], format="csr")
-        return sp.block_diag(list(vals), format="csr")
+        n = self.N
+        cols = np.arange(self.dim).reshape(-1, 1, n)
+        out = sp.csr_matrix(
+            (self._entries().ravel(), np.broadcast_to(cols, self.values.shape).ravel(),
+             np.arange(0, self.dim * n + 1, n)),
+            shape=(self.dim, self.dim), copy=True,  # dropping zeros compacts in place
+        )
+        out.eliminate_zeros()
+        return out
+
+
+def _hermitian_defect(m: sp.csr_matrix) -> float:
+    """max |(m - m^H)_ij| of a square CSR matrix, without forming m^H.
+
+    On a canonical copy (duplicates summed, indices sorted, so the caller's
+    matrix is untouched) the keys row * n + col are sorted, and each stored
+    entry finds its transpose partner by binary search; an entry without a
+    stored partner is its own defect.  Entries of m^H with no partner in m
+    are the conjugates of such entries, so the maximum is the same.
+    """
+    m = m.copy()
+    m.sum_duplicates()
+    if m.nnz == 0:
+        return 0.0
+    n = m.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
+    cols = m.indices.astype(np.int64)
+    keys = rows * n + cols
+    want = cols * n + rows
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    partner = np.where(keys[pos] == want, m.data[pos], 0)
+    return float(np.max(np.abs(m.data - np.conj(partner))))
 
 
 @dataclass(frozen=True)
@@ -204,6 +241,7 @@ class DiscreteOperator:
     matrix: sp.spmatrix
     nsites: int
     fiber: int = 1
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix)
@@ -216,12 +254,13 @@ class DiscreteOperator:
                 f"dimension {m.shape[0]} does not match nsites * fiber = "
                 f"{self.nsites * self.fiber}"
             )
-        defect = m - m.getH()
-        worst = float(np.max(np.abs(defect.data))) if defect.nnz else 0.0
+        worst = _hermitian_defect(m)
         scale = 1.0 + (float(np.max(np.abs(m.data))) if m.nnz else 0.0)
         if worst > HERMITICITY_RTOL * scale:
             raise NonHermitianError(f"operator is not Hermitian: defect {worst:.3e}")
         object.__setattr__(self, "matrix", m)
+        norm = 0.0 if m.nnz == 0 else float(np.max(np.abs(m).sum(axis=1)))
+        object.__setattr__(self, "_scale", norm)
 
     @property
     def dim(self) -> int:
@@ -232,9 +271,7 @@ class DiscreteOperator:
 
     def scale(self) -> float:
         """Infinity norm (max absolute row sum), the tolerance yardstick."""
-        if self.matrix.nnz == 0 or self.dim == 0:
-            return 0.0
-        return float(np.max(np.abs(self.matrix).sum(axis=1)))
+        return self._scale
 
 
 def _check_dense(dim: int, what: str) -> None:
@@ -249,33 +286,48 @@ def _check_dense(dim: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 # Laplacians.
 
-def _lap_1d(m: int, h: float, boundary: str) -> sp.csr_matrix:
-    # L = (2 I - S - S^T) / h^2 with S the (cyclic) forward shift i -> i + 1.
-    i = np.arange(m)
-    src = i if boundary == "periodic" else i[:-1]
-    dst = (src + 1) % m
-    vals = np.concatenate([np.full(m, 2.0), np.full(2 * src.size, -1.0)]) / h**2
-    rows = np.concatenate([i, src, dst])
-    cols = np.concatenate([i, dst, src])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> sp.csr_matrix:
+    """Canonical CSR of L kron I_N plus the block diagonal of blocks (nsites, N, N).
 
-
-def _laplacian_matrix(grid: GridSpec, fiber: int) -> sp.csr_matrix:
-    """Kronecker sum of the per-axis stencils, times the fiber identity."""
-    total = None
-    pts = grid.points_per_axis
+    Assembled in one pass from the 2d+1-point stencil.  Along each axis the
+    sites i and i+1 couple with -1/h^2 (periodic axes also wrap m-1 to 0;
+    with m = 2 the two couplings fall on one pair, -2/h^2), and every axis
+    adds 2/h^2 to the site diagonal (a periodic m = 1 axis adds 0, its
+    stencil cancelling on the one site).  Diagonal blocks are
+    diag * I_N + blocks, so the entries and the dropped exact zeros match
+    the sparse sum of the Kronecker-sum Laplacian and the block diagonal.
+    """
+    pts, h = grid.points_per_axis, grid.h
+    periodic = grid.boundary == "periodic"
+    n = blocks.shape[1]
+    dim = grid.nsites * n
+    sites = np.arange(grid.nsites)
+    diag = 0.0
+    lo, hi, coupling = [], [], []
     for ax, m in enumerate(pts):
-        term = _lap_1d(m, grid.h, grid.boundary)
-        before = int(np.prod(pts[:ax])) if ax else 1
-        after = int(np.prod(pts[ax + 1 :])) if ax + 1 < len(pts) else 1
-        if before > 1:
-            term = sp.kron(sp.eye(before), term)
-        if after > 1:
-            term = sp.kron(term, sp.eye(after))
-        total = term if total is None else total + term
-    if fiber > 1:
-        total = sp.kron(total, sp.eye(fiber))
-    return total.tocsr()
+        if not (periodic and m == 1):
+            diag += 2.0 / h**2
+        pairs = m if periodic and m >= 3 else m - 1  # i <-> i+1 (mod m)
+        line = sites.reshape(math.prod(pts[:ax]), m, -1)
+        lo.append(line[:, :pairs].ravel())
+        hi.append(line[:, np.arange(1, pairs + 1) % m].ravel())
+        value = (-2.0 if periodic and m == 2 else -1.0) / h**2
+        coupling.append(np.full(lo[-1].size, value))
+    lo, hi, coupling = (np.concatenate(a) for a in (lo, hi, coupling))
+
+    idx = np.arange(dim).reshape(grid.nsites, n)  # row of (site x, component a)
+    rows = np.concatenate([idx[lo].ravel(), idx[hi].ravel(),
+                           np.broadcast_to(idx[:, :, None], blocks.shape).ravel()])
+    cols = np.concatenate([idx[hi].ravel(), idx[lo].ravel(),
+                           np.broadcast_to(idx[:, None, :], blocks.shape).ravel()])
+    data = np.concatenate([np.repeat(np.tile(coupling, 2), n),
+                           (blocks + diag * np.eye(n)).ravel()])
+    keep = data != 0
+    rows, cols, data = rows[keep], cols[keep], data[keep]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(dim, dim))
 
 
 def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
@@ -288,12 +340,12 @@ def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
     fiber = int(fiber)
     if fiber < 1:
         raise ValueError(f"fiber dimension must be positive, got {fiber}")
-    return DiscreteOperator(matrix=_laplacian_matrix(grid, fiber),
-                            nsites=grid.nsites, fiber=fiber)
+    matrix = _stencil_matrix(grid, np.zeros((grid.nsites, fiber, fiber)))
+    return DiscreteOperator(matrix=matrix, nsites=grid.nsites, fiber=fiber)
 
 
 def _axis_modes(m: int, h: float, boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs (lam, U) of the 1-D stencil _lap_1d(m, h, boundary).
+    """Closed-form eigenpairs (lam, U) of the 1-D stencil Laplacian on m sites.
 
     lam_j = (4/h^2) sin^2(theta_j / 2), with theta_j = pi j / (m+1) and the
     DST-I basis U_ij = sqrt(2/(m+1)) sin(i theta_j) (Dirichlet), or
@@ -337,7 +389,7 @@ def hamiltonian(grid: GridSpec, V: MatrixPotential, sign: float = -1.0) -> Discr
     if V.grid != grid:
         raise ValueError("potential was generated on a different grid")
     return DiscreteOperator(
-        matrix=(_laplacian_matrix(grid, V.N) + float(sign) * V.block()).tocsr(),
+        matrix=_stencil_matrix(grid, float(sign) * V._entries()),
         nsites=grid.nsites,
         fiber=V.N,
     )
@@ -356,7 +408,7 @@ def _slab_bounds(matrix: sp.csr_matrix) -> np.ndarray:
     """
     n = matrix.shape[0]
     rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    offsets = np.abs(matrix.indices - rows)[matrix.data != 0]  # kron stores zeros
+    offsets = np.abs(matrix.indices - rows)[matrix.data != 0]  # stored zeros: no coupling
     bandwidth = int(offsets.max()) if offsets.size else 0
     slabs = max(n // max(bandwidth, _MIN_SLAB), 1)
     return np.arange(slabs + 1) * n // slabs

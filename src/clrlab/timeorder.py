@@ -287,14 +287,12 @@ def averaged_trace(f, matrices) -> float:
                for d in decs) / n
 
 
-def jensen_gap(f, matrices) -> float:
-    """Gap (1/n) sum_j tr f(n W_j) - Re tr T f(W_1..W_n).
+def _jensen_sides(f, matrices) -> tuple[float, float]:
+    """(averaged, ordered): (1/n) sum_j tr f(n W_j) and Re tr T f(W_1..W_n).
 
     Preconditions: f admissible (ScalarFunctionClass) and every W_j PSD.
     T is linear in f, so T f = sum_j alpha_j j! C_j(0) + sum_k beta_k C_0(-r_k)
     in the notation of _ordered_series; no enumeration, hence no budget.
-    The gap is guaranteed non-negative mathematically; numerically it may
-    dip to -1e-9 * (1 + |average side|), which callers should treat as zero.
     """
     f = _require_admissible(f)
     decs = _decompositions(matrices)
@@ -306,7 +304,17 @@ def jensen_gap(f, matrices) -> float:
     lhs = sum(a * math.factorial(j) * t
               for j, (a, t) in enumerate(zip(f.poly_coeffs, traces[0])))
     lhs += sum(w * t for (w, _), t in zip(f.exp_atoms, traces[1:, 0]))
-    return averaged_trace(f, decs) - float(lhs)
+    return averaged_trace(f, decs), float(lhs)
+
+
+def jensen_gap(f, matrices) -> float:
+    """Gap (1/n) sum_j tr f(n W_j) - Re tr T f(W_1..W_n), see _jensen_sides.
+
+    The gap is guaranteed non-negative mathematically; numerically it may
+    dip to -1e-9 * (1 + |average side|), which callers should treat as zero.
+    """
+    averaged, ordered = _jensen_sides(f, matrices)
+    return averaged - ordered
 
 
 def convex_probe(kink: float, matrices, budget: int = ENUMERATION_BUDGET) -> float:

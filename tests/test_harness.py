@@ -211,6 +211,25 @@ def test_jensen_run_takes_one_spectrum_per_matrix(monkeypatch):
     assert calls == {"eigh": sum(r["n"] for r in rep.records), "eigvalsh": 0}
 
 
+def test_jensen_run_evaluates_the_averaged_side_once(monkeypatch):
+    import clrlab.harness.experiments as experiments
+    import clrlab.timeorder as timeorder
+
+    calls = [0]
+    averaged_trace = timeorder.averaged_trace
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return averaged_trace(*args, **kwargs)
+
+    # patched in every namespace a trial could call it through
+    monkeypatch.setattr(timeorder, "averaged_trace", counted)
+    monkeypatch.setattr(experiments, "averaged_trace", counted, raising=False)
+    rep = run_experiment(ExperimentConfig(experiment="jensen", trials=50, seed=7))
+    assert rep.passed
+    assert calls[0] == 50
+
+
 def test_experiment_names_cover_dispatch():
     assert set(EXPERIMENT_NAMES) == {
         "constants",

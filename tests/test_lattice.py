@@ -9,6 +9,7 @@ from scipy.sparse.linalg import eigsh
 
 from clrlab.errors import BudgetError, NonHermitianError, NotPositiveSemidefiniteError
 from clrlab.harness import generate_potential
+from clrlab.harness.generators import POTENTIAL_STYLES
 from clrlab.lattice import (
     DiscreteOperator,
     GridSpec,
@@ -32,8 +33,8 @@ from clrlab.lattice import (
     semigroup_sandwich_trace,
     trotter_trace,
 )
-from clrlab.lattice import _axis_modes, _lap_1d, _slab_bounds
-from clrlab.matcore import require_psd_spectrum
+from clrlab.lattice import _axis_modes, _hermitian_defect, _slab_bounds
+from clrlab.matcore import HERMITICITY_RTOL, require_psd_spectrum
 from clrlab.transforms import classical_constant, corollary_constant, f_a_transform
 
 import scipy.sparse as sp
@@ -135,7 +136,7 @@ def test_axis_modes_diagonalize_1d_stencil(m, boundary):
     h = 0.3
     lam, u = _axis_modes(m, h, boundary)
     assert np.allclose(u.conj().T @ u, np.eye(m), atol=1e-14)
-    want = _lap_1d(m, h, boundary).toarray()
+    want = build_laplacian(grid1d(m, h, boundary)).toarray()
     assert np.allclose((u * lam) @ u.conj().T, want, atol=1e-12 / h**2)
 
 
@@ -718,13 +719,119 @@ def test_hamiltonian_real_for_real_potentials():
     assert hamiltonian(g, v2).matrix.dtype == np.complex128
 
 
+def _kron_stencil_1d(m, h, boundary):
+    # (2 I - S - S^T) / h^2 with S the (cyclic) forward shift i -> i + 1
+    i = np.arange(m)
+    src = i if boundary == "periodic" else i[:-1]
+    dst = (src + 1) % m
+    vals = np.concatenate([np.full(m, 2.0), np.full(2 * src.size, -1.0)]) / h**2
+    rows = np.concatenate([i, src, dst])
+    cols = np.concatenate([i, dst, src])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+def kron_sum_hamiltonian(grid, V, sign):
+    """Oracle: (sum over axes of I kron L_axis kron I) kron I_N + sign * blockdiag(V)."""
+    pts = grid.points_per_axis
+    lap = None
+    for ax, m in enumerate(pts):
+        term = sp.kron(sp.kron(sp.eye(math.prod(pts[:ax])),
+                               _kron_stencil_1d(m, grid.h, grid.boundary)),
+                       sp.eye(math.prod(pts[ax + 1:]))).tocsr()
+        lap = term if lap is None else lap + term
+    vals = V.values if np.any(V.values.imag) else V.values.real
+    lifted = sp.kron(lap, sp.eye(V.N)).tocsr()
+    return lifted, (lifted + sign * sp.block_diag(list(vals), format="csr")).tocsr()
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("pts", [(1,), (2,), (3,), (8,), (1, 2), (2, 1, 3), (4, 5, 2)])
+def test_stencil_assembly_matches_kron_sum_bit_for_bit(pts, boundary):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.37, boundary=boundary)
+    for nf in (1, 2, 3):
+        for style in POTENTIAL_STYLES:
+            v = generate_potential(6, g, nf, style, 3.0)
+            for sign in (-1.0, 0.7):
+                lap, want = kron_sum_hamiltonian(g, v, sign)
+                got = hamiltonian(g, v, sign=sign)
+                assert got.matrix.dtype == want.dtype
+                assert np.array_equal(got.matrix.indptr, want.indptr)
+                assert np.array_equal(got.matrix.indices, want.indices)
+                assert got.matrix.data.tobytes() == want.data.tobytes()
+                assert got.scale() == float(np.max(np.abs(want).sum(axis=1)))
+        bare = build_laplacian(g, fiber=nf)
+        assert np.all(bare.matrix.data != 0)
+        assert np.array_equal(bare.toarray(), lap.toarray())
+        assert bare.scale() == float(np.max(np.abs(lap).sum(axis=1)))
+
+
 def test_hamiltonian_is_laplacian_plus_signed_block():
     g = GridSpec(d=2, points_per_axis=(4, 5), h=0.5)
     for nf, sign in ((1, -1.0), (2, 0.5)):
         v = generate_potential(6, g, nf, "random-psd-field", 3.0)
-        want = build_laplacian(g, fiber=nf).matrix + sign * v.block()
+        _, want = kron_sum_hamiltonian(g, v, sign)
         got = hamiltonian(g, v, sign=sign).matrix
         assert np.array_equal(got.toarray(), want.toarray())
+
+
+def test_block_matches_dense_block_diag():
+    g = GridSpec(d=2, points_per_axis=(3, 4), h=0.5)
+    for nf in (1, 2, 3):
+        for style in POTENTIAL_STYLES:
+            v = generate_potential(8, g, nf, style, 3.0)
+            got = v.block()
+            want = scipy.linalg.block_diag(*v.values)
+            if not np.any(v.values.imag):
+                want = want.real
+            assert got.dtype == want.dtype
+            assert got.toarray().tobytes() == want.tobytes()
+            assert np.all(got.data != 0)
+
+
+def _random_sparse(rng, n, complex_, duplicates):
+    """A random square CSR with an asymmetric pattern, maybe non-canonical."""
+    nnz = int(rng.integers(0, 3 * n + 1))
+    rows = rng.integers(0, n, nnz)
+    cols = rng.integers(0, n, nnz)
+    data = rng.normal(size=nnz)
+    if complex_:
+        data = data + 1j * rng.normal(size=nnz)
+    if not duplicates:
+        m = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        # mirror part of the pattern so some entries have a transpose partner
+        return (m + 0.5 * m.getH()).tocsr()
+    # keep duplicates and unsorted columns: fill rows directly
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+
+
+def test_hermitian_defect_matches_explicit_difference():
+    rng = np.random.default_rng(2026)
+    for trial in range(400):
+        n = int(rng.integers(1, 9))
+        m = _random_sparse(rng, n, complex_=trial % 2 == 1, duplicates=trial % 4 >= 2)
+        before = (m.indptr.copy(), m.indices.copy(), m.data.copy())
+        defect = m - m.getH()
+        want = float(np.max(np.abs(defect.data))) if defect.nnz else 0.0
+        assert _hermitian_defect(m) == want
+        for old, new in zip(before, (m.indptr, m.indices, m.data)):
+            assert np.array_equal(old, new)
+    hermitian = hamiltonian(grid1d(6), generate_potential(3, grid1d(6), 2,
+                                                          "random-psd-field", 2.0))
+    assert _hermitian_defect(hermitian.matrix) == 0.0
+
+
+def test_discrete_operator_rejects_defect_above_tolerance():
+    scale = 1.0 + 2.0  # 1 + max |entry|
+    for factor, ok in ((0.9, True), (1.1, False)):
+        e = factor * HERMITICITY_RTOL * scale
+        m = sp.csr_matrix(np.array([[2.0, e], [0.0, 1.0]]))
+        if ok:
+            assert DiscreteOperator(matrix=m, nsites=2).scale() == 2.0 + e
+        else:
+            with pytest.raises(NonHermitianError, match="not Hermitian"):
+                DiscreteOperator(matrix=m, nsites=2)
 
 
 def test_matrix_potential_moment_and_sqrt():

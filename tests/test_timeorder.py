@@ -5,6 +5,7 @@ from clrlab.errors import AdmissibilityError, BudgetError, NotPositiveSemidefini
 from clrlab.matcore import apply_spectral, eig_hermitian
 from clrlab.timeorder import (
     ScalarFunctionClass,
+    _jensen_sides,
     averaged_trace,
     convex_probe,
     jensen_gap,
@@ -305,6 +306,9 @@ def test_jensen_gap_matches_enumeration():
         rhs = averaged_trace(f, ws)
         want = rhs - time_ordered_apply(f, ws).real_trace
         assert abs(jensen_gap(f, ws) - want) < 1e-12 * (1.0 + abs(rhs))
+        averaged, ordered = _jensen_sides(f, ws)
+        assert averaged == rhs
+        assert jensen_gap(f, ws) == averaged - ordered
 
 
 def test_jensen_gap_one_validation_and_one_eigh_per_matrix(monkeypatch):
