@@ -23,6 +23,7 @@ from ..lattice import (
     bs_bound,
     clr_rhs,
     count_negative,
+    h_and_k_spectra,
     hamiltonian,
     k_spectrum,
     potential_digest,
@@ -399,11 +400,10 @@ def _bs_instance(cfg: ExperimentConfig, trial: int):
         v = generate_potential(s, grid, nf, style, amplitude=amp)
 
         h_op = hamiltonian(grid, v, sign=-1.0)
-        w_h = np.linalg.eigvalsh(h_op.toarray())
+        w_h, lam_k = h_and_k_spectra(h_op, birman_schwinger(grid, v))
         band = 10.0 * ZERO_BAND_RTOL * h_op.scale()
         if w_h.size and float(np.min(np.abs(w_h))) <= band:
             continue
-        lam_k = k_spectrum(birman_schwinger(grid, v))
         if lam_k.size and float(np.min(np.abs(lam_k - 1.0))) <= 1e-9 * (
                 1.0 + float(lam_k.max())):
             continue

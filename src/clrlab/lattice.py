@@ -9,7 +9,8 @@ transpose partner (_hermitian_defect).  On top of them sit the counting
 and comparison routines: negative-eigenvalue counts via symmetric-indefinite
 inertia of the block-tridiagonal Schur complements (the dense H is never
 formed), the Birman-Schwinger operator K = V^{1/2} L^{-1} V^{1/2} with its
-spectrum and counting bound, heat-kernel and Trotter-product traces, the
+spectrum and counting bound, the dense spectra of H and K taken side by
+side (h_and_k_spectra), heat-kernel and Trotter-product traces, the
 resolvent trace, and Riemann-sum right-hand sides of the counting and
 Riesz-mean bounds.
 
@@ -26,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +50,31 @@ ZERO_BAND_RTOL = 1e-10
 # Narrowest slab of the Schur inertia count: slabs thinner than this do not
 # repay their per-slab solve, so small operators are factored whole.
 _MIN_SLAB = 128
+# Order from which a dense spectrum is taken in place (one dense copy instead
+# of numpy's two) and may run beside another; below it scipy's wrapper costs
+# more than the copy it saves.
+_IN_PLACE_ORDER = 256
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _serial_blas(environ) -> bool:
+    """Whether the environment pins BLAS to one thread.
+
+    True when at least one of the BLAS thread variables is set and every one
+    that is set equals "1"; an unpinned BLAS may use every core already.
+    """
+    values = [environ[k].strip() for k in _BLAS_THREAD_VARS if k in environ]
+    return bool(values) and all(v == "1" for v in values)
+
+
+_SERIAL_BLAS = _serial_blas(os.environ)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +311,29 @@ def _check_dense(dim: int, what: str) -> None:
         )
 
 
+def _in_place_spectrum(op: DiscreteOperator) -> np.ndarray:
+    """Eigenvalues of op from one Fortran-ordered dense copy, overwritten.
+
+    The same LAPACK ?syevd / ?heevd that np.linalg.eigvalsh calls, on the
+    same lower triangle, without numpy's internal copy; the values match
+    numpy's bit for bit.
+    """
+    a = op.matrix.toarray(order="F")
+    return scipy.linalg.eigvalsh(a, overwrite_a=True, driver="evd")
+
+
+def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
+    """Ascending eigenvalues of op by a full dense eigendecomposition.
+
+    Charges the dense budget with the order first.  From order
+    _IN_PLACE_ORDER on the dense copy is decomposed in place.
+    """
+    _check_dense(op.dim, what)
+    if op.dim < _IN_PLACE_ORDER:
+        return np.linalg.eigvalsh(op.toarray())
+    return _in_place_spectrum(op)
+
+
 # ---------------------------------------------------------------------------
 # Laplacians.
 
@@ -503,8 +554,7 @@ def count_negative(op: DiscreteOperator, method: str = "auto") -> int:
         except np.linalg.LinAlgError:
             if method == "inertia":
                 raise
-    _check_dense(op.dim, "negative-eigenvalue counting")
-    w = np.linalg.eigvalsh(op.toarray())
+    w = _dense_spectrum(op, "negative-eigenvalue counting")
     return int(np.sum(w < -zero_tol))
 
 
@@ -513,11 +563,10 @@ def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
     gamma = float(gamma)
     if not gamma > 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    _check_dense(op.dim, "Riesz mean")
     if op.dim == 0:
         return 0.0
     zero_tol = ZERO_BAND_RTOL * op.scale()
-    w = np.linalg.eigvalsh(op.toarray())
+    w = _dense_spectrum(op, "Riesz mean")
     neg = w[w < -zero_tol]
     return float(np.sum((-neg) ** gamma))
 
@@ -556,6 +605,23 @@ def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
     return k
 
 
+def _checked_k(K) -> np.ndarray:
+    """K as an array, checked square, within the dense budget and Hermitian."""
+    K = np.asarray(K)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise NonHermitianError(f"K must be square, got shape {K.shape}")
+    _check_dense(K.shape[0], "Birman-Schwinger spectrum")
+    require_hermitian_stack(K, "K")
+    return K
+
+
+def _k_values(K: np.ndarray) -> np.ndarray:
+    """Spectrum of a checked K under the PSD rule, clipped at 0."""
+    if K.shape[0] == 0:
+        return np.zeros(0)
+    return np.maximum(require_psd_spectrum(np.linalg.eigvalsh(K), "K"), 0.0)
+
+
 def k_spectrum(K: np.ndarray) -> np.ndarray:
     """Spectrum of a dense Hermitian PSD K, ascending and clipped at 0.
 
@@ -563,14 +629,28 @@ def k_spectrum(K: np.ndarray) -> np.ndarray:
     it is checked again: square, within the dense budget, Hermitian, and
     passing the PSD rule, so the clip removes only rounding dust below 0.
     """
-    K = np.asarray(K)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise NonHermitianError(f"K must be square, got shape {K.shape}")
-    _check_dense(K.shape[0], "Birman-Schwinger spectrum")
-    require_hermitian_stack(K, "K")
-    if K.shape[0] == 0:
-        return np.zeros(0)
-    return np.maximum(require_psd_spectrum(np.linalg.eigvalsh(K), "K"), 0.0)
+    return _k_values(_checked_k(K))
+
+
+def h_and_k_spectra(H: DiscreteOperator, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dense spectrum of H, k_spectrum(K)), the two taken side by side.
+
+    K's checks and both dense-budget charges come first.  When H's order
+    is at least _IN_PLACE_ORDER, two CPUs are usable and BLAS is pinned to
+    one thread, H's spectrum is taken in place on a worker thread while
+    this thread runs K's eigvalsh: numpy releases the GIL inside LAPACK,
+    scipy's wrapper does not, so the worker must run the scipy call.
+    Otherwise the two run one after the other.  The values are the same
+    either way.
+    """
+    _check_dense(H.dim, "Hamiltonian spectrum")
+    K = _checked_k(K)
+    if H.dim >= _IN_PLACE_ORDER and _SERIAL_BLAS and _usable_cpus() >= 2:
+        with ThreadPoolExecutor(1) as pool:
+            h_values = pool.submit(_in_place_spectrum, H)
+            k_values = _k_values(K)
+            return h_values.result(), k_values
+    return _dense_spectrum(H, "Hamiltonian spectrum"), _k_values(K)
 
 
 def bs_bound(F, lam: np.ndarray) -> float:

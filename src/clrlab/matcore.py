@@ -35,6 +35,29 @@ PSD_RTOL = 1e-10
 HOLDER_SLACK = 1e-10
 
 
+# Rows per block of the Hermiticity check on one large matrix.
+_HERMITIAN_BLOCK_ROWS = 64
+
+
+def _defect_and_scale(a: np.ndarray) -> tuple[float, float]:
+    """(max|A - A^H|, 1 + max|A|) of a non-empty matrix or stack.
+
+    A single matrix of more than _HERMITIAN_BLOCK_ROWS rows is scanned in
+    row blocks, so no temporary is larger than one block; the maxima, and
+    so both values, are the same as the whole-array formula's.
+    """
+    if a.ndim == 2 and a.shape[0] > _HERMITIAN_BLOCK_ROWS:
+        starts = range(0, a.shape[0], _HERMITIAN_BLOCK_ROWS)
+        blocks = [(a[i:i + _HERMITIAN_BLOCK_ROWS],
+                   a[:, i:i + _HERMITIAN_BLOCK_ROWS].T) for i in starts]
+        defect = np.max([np.max(np.abs(row - col.conj())) for row, col in blocks])
+        top = np.max([np.max(np.abs(row)) for row, _ in blocks])
+    else:
+        defect = np.max(np.abs(a - a.swapaxes(-1, -2).conj()))
+        top = np.max(np.abs(a))
+    return float(defect), 1.0 + float(top)
+
+
 def require_hermitian_stack(a: np.ndarray, what: str) -> None:
     """Reject max|A - A^H| > HERMITICITY_RTOL (1 + max|A|), for a matrix or a stack.
 
@@ -42,8 +65,7 @@ def require_hermitian_stack(a: np.ndarray, what: str) -> None:
     """
     if a.size == 0:
         return
-    scale = 1.0 + float(np.max(np.abs(a)))
-    defect = float(np.max(np.abs(a - a.swapaxes(-1, -2).conj())))
+    defect, scale = _defect_and_scale(a)
     if defect > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds "

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import scipy.linalg
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
 
+from clrlab import lattice
 from clrlab.errors import BudgetError, NonHermitianError, NotPositiveSemidefiniteError
-from clrlab.harness import generate_potential
+from clrlab.harness import ExperimentConfig, generate_potential, run_experiment
 from clrlab.harness.generators import POTENTIAL_STYLES
 from clrlab.lattice import (
     DiscreteOperator,
@@ -19,6 +21,7 @@ from clrlab.lattice import (
     build_laplacian,
     clr_rhs,
     count_negative,
+    h_and_k_spectra,
     hamiltonian,
     heat_diagonal_step,
     heat_kernel_free,
@@ -916,3 +919,133 @@ def test_dense_budget_env_override(monkeypatch):
         count_negative(hamiltonian(grid1d(9), scalar_potential(grid1d(9), np.ones(9))))
     g8 = grid1d(8, 0.5)
     assert count_negative(hamiltonian(g8, scalar_potential(g8, 100.0 * np.ones(8)))) == 8
+
+
+# ---------------------------------------------------------------------------
+# dense spectra, in place and side by side
+
+def _random_hamiltonian(pts, N, seed=5):
+    grid = GridSpec(d=len(pts), points_per_axis=pts, h=0.5)
+    v = generate_potential(seed, grid, N, "random-psd-field", amplitude=40.0)
+    return grid, v, hamiltonian(grid, v)
+
+
+@pytest.mark.parametrize("pts, N, dtype", [
+    ((200,), 1, np.float64),        # order 200, numpy path
+    ((5, 5, 5), 2, np.complex128),  # 250
+    ((12, 12), 2, np.complex128),   # 288, in place
+    ((7, 7, 7), 1, np.float64),     # 343
+])
+def test_dense_spectrum_matches_numpy_bit_for_bit(pts, N, dtype):
+    _, _, op = _random_hamiltonian(pts, N)
+    assert op.matrix.dtype == dtype
+    before = [a.copy() for a in (op.matrix.data, op.matrix.indices, op.matrix.indptr)]
+    want = np.linalg.eigvalsh(op.toarray())
+    assert np.array_equal(lattice._dense_spectrum(op, "test"), want)
+    after = (op.matrix.data, op.matrix.indices, op.matrix.indptr)
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+
+def _force_overlap(monkeypatch, on):
+    monkeypatch.setattr(lattice, "_SERIAL_BLAS", on)
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: 2)
+    pools = []
+    executor = lattice.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(1)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "ThreadPoolExecutor", counted)
+    return pools
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_h_and_k_spectra_same_with_and_without_overlap(monkeypatch, N):
+    grid, v, op = _random_hamiltonian((7, 7, 7), N)
+    k = birman_schwinger(grid, v)
+    results = []
+    for on in (True, False):
+        pools = _force_overlap(monkeypatch, on)
+        results.append(h_and_k_spectra(op, k))
+        assert len(pools) == int(on)
+    (w_on, lam_on), (w_off, lam_off) = results
+    assert np.array_equal(w_on, w_off) and np.array_equal(lam_on, lam_off)
+
+
+def test_bs_equivalence_records_same_with_and_without_overlap(monkeypatch):
+    # trials 0-2 draw N = 1, 1, 2: orders 343, 343, 686
+    cfg = ExperimentConfig(experiment="bs-equivalence", trials=3, grid_points=(7, 7, 7))
+    dumps = []
+    for on in (True, False):
+        pools = _force_overlap(monkeypatch, on)
+        records = run_experiment(cfg).records
+        dumps.append(json.dumps(records, sort_keys=True))
+        assert len(pools) == 3 * int(on)
+    assert dumps[0] == dumps[1]
+    assert {r["dim"] for r in records} == {343, 686}
+
+
+def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
+    grid, v, op = _random_hamiltonian((7, 7, 7), 1)
+    k = birman_schwinger(grid, v)
+    _force_overlap(monkeypatch, True)
+    threads = threading.active_count()
+
+    def worker_fails(op):
+        raise RuntimeError("worker failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_in_place_spectrum", worker_fails)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            h_and_k_spectra(op, k)
+    assert threading.active_count() == threads
+
+    def k_fails(a):
+        raise np.linalg.LinAlgError("K failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", k_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="K failed"):
+            h_and_k_spectra(op, k)
+    assert threading.active_count() == threads
+
+
+def test_h_and_k_spectra_sequential_unless_blas_is_serial(monkeypatch):
+    grid, v, op = _random_hamiltonian((7, 7, 7), 1)
+    monkeypatch.setattr(lattice, "_SERIAL_BLAS", lattice._serial_blas({}))
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("no worker thread without a serial BLAS")
+
+    monkeypatch.setattr(lattice, "ThreadPoolExecutor", no_thread)
+    w, lam = h_and_k_spectra(op, birman_schwinger(grid, v))
+    assert np.array_equal(w, np.linalg.eigvalsh(op.toarray()))
+
+
+def test_serial_blas_rule():
+    assert not lattice._serial_blas({})
+    assert lattice._serial_blas({"OMP_NUM_THREADS": "1"})
+    assert not lattice._serial_blas({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"})
+    assert lattice._serial_blas({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"})
+    assert not lattice._serial_blas({"BLIS_NUM_THREADS": "1"})
+
+
+def test_h_and_k_spectra_charges_the_budget_for_h(monkeypatch):
+    g9 = grid1d(9)
+    op = hamiltonian(g9, scalar_potential(g9, np.ones(9)))
+    monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "8")
+    with pytest.raises(BudgetError, match="Hamiltonian spectrum.*CLRLAB_DENSE_BUDGET"):
+        h_and_k_spectra(op, np.eye(1))
+
+
+def test_bs_equivalence_charges_the_budget_before_densifying(monkeypatch):
+    def densified(*args, **kwargs):
+        raise AssertionError("densified an operator over the budget")
+
+    monkeypatch.setattr(DiscreteOperator, "toarray", densified)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", densified)
+    monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "8")  # the pinned order is 9
+    cfg = ExperimentConfig(experiment="bs-equivalence", trials=1, grid_points=(9,), N_max=1)
+    with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
+        run_experiment(cfg)

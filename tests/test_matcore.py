@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from clrlab.errors import (
     SpectralDomainError,
 )
 from clrlab.matcore import (
+    HERMITICITY_RTOL,
+    _defect_and_scale,
     apply_spectral,
     eig_hermitian,
     holder_trace_product,
     negative_part,
     positive_part,
     require_hermitian,
+    require_hermitian_stack,
     split_parts,
 )
 
@@ -200,3 +205,51 @@ def test_holder_property_no_violations():
               for _ in range(n)]
         lhs, rhs = holder_trace_product(ws, powers)
         assert lhs <= rhs + 1e-10 * (1.0 + abs(rhs))
+
+
+# ---------------------------------------------------------------------------
+# row-blocked Hermiticity check
+
+@pytest.mark.parametrize("shape", [(1, 1), (63, 63), (64, 64), (65, 65), (200, 200),
+                                   (3, 65, 65), (5, 200, 200)])
+def test_defect_and_scale_match_the_whole_array_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = 0.5 * (a + a.swapaxes(-1, -2).conj()) + 1e-9 * rng.standard_normal(shape)
+    want = (float(np.max(np.abs(a - a.swapaxes(-1, -2).conj()))),
+            1.0 + float(np.max(np.abs(a))))
+    assert _defect_and_scale(a) == want
+    assert _defect_and_scale(a.real) == (
+        float(np.max(np.abs(a.real - a.real.swapaxes(-1, -2)))),
+        1.0 + float(np.max(np.abs(a.real))))
+
+
+def test_blocked_hermiticity_rule_boundary():
+    # the largest entry is 2 on the diagonal, so the tolerance is 3e-12; the
+    # defect sits in the last row block, against a column of the first
+    n = 200
+    rng = np.random.default_rng(7)
+    a = 0.5 * random_hermitian(rng, n) / n
+    a[0, 0] = 2.0
+    tol = HERMITICITY_RTOL * 3.0
+    for factor, ok in ((0.9, True), (1.1, False)):
+        b = a.copy()
+        b[190, 3] += factor * tol
+        assert _defect_and_scale(b)[1] == 3.0
+        if ok:
+            require_hermitian_stack(b, "b")
+        else:
+            with pytest.raises(NonHermitianError, match="b is not Hermitian"):
+                require_hermitian_stack(b, "b")
+
+
+def test_blocked_hermiticity_check_stays_small():
+    n = 1000
+    a = random_hermitian(np.random.default_rng(3), n)
+    tracemalloc.start()
+    try:
+        require_hermitian_stack(a, "a")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 4

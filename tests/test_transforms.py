@@ -445,3 +445,26 @@ def test_lt_rhs_domain():
         lt_rhs(1.0, 2, 1.0)
     with pytest.raises(ValueError):
         lt_rhs(1.0, 3, -1.0)
+
+
+# F_a(lam) at a = 1.13 from mpmath at 50 digits, for the exact double lam:
+# lam/a = 1e-3, 1e-6, 1e-9, then a/lam = 9.5, 10.5 (either side of the
+# switch to lam e^z E_2(z)) and 599, 601 (either side of its series).
+F_A_FROZEN = [
+    (0.00113, 1.1277467530147920129e-6),
+    (1.1299999999999998e-06, 1.1299977400067796172e-12),
+    (1.13e-09, 1.1299999977400001673e-18),
+    (0.11894736842105262, 0.010482479659142586415),
+    (0.10761904761904761, 0.0087081964206664386086),
+    (0.0018864774624373956, 3.1389149311205106765e-6),
+    (0.0018801996672212977, 3.1180928277522424462e-6),
+]
+
+
+def test_f_a_transform_accurate_as_lambda_over_a_vanishes():
+    lam = np.array([x for x, _ in F_A_FROZEN])
+    want = np.array([v for _, v in F_A_FROZEN])
+    got = f_a_transform(1.13, lam)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    for x, v in F_A_FROZEN:
+        assert abs(f_a_transform(1.13, x) - v) <= 1e-14 * v
