@@ -238,20 +238,21 @@ def _run_timeorder(cfg: ExperimentConfig) -> ExperimentReport:
         nf = int(rng.integers(1, cfg.N_max + 1))
         ws = [random_psd(rng, nf, eig_max=float(rng.uniform(0.3, 1.0)))
               for _ in range(n)]
+        decs = [eig_hermitian(w) for w in ws]
 
         checks = {}
         k = int(rng.integers(2, 7))
-        a = time_ordered_monomial(k, ws).matrix
-        b = time_ordered_apply(ScalarFunctionClass.monomial(k), ws).matrix
+        a = time_ordered_monomial(k, decs).matrix
+        b = time_ordered_apply(ScalarFunctionClass.monomial(k), decs).matrix
         checks["monomial"] = tol_closed * (1.0 + _max_abs(a)) - _max_abs(a - b)
 
         alpha = float(rng.uniform(-2.0, 2.0))
-        a = time_ordered_exponential(alpha, ws).matrix
-        b = time_ordered_apply(ScalarFunctionClass.exponential(alpha), ws).matrix
+        a = time_ordered_exponential(alpha, decs).matrix
+        b = time_ordered_apply(ScalarFunctionClass.exponential(alpha), decs).matrix
         checks["exponential"] = tol_closed * (1.0 + _max_abs(a)) - _max_abs(a - b)
 
-        a = time_ordered_mu_exp(alpha, ws).matrix
-        b = time_ordered_apply(lambda mu: mu * np.exp(alpha * mu), ws).matrix
+        a = time_ordered_mu_exp(alpha, decs).matrix
+        b = time_ordered_apply(lambda mu: mu * np.exp(alpha * mu), decs).matrix
         checks["mu-exp"] = tol_closed * (1.0 + _max_abs(a)) - _max_abs(a - b)
 
         # Commuting family: shared eigenbasis, random non-negative spectra.

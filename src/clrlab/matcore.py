@@ -99,7 +99,9 @@ class EigenDecomposition:
     """Spectral data of a Hermitian matrix: A = sum_k w_k P_k.
 
     eigenvalues are real and ascending; vectors holds the matching
-    orthonormal eigenbasis in its columns.
+    orthonormal eigenbasis in its columns.  shape is the matrix's
+    (dim, dim), so np.shape(dec) == np.shape(A) and code that sizes its
+    work from np.shape takes a decomposition where it took the matrix.
     """
 
     eigenvalues: np.ndarray
@@ -108,6 +110,10 @@ class EigenDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
 
     def apply(self, values) -> np.ndarray:
         """Assemble sum_k values[k] P_k; values must be real, one per eigenvalue."""

@@ -11,9 +11,17 @@ generally non-Hermitian for n >= 2; its real trace is the quantity of
 interest.  Every routine takes the W_j as Hermitian arrays or as
 EigenDecompositions from matcore.eig_hermitian, used as given, so a caller
 that reuses a tuple validates and decomposes each matrix once.
-Enumeration (time_ordered_apply) costs N**n terms and serves as the
-oracle.  The closed forms are all coefficients C_q(alpha) of one
-truncated ordered product,
+
+Enumeration (time_ordered_apply) serves as the oracle.  Written in the
+eigenbases V_j, the sum is a chain of overlap matrices O_j = V_j^H V_{j+1}:
+
+    T f = V_1 [ sum_{k_2..k_{n-1}} f(w_{k_1} + .. + w_{k_n})
+                O_1[k_1,k_2] .. O_{n-1}[k_{n-1},k_n] ]_{k_1,k_n} V_n^H,
+
+contracted one index at a time.  It evaluates f on all N**n sums and
+costs O(N**n) time and memory, and shares nothing with the ordered
+product below, so it stays an independent check of it.  The closed forms
+are all coefficients C_q(alpha) of one truncated ordered product,
 
     e^{(alpha+x)W_1} .. e^{(alpha+x)W_n} = sum_q x^q C_q(alpha),
 
@@ -171,13 +179,15 @@ def time_ordered_apply(f, matrices, budget: int = ENUMERATION_BUDGET) -> TimeOrd
     f may be any scalar function that is real and finite on the sums of
     eigenvalues (a ScalarFunctionClass qualifies).  Enumeration touches
     N**n index tuples; if that exceeds ``budget`` a BudgetError points the
-    caller at the closed forms instead.  Cost is O(N**n) memory and time.
+    caller at the closed forms instead.  Cost is O(N**n) memory and time:
+    f is evaluated once on all N**n eigenvalue sums, and the overlap
+    chain is contracted one index at a time (see the module docstring).
     """
     return _result(_enumerated(f, _decompositions(matrices), budget))
 
 
 def _enumerated(f, decs, budget: int) -> np.ndarray:
-    """Matrix of T f(W_1..W_n) by enumeration over the decompositions' indices."""
+    """Matrix of T f(W_1..W_n) by contracting the overlap chain (module doc)."""
     n = len(decs)
     dim = decs[0].dim
     if dim**n > budget:
@@ -187,28 +197,23 @@ def _enumerated(f, decs, budget: int) -> np.ndarray:
             f"time_ordered_exponential / time_ordered_mu_exp closed forms"
         )
 
-    # Overlap matrices between consecutive eigenbases.
-    gaps = [
-        decs[j].vectors.conj().T @ decs[j + 1].vectors for j in range(n - 1)
-    ]
-
-    idx = np.indices((dim,) * n).reshape(n, -1)
-    sums = np.zeros(idx.shape[1], dtype=float)
-    for j in range(n):
-        sums += decs[j].eigenvalues[idx[j]]
-
-    coeff = np.asarray(f(sums), dtype=complex)
+    # sums[k_1, .., k_n] = w_{k_1} + .. + w_{k_n}, added left to right.
+    sums = np.zeros(())
+    for d in decs:
+        sums = sums[..., None] + d.eigenvalues
+    sums = sums.ravel()
+    coeff = np.asarray(f(sums))
     if coeff.shape != sums.shape:
         raise ValueError("f must evaluate elementwise on an array of reals")
-
-    chain = coeff
-    for j in range(n - 1):
-        chain = chain * gaps[j][idx[j], idx[j + 1]]
-
-    # Accumulate in the basis of W_1 on the left and W_n on the right:
-    # T f = V_1 [ sum over tuples chain * e_{k_1} e_{k_n}^T ] V_n^H.
-    core = np.zeros((dim, dim), dtype=complex)
-    np.add.at(core, (idx[0], idx[-1]), chain)
+    if n == 1:
+        core = np.diag(coeff)
+    else:
+        overlaps = [a.vectors.conj().T @ b.vectors for a, b in zip(decs, decs[1:])]
+        # chain[k_1, k_j, rest] after summing k_2..k_{j-1}
+        chain = coeff.reshape(dim, dim, -1) * overlaps[0][:, :, None]
+        for o in overlaps[1:]:
+            chain = np.einsum("abcr,bc->acr", chain.reshape(dim, dim, dim, -1), o)
+        core = chain.reshape(dim, dim)
     return decs[0].vectors @ core @ decs[-1].vectors.conj().T
 
 

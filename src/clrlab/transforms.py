@@ -338,6 +338,11 @@ def f_a_atoms(a: float, order: int) -> ScalarFunctionClass:
 # 1e6).  Above z = 10 it is taken as lambda e^z E_2(z) instead: the same
 # value, by E_2(z) = e^{-z} - z E_1(z), without the difference.
 _F_A_SWITCH = 10.0
+# F_a is taken as 0 for lambda <= a * _F_A_TINY, where z = a/lambda would
+# overflow (from a subnormal lambda, say): there F_a < lambda / z <=
+# lambda 2^-1023, which rounds to 0 for every a <= 2^971.  Above it,
+# z < 2^1023 stays finite.
+_F_A_TINY = 2.0**-1023
 # (-1)^k (k+1)! for k = 8, ..., 0: the asymptotic series of e^z E_2(z) / y
 # in y = 1/z, highest first.
 _E2_SERIES = [float((-1) ** k * math.factorial(k + 1)) for k in range(8, -1, -1)]
@@ -371,8 +376,9 @@ def f_a_transform(a: float, lam):
 
     Non-negative and non-decreasing on [0, inf), which is what the
     counting bound needs from it.  For z = a/lambda > 10 it is evaluated as
-    lambda e^z E_2(z), which keeps its relative accuracy as lambda/a -> 0.
-    Returns a float for a scalar lambda.
+    lambda e^z E_2(z), which keeps its relative accuracy as lambda/a -> 0,
+    and it is 0 where z would overflow (lambda <= a 2^-1023, where the
+    value rounds to 0).  Returns a float for a scalar lambda.
     """
     a = float(a)
     if not a > 0.0:
@@ -380,7 +386,7 @@ def f_a_transform(a: float, lam):
     x = np.asarray(lam, dtype=float)
     if not np.all(x >= 0.0):
         raise ValueError(f"lambda must be >= 0, got {x[~(x >= 0.0)][0]}")
-    pos = x > 0.0
+    pos = x > a * _F_A_TINY
     safe = np.where(pos, x, 1.0)
     z = a / safe
     near = np.minimum(z, _F_A_SWITCH)

@@ -230,6 +230,31 @@ def test_jensen_run_evaluates_the_averaged_side_once(monkeypatch):
     assert calls[0] == 50
 
 
+def test_timeorder_run_takes_one_spectrum_per_matrix(monkeypatch):
+    # per trial: the drawn tuple and the commuting family (n matrices each),
+    # plus the commuting check's apply_spectral on the family's sum
+    import clrlab.matcore as matcore
+
+    calls = {"hermitian": 0, "eigh": 0}
+    require_hermitian, eigh = matcore.require_hermitian, np.linalg.eigh
+
+    def counted_hermitian(*args, **kwargs):
+        calls["hermitian"] += 1
+        return require_hermitian(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rep = run_experiment(ExperimentConfig(experiment="timeorder-consistency",
+                                          trials=60, seed=7))
+    assert rep.passed
+    per_run = sum(2 * r["n"] + 1 for r in rep.records)
+    assert calls == {"hermitian": per_run, "eigh": per_run}
+
+
 def test_experiment_names_cover_dispatch():
     assert set(EXPERIMENT_NAMES) == {
         "constants",

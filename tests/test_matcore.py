@@ -57,6 +57,8 @@ def test_hermitian_matrix_tolerance_scales_with_entries():
 
 def test_eig_identity():
     dec = eig_hermitian(np.eye(3))
+    # np.shape sizes a decomposition like its matrix
+    assert np.shape(dec) == (3, 3)
     assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
     total = sum(projector(dec, k) for k in range(3))
     assert np.max(np.abs(total - np.eye(3))) < 1e-10
@@ -64,6 +66,7 @@ def test_eig_identity():
 
 def test_eig_diagonal():
     dec = eig_hermitian(np.diag([-1.0, 2.0]))
+    assert np.shape(dec) == (2, 2)
     assert np.allclose(dec.eigenvalues, [-1.0, 2.0])
     assert np.allclose(projector(dec, 0), np.diag([1.0, 0.0]))
     assert np.allclose(projector(dec, 1), np.diag([0.0, 1.0]))

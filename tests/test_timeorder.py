@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from clrlab.errors import AdmissibilityError, BudgetError, NotPositiveSemidefiniteError
-from clrlab.matcore import apply_spectral, eig_hermitian
+from clrlab.matcore import EigenDecomposition, apply_spectral, eig_hermitian
 from clrlab.timeorder import (
     ScalarFunctionClass,
     _jensen_sides,
@@ -85,6 +87,83 @@ def test_apply_cube_matches_monomial_closed_form():
         got = time_ordered_apply(ScalarFunctionClass.monomial(3), ws).matrix
         want = time_ordered_monomial(3, ws).matrix
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+def index_enumeration(f, decs):
+    """Oracle: T f over index arrays of all N**n tuples, scattered by np.add.at."""
+    n = len(decs)
+    dim = decs[0].dim
+    gaps = [decs[j].vectors.conj().T @ decs[j + 1].vectors for j in range(n - 1)]
+    idx = np.indices((dim,) * n).reshape(n, -1)
+    sums = np.zeros(idx.shape[1], dtype=float)
+    for j in range(n):
+        sums += decs[j].eigenvalues[idx[j]]
+    chain = np.asarray(f(sums), dtype=complex)
+    for j in range(n - 1):
+        chain = chain * gaps[j][idx[j], idx[j + 1]]
+    core = np.zeros((dim, dim), dtype=complex)
+    np.add.at(core, (idx[0], idx[-1]), chain)
+    return decs[0].vectors @ core @ decs[-1].vectors.conj().T
+
+
+def random_decompositions(rng, n, dim, real):
+    """n Hermitian factors of order dim; real ones keep real eigenvectors."""
+    decs = []
+    for _ in range(n):
+        g = rng.standard_normal((dim, dim))
+        if not real:
+            g = g + 1j * rng.standard_normal((dim, dim))
+        m = float(rng.uniform(0.2, 1.0)) * (g + g.conj().T) / (2.0 * dim)
+        decs.append(EigenDecomposition(*np.linalg.eigh(m)) if real else eig_hermitian(m))
+    return decs
+
+
+def assert_matches_index_enumeration(rng, decs):
+    alpha = float(rng.uniform(-2.0, 2.0))
+    kink = float(rng.uniform(-0.5, 0.5))
+    functions = [
+        random_admissible(rng),
+        lambda mu: mu * np.exp(alpha * mu),
+        lambda mu: np.maximum(mu - kink, 0.0),
+    ]
+    for f in functions:
+        want = index_enumeration(f, decs)
+        got = time_ordered_apply(f, decs).matrix
+        assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_contraction_matches_index_enumeration(n):
+    rng = np.random.default_rng(800 + n)
+    for dim in range(1, 5):
+        for real in (True, False):
+            assert_matches_index_enumeration(rng, random_decompositions(rng, n, dim, real))
+
+
+def test_chain_contraction_matches_index_enumeration_at_4_to_the_9():
+    rng = np.random.default_rng(809)
+    assert_matches_index_enumeration(rng, random_decompositions(rng, 9, 4, False))
+
+
+# Peak traced allocation of a 4**9-term enumeration, in units of the
+# 16 * N**n bytes of its complex coefficient tensor: the contraction needs
+# about 2.5, while the n x N**n int64 index arrays alone would take 4.5.
+ENUMERATION_PEAK_MULTIPLE = 3
+
+
+def test_enumeration_peak_memory_is_a_small_multiple_of_its_terms():
+    rng = np.random.default_rng(810)
+    decs = random_decompositions(rng, 9, 4, False)
+    f = ScalarFunctionClass(poly_coeffs=(0.1, -0.2, 0.3, 0.0, 0.1),
+                            exp_atoms=((0.5, 1.0), (0.2, -0.3)))
+    time_ordered_apply(f, decs)
+    tracemalloc.start()
+    try:
+        time_ordered_apply(f, decs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ENUMERATION_PEAK_MULTIPLE * 16 * 4**9
 
 
 def test_apply_budget_error():

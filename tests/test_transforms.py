@@ -292,6 +292,19 @@ def test_f_a_transform_elementwise_matches_scalar_calls():
             f_a_transform(a, bad)
 
 
+def test_f_a_transform_is_zero_without_warning_where_a_over_lam_overflows():
+    # a/lam overflows for lam <= a 2^-1023; F_a < lam 2^-1023 rounds to 0 there
+    edge = 1.13 * 2.0**-1023
+    lam = np.array([5e-324, 1e-310, edge, np.nextafter(edge, 1.0), 1e-300])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for x in lam:
+            assert f_a_transform(1.13, float(x)) == 0.0
+        assert np.all(f_a_transform(1.13, lam) == 0.0)
+        # still positive where the value is a normal float: lam^2 / a (1 - 2 lam / a)
+        assert f_a_transform(1.13, 1e-150) == pytest.approx(1e-300 / 1.13, rel=1e-14)
+        assert f_a_transform(2.0**971, 1.0) == pytest.approx(2.0**-971, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # corollary constant
 
