@@ -89,7 +89,6 @@ from .lattice import (
     h_and_k_spectra,
     hamiltonian,
     heat_diagonal_step,
-    heat_kernel_free,
     k_spectrum,
     load_potential,
     potential_digest,
@@ -134,9 +133,9 @@ __all__ = [
     # lattice
     "DiscreteOperator", "GridSpec", "MatrixPotential", "birman_schwinger",
     "bs_bound", "build_laplacian", "clr_rhs", "count_negative",
-    "h_and_k_spectra", "hamiltonian", "heat_diagonal_step", "heat_kernel_free",
-    "k_spectrum", "load_potential", "potential_digest", "resolvent_trace",
-    "riesz_mean", "save_potential", "semigroup_sandwich_trace", "trotter_trace",
+    "h_and_k_spectra", "hamiltonian", "heat_diagonal_step", "k_spectrum",
+    "load_potential", "potential_digest", "resolvent_trace", "riesz_mean",
+    "save_potential", "semigroup_sandwich_trace", "trotter_trace",
     # harness
     "EXPERIMENTS", "ExperimentConfig", "ExperimentReport", "derive_seed",
     "generate_potential", "run_experiment",

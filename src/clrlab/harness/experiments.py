@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
+import scipy
 
 from ..errors import ClrlabError
 from ..lattice import (
@@ -358,8 +358,8 @@ def _run_trotter(cfg: ExperimentConfig) -> ExperimentReport:
     for i in range(10):
         s, grid, v, alpha = _trotter_instance(cfg, 20_000 + i)
         r_direct = resolvent_trace(grid, v, alpha)
-        val, _ = quad(lambda t: trotter_trace(grid, v, alpha, t, 256),
-                      0.0, np.inf, epsabs=1e-10, epsrel=1e-7, limit=200)
+        val, _ = scipy.integrate.quad(lambda t: trotter_trace(grid, v, alpha, t, 256),
+                                      0.0, np.inf, epsabs=1e-10, epsrel=1e-7, limit=200)
         rel = abs(val - r_direct) / max(abs(r_direct), 1e-30)
         records.append({
             "kind": "t-quadrature", "gate": "hard", "trial": i, "seed": s,

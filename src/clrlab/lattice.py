@@ -10,16 +10,13 @@ and comparison routines: negative-eigenvalue counts via symmetric-indefinite
 inertia of the block-tridiagonal Schur complements (the dense H is never
 formed), the Birman-Schwinger operator K = V^{1/2} L^{-1} V^{1/2} with its
 spectrum and counting bound, the dense spectra of H and K taken side by
-side (h_and_k_spectra), heat-kernel and Trotter-product traces, the
+side (h_and_k_spectra), heat-semigroup and Trotter-product traces, the
 resolvent trace, and Riemann-sum right-hand sides of the counting and
 Riesz-mean bounds.
 
 Counting statements at fixed grid size are exact finite-dimensional
 theorems and are tested as hard gates; comparisons that stand in for
 continuum statements (the survey ratios) are monitoring data only.
-
-Heat kernel sign note: the free kernel is (4 pi t)^{-d/2} exp(-|x-y|^2/(4t))
-with a decaying Gaussian; a growing exponent would not be normalizable.
 """
 
 from __future__ import annotations
@@ -32,8 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
+import scipy
 
 from .config import MAX_MATRIX_DIM, dense_budget
 from .errors import BudgetError, NonHermitianError
@@ -221,7 +217,7 @@ class MatrixPotential:
         """values, as a real array when no site matrix has an imaginary part."""
         return self.values if np.any(self.values.imag) else self.values.real
 
-    def block(self) -> sp.csr_matrix:
+    def block(self) -> scipy.sparse.csr_matrix:
         """Block-diagonal operator with the site matrices on the diagonal.
 
         Real when no site matrix has an imaginary part.  Row (x, a) holds
@@ -230,7 +226,7 @@ class MatrixPotential:
         """
         n = self.N
         cols = np.arange(self.dim).reshape(-1, 1, n)
-        out = sp.csr_matrix(
+        out = scipy.sparse.csr_matrix(
             (self._entries().ravel(), np.broadcast_to(cols, self.values.shape).ravel(),
              np.arange(0, self.dim * n + 1, n)),
             shape=(self.dim, self.dim), copy=True,  # dropping zeros compacts in place
@@ -239,7 +235,7 @@ class MatrixPotential:
         return out
 
 
-def _hermitian_defect(m: sp.csr_matrix) -> float:
+def _hermitian_defect(m: scipy.sparse.csr_matrix) -> float:
     """max |(m - m^H)_ij| of a square CSR matrix, without forming m^H.
 
     On a canonical copy (duplicates summed, indices sorted, so the caller's
@@ -266,13 +262,13 @@ def _hermitian_defect(m: sp.csr_matrix) -> float:
 class DiscreteOperator:
     """Sparse Hermitian operator on the nsites * fiber dimensional space."""
 
-    matrix: sp.spmatrix
+    matrix: scipy.sparse.spmatrix
     nsites: int
     fiber: int = 1
     _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = sp.csr_matrix(self.matrix)
+        m = scipy.sparse.csr_matrix(self.matrix)
         if np.iscomplexobj(m) and not np.any(m.data.imag):
             m = m.real  # real LAPACK paths are several times faster
         if m.shape[0] != m.shape[1]:
@@ -337,7 +333,7 @@ def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Laplacians.
 
-def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> sp.csr_matrix:
+def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> scipy.sparse.csr_matrix:
     """Canonical CSR of L kron I_N plus the block diagonal of blocks (nsites, N, N).
 
     Assembled in one pass from the 2d+1-point stencil.  Along each axis the
@@ -378,7 +374,7 @@ def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> sp.csr_matrix:
     order = np.lexsort((cols, rows))
     indptr = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return sp.csr_matrix((data[order], cols[order], indptr), shape=(dim, dim))
+    return scipy.sparse.csr_matrix((data[order], cols[order], indptr), shape=(dim, dim))
 
 
 def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
@@ -449,7 +445,7 @@ def hamiltonian(grid: GridSpec, V: MatrixPotential, sign: float = -1.0) -> Discr
 # ---------------------------------------------------------------------------
 # Counting.
 
-def _slab_bounds(matrix: sp.csr_matrix) -> np.ndarray:
+def _slab_bounds(matrix: scipy.sparse.csr_matrix) -> np.ndarray:
     """Row offsets of the slabs of the Schur recursion, from 0 to the order.
 
     Slabs are runs of consecutive rows, each at least as wide as the
@@ -482,7 +478,9 @@ def _pivot_negative_count(ldu: np.ndarray, ipiv: np.ndarray) -> int:
                + np.sum(half_tr + disc < 0.0))
 
 
-def _schur_negative_count(matrix: sp.csr_matrix, bounds: np.ndarray, shift: float) -> int:
+def _schur_negative_count(
+    matrix: scipy.sparse.csr_matrix, bounds: np.ndarray, shift: float
+) -> int:
     """Negative eigenvalues of matrix + shift * I by block LDL^H over slabs.
 
     With diagonal blocks A_i and couplings C_i = matrix[slab i, slab i+1],
@@ -675,22 +673,7 @@ def bs_bound(F, lam: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Heat kernel, Trotter products, resolvents.
-
-def heat_kernel_free(x, y, t: float, d: int) -> float:
-    """Free heat kernel (4 pi t)^{-d/2} exp(-|x-y|^2 / (4t)), t > 0."""
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    dx = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(
-        np.asarray(y, dtype=float)
-    )
-    r2 = float(np.sum(dx * dx))
-    return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-r2 / (4.0 * t))
-
+# Trotter products, semigroup and resolvent traces.
 
 def _potential_exp_blocks(V: MatrixPotential, s: float) -> np.ndarray:
     """Sitewise exp(-s V(x)) as a stack of blocks."""

@@ -29,8 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
-from scipy.integrate import IntegrationWarning, quad
+import scipy
 
 from .config import ATOM_MAX_ORDER
 from .errors import BudgetError
@@ -161,10 +160,10 @@ def e1_scaled(a):
 
 def _quad_checked(integrand, lo, hi, what: str) -> float:
     with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
+        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         try:
-            val, err = quad(integrand, lo, hi, **_QUAD_KW)
-        except IntegrationWarning as exc:
+            val, err = scipy.integrate.quad(integrand, lo, hi, **_QUAD_KW)
+        except scipy.integrate.IntegrationWarning as exc:
             raise ValueError(f"{what} did not converge: {exc}") from exc
     if not math.isfinite(val):
         raise ValueError(f"{what} evaluated to {val}")
@@ -343,6 +342,13 @@ _F_A_SWITCH = 10.0
 # lambda 2^-1023, which rounds to 0 for every a <= 2^971.  Above it,
 # z < 2^1023 stays finite.
 _F_A_TINY = 2.0**-1023
+# Above lambda = a / _F_A_MIN_Z, z would underflow to 0 and e^z E_1(z) be
+# inf.  There F_a is lambda to within rounding (the correction a e^z E_1(z)
+# is below lambda 2^-1074 (ln(lambda/a) + 1)), so lambda is clamped there for
+# z and the difference is taken from the unclamped lambda.  Only a below
+# _F_A_CLAMP_A can meet such a finite lambda (lambda < 2^1024).
+_F_A_MIN_Z = 2.0**-1074
+_F_A_CLAMP_A = 2.0**-50
 # (-1)^k (k+1)! for k = 8, ..., 0: the asymptotic series of e^z E_2(z) / y
 # in y = 1/z, highest first.
 _E2_SERIES = [float((-1) ** k * math.factorial(k + 1)) for k in range(8, -1, -1)]
@@ -377,8 +383,10 @@ def f_a_transform(a: float, lam):
     Non-negative and non-decreasing on [0, inf), which is what the
     counting bound needs from it.  For z = a/lambda > 10 it is evaluated as
     lambda e^z E_2(z), which keeps its relative accuracy as lambda/a -> 0,
-    and it is 0 where z would overflow (lambda <= a 2^-1023, where the
-    value rounds to 0).  Returns a float for a scalar lambda.
+    it is 0 where z would overflow (lambda <= a 2^-1023, where the value
+    rounds to 0), and it is lambda where z would underflow to 0 (lambda >
+    a 2^1074, where the value rounds to lambda).  Returns a float for a
+    scalar lambda.
     """
     a = float(a)
     if not a > 0.0:
@@ -388,10 +396,12 @@ def f_a_transform(a: float, lam):
         raise ValueError(f"lambda must be >= 0, got {x[~(x >= 0.0)][0]}")
     pos = x > a * _F_A_TINY
     safe = np.where(pos, x, 1.0)
+    if a < _F_A_CLAMP_A:
+        safe = np.minimum(safe, a / _F_A_MIN_Z)
     z = a / safe
     near = np.minimum(z, _F_A_SWITCH)
     # e1_scaled(near) without its checks and its series, which starts at 600
-    out = safe - a * (np.exp(near) * scipy.special.exp1(near))
+    out = x - a * (np.exp(near) * scipy.special.exp1(near))
     far = z > _F_A_SWITCH
     if far.any():
         out = np.where(far, safe * _e2_scaled(np.maximum(z, _F_A_SWITCH)), out)

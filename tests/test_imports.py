@@ -1,0 +1,105 @@
+"""Import contract: clrlab loads scipy's subpackages only when a routine uses one.
+
+Each case runs in a fresh interpreter, since the test process itself has
+long since imported every subpackage.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import clrlab
+
+PACKAGE_ROOT = str(Path(clrlab.__file__).resolve().parents[1])
+
+PRELUDE = """
+import json, sys
+import clrlab
+from clrlab.harness.experiments import run_experiment
+from clrlab.harness.reports import ExperimentConfig
+
+def loaded():
+    subs = ("sparse", "linalg", "special", "integrate", "optimize")
+    return [s for s in subs if "scipy." + s in sys.modules]
+"""
+
+
+def _children(codes, **env) -> list:
+    """Run PRELUDE + each code in its own fresh interpreter, all at once.
+
+    Returns the JSON value each one prints on its last stdout line.
+    """
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", PRELUDE + code], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path, **env},
+    ) for code in codes]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+    return [json.loads(out.splitlines()[-1]) for out, _ in outs]
+
+
+def test_import_and_matrix_experiments_load_no_scipy_subpackage():
+    [got] = _children(["""
+stages = {"import": loaded()}
+for name, trials in (("jensen", 5), ("holder", 5), ("timeorder-consistency", 5),
+                     ("remark-probe", 50)):
+    run_experiment(ExperimentConfig(experiment=name, trials=trials))
+    stages[name] = loaded()
+print(json.dumps(stages))
+"""])
+    assert got == dict.fromkeys(
+        ["import", "jensen", "holder", "timeorder-consistency", "remark-probe"], [])
+
+
+def test_each_experiment_loads_the_subpackages_it_uses():
+    # experiment, trials, subpackages it must load, subpackages it must not
+    cases = [
+        ("constants", None, {"special"}, set()),
+        ("trotter", 1, {"integrate"}, set()),
+        ("bs-equivalence", 2, {"sparse", "linalg", "special"}, {"integrate"}),
+    ]
+    got = _children([f"""
+run_experiment(ExperimentConfig(experiment={name!r}, trials={trials!r}))
+print(json.dumps(loaded()))
+""" for name, trials, _, _ in cases])
+    for (name, _, needs, not_needed), subs in zip(cases, got):
+        assert needs <= set(subs) and not (not_needed & set(subs)), (name, subs)
+
+
+def test_first_linalg_import_on_the_spectrum_worker_thread():
+    # H's order is 343 and BLAS is pinned, so with two usable CPUs (forced
+    # here, as on a 2-CPU host) h_and_k_spectra takes H's spectrum on its
+    # worker thread, which is the first code to touch scipy.linalg.  The
+    # reference run takes the spectra one after the other; it is pinned
+    # too, since BLAS threading changes K's spectrum at rounding level.
+    code = """
+import threading
+from clrlab import lattice
+
+first_on_main = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.linalg" and not first_on_main:
+            first_on_main.append(threading.current_thread() is threading.main_thread())
+        return None
+
+sys.meta_path.insert(0, Spy())
+lattice._usable_cpus = lambda: CPUS
+assert lattice._SERIAL_BLAS and not loaded()
+report = run_experiment(ExperimentConfig(experiment="bs-equivalence", trials=1,
+                                         grid_points=(7, 7, 7)))
+print(json.dumps({"first_on_main": first_on_main,
+                  "report": {"records": report.records, "summary": report.summary}}))
+"""
+    pinned = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
+    side_by_side, serial = _children([code.replace("CPUS", cpus) for cpus in "21"], **pinned)
+    assert side_by_side["first_on_main"] == [False]
+    assert serial["first_on_main"] == [True]
+    assert side_by_side["report"]["summary"]["hard_failures"] == 0
+    assert (json.dumps(side_by_side["report"], sort_keys=True)
+            == json.dumps(serial["report"], sort_keys=True))

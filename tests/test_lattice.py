@@ -24,7 +24,6 @@ from clrlab.lattice import (
     h_and_k_spectra,
     hamiltonian,
     heat_diagonal_step,
-    heat_kernel_free,
     k_spectrum,
     load_potential,
     potential_digest,
@@ -505,44 +504,6 @@ def test_bs_bound_rejects_bad_f():
         bs_bound(lambda x: 1.0, np.array([0.1, 2.0]))  # not elementwise
     with pytest.raises(ValueError):
         bs_bound(lambda x: x, k)  # K itself, not its spectrum
-
-
-# ---------------------------------------------------------------------------
-# heat kernel
-
-def test_heat_kernel_normalization_1d():
-    val, err = quad(lambda x: heat_kernel_free(x, 0.0, 0.3, 1), -np.inf, np.inf)
-    assert abs(val - 1.0) < 1e-8
-
-
-def test_heat_kernel_normalization_3d_radial():
-    t = 0.4
-    val, err = quad(
-        lambda r: 4.0 * math.pi * r * r * heat_kernel_free([r, 0, 0], [0, 0, 0], t, 3),
-        0.0,
-        np.inf,
-    )
-    assert abs(val - 1.0) < 1e-8
-
-
-def test_heat_kernel_semigroup_composition():
-    x, y, t1, t2 = 0.7, -0.2, 0.3, 0.5
-    val, err = quad(
-        lambda z: heat_kernel_free(x, z, t1, 1) * heat_kernel_free(z, y, t2, 1),
-        -np.inf,
-        np.inf,
-    )
-    assert abs(val - heat_kernel_free(x, y, t1 + t2, 1)) < 1e-8
-
-
-def test_heat_kernel_diagonal_and_domain():
-    assert heat_kernel_free(1.0, 1.0, 0.25, 3) == pytest.approx(
-        (math.pi) ** -1.5, rel=1e-14
-    )
-    with pytest.raises(ValueError):
-        heat_kernel_free(0.0, 0.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        heat_kernel_free(0.0, 0.0, -1.0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
 from clrlab.errors import BudgetError
@@ -303,6 +304,23 @@ def test_f_a_transform_is_zero_without_warning_where_a_over_lam_overflows():
         # still positive where the value is a normal float: lam^2 / a (1 - 2 lam / a)
         assert f_a_transform(1.13, 1e-150) == pytest.approx(1e-300 / 1.13, rel=1e-14)
         assert f_a_transform(2.0**971, 1.0) == pytest.approx(2.0**-971, rel=1e-14)
+
+
+def test_f_a_transform_is_lam_without_warning_where_a_over_lam_underflows():
+    # a/lam rounds to 0 for lam > a 2^1074, where e^z E_1(z) would be inf and
+    # F_a is lam to within rounding (correction below lam 2^-1074 ln(lam/a))
+    a = 1e-300
+    edge = a / 2.0**-1074
+    huge = [np.nextafter(edge, np.inf), 1e300, 1.7e308]
+    with np.errstate(all="raise"):
+        for x in huge:
+            assert f_a_transform(a, x) == x
+        got = f_a_transform(a, np.array(huge + [0.0, 1.0]))
+    assert list(got) == huge + [0.0, f_a_transform(a, 1.0)]
+    # where a/lam >= 2^-1074 the closed form is evaluated as it stands
+    for x in (edge, 1e20, 1.0):  # z = 2^-1074, 1e-320, 1e-300
+        z = a / x
+        assert f_a_transform(a, x) == x - a * (np.exp(z) * scipy.special.exp1(z))
 
 
 # ---------------------------------------------------------------------------
