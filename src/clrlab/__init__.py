@@ -3,7 +3,7 @@
 The package has five layers:
 
 * :mod:`clrlab.matcore` — Hermitian eigendecompositions, spectral calculus,
-  positive parts, and the Hölder trace-product inequality.
+  and the Hölder trace-product inequality.
 * :mod:`clrlab.timeorder` — time-ordered functional calculus for tuples of
   PSD matrices, closed forms for monomials and exponentials, and the
   time-ordered Jensen inequality.
@@ -11,7 +11,7 @@ The package has five layers:
   transform, the exponential integral, the one-parameter test-function
   family ``f_a``, and the constants pipeline ending in ``R ≈ 10.332``.
 * :mod:`clrlab.lattice` — discrete Laplacians, Birman–Schwinger operators,
-  eigenvalue counting, Trotter traces, and CLR/Lieb–Thirring right-hand
+  eigenvalue counting by Schur-complement inertia, Trotter traces, and CLR/Lieb–Thirring right-hand
   sides on finite grids.
 * :mod:`clrlab.harness` — seeded experiment drivers, potential generators,
   and report writers behind the ``clrlab`` command line tool.
@@ -44,13 +44,9 @@ from .matcore import (
     apply_spectral,
     eig_hermitian,
     holder_trace_product,
-    negative_part,
-    positive_part,
-    split_parts,
 )
 from .timeorder import (
     ScalarFunctionClass,
-    TimeOrderedResult,
     averaged_trace,
     convex_probe,
     jensen_gap,
@@ -60,10 +56,8 @@ from .timeorder import (
     time_ordered_mu_exp,
 )
 from .transforms import (
-    ConstantTable,
     c_a,
     classical_constant,
-    constant_table,
     corollary_constant,
     e1_scaled,
     exp_integral_E1,
@@ -117,19 +111,17 @@ __all__ = [
     "EigenSolverError", "NonHermitianError", "NotPositiveSemidefiniteError",
     "SpectralDomainError",
     # matcore
-    "EigenDecomposition", "apply_spectral",
-    "eig_hermitian", "holder_trace_product", "negative_part",
-    "positive_part", "split_parts",
+    "EigenDecomposition", "apply_spectral", "eig_hermitian",
+    "holder_trace_product",
     # timeorder
-    "ScalarFunctionClass", "TimeOrderedResult", "averaged_trace",
-    "convex_probe", "jensen_gap", "time_ordered_apply",
-    "time_ordered_exponential", "time_ordered_monomial",
+    "ScalarFunctionClass", "averaged_trace", "convex_probe", "jensen_gap",
+    "time_ordered_apply", "time_ordered_exponential", "time_ordered_monomial",
     "time_ordered_mu_exp",
     # transforms
-    "ConstantTable", "c_a", "classical_constant", "constant_table",
-    "corollary_constant", "e1_scaled", "exp_integral_E1", "f_a_atoms",
-    "f_a_eval", "f_a_transform", "laplace_type_transform", "lt_rhs",
-    "lw_product_check", "minimize_R", "r_bound", "r_of_a",
+    "c_a", "classical_constant", "corollary_constant", "e1_scaled",
+    "exp_integral_E1", "f_a_atoms", "f_a_eval", "f_a_transform",
+    "laplace_type_transform", "lt_rhs", "lw_product_check", "minimize_R",
+    "r_bound", "r_of_a",
     # lattice
     "DiscreteOperator", "GridSpec", "MatrixPotential", "birman_schwinger",
     "bs_bound", "build_laplacian", "clr_rhs", "count_negative",

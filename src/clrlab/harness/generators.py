@@ -13,6 +13,10 @@ from ..lattice import GridSpec, MatrixPotential
 from ..timeorder import ScalarFunctionClass
 
 POTENTIAL_STYLES = ("gaussian-bumps", "random-psd-field", "scalar-embed")
+# Power and rate caps of random admissible functions; bumps per gaussian-bumps field.
+_MAX_POWER = 6
+_ALPHA_CAP = 2.0
+_NBUMPS = 3
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -27,32 +31,28 @@ def random_psd(rng: np.random.Generator, n: int, eig_max: float = 1.0) -> np.nda
     return (float(eig_max) / top) * a
 
 
-def random_admissible_function(
-    rng: np.random.Generator,
-    max_power: int = 6,
-    alpha_cap: float = 2.0,
-) -> ScalarFunctionClass:
+def random_admissible_function(rng: np.random.Generator) -> ScalarFunctionClass:
     """Random admissible function: monomial, exponential, or a convex mix.
 
-    Monomial powers stay at or below max_power, exponential growth rates
-    within [-alpha_cap, alpha_cap]; mixtures carry non-negative weights
-    plus a free affine part, matching the sign constraints of the class.
+    Monomial powers stay in 2..6 (_MAX_POWER), exponential growth rates
+    within [-2, 2] (_ALPHA_CAP); mixtures carry non-negative weights plus a
+    free affine part, matching the sign constraints of the class.
     """
     kind = rng.integers(0, 3)
     if kind == 0:
-        k = int(rng.integers(2, max_power + 1))
+        k = int(rng.integers(2, _MAX_POWER + 1))
         return ScalarFunctionClass.monomial(k, coeff=float(rng.uniform(0.2, 1.0)))
     if kind == 1:
-        alpha = float(rng.uniform(-alpha_cap, alpha_cap))
+        alpha = float(rng.uniform(-_ALPHA_CAP, _ALPHA_CAP))
         return ScalarFunctionClass.exponential(alpha, weight=float(rng.uniform(0.2, 1.0)))
     total = ScalarFunctionClass(
         poly_coeffs=(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-1.0, 1.0)))
     )
     for _ in range(int(rng.integers(1, 3))):
-        k = int(rng.integers(2, max_power + 1))
+        k = int(rng.integers(2, _MAX_POWER + 1))
         total = total + ScalarFunctionClass.monomial(k, coeff=float(rng.uniform(0.0, 0.8)))
     for _ in range(int(rng.integers(1, 3))):
-        alpha = float(rng.uniform(-alpha_cap, alpha_cap))
+        alpha = float(rng.uniform(-_ALPHA_CAP, _ALPHA_CAP))
         total = total + ScalarFunctionClass.exponential(
             alpha, weight=float(rng.uniform(0.0, 0.8))
         )
@@ -64,16 +64,14 @@ def _gaussian_bump_values(
     grid: GridSpec,
     n: int,
     amplitude: float,
-    nbumps: int,
 ) -> np.ndarray:
     # Draw every bump parameter before touching site coordinates, so the
     # same seed describes the same continuum field at every resolution.
     extent = np.asarray(grid.extent)
-    origin = np.asarray(grid.origin)
-    centers = origin + rng.uniform(0.0, 1.0, size=(nbumps, grid.d)) * extent
-    sigmas = rng.uniform(0.12, 0.28, size=nbumps) * float(np.min(extent))
+    centers = rng.uniform(0.0, 1.0, size=(_NBUMPS, grid.d)) * extent
+    sigmas = rng.uniform(0.12, 0.28, size=_NBUMPS) * float(np.min(extent))
     amps = [random_psd(rng, n, eig_max=amplitude * rng.uniform(0.5, 1.0))
-            for _ in range(nbumps)]
+            for _ in range(_NBUMPS)]
 
     coords = grid.site_coords()
     values = np.zeros((grid.nsites, n, n), dtype=complex)
@@ -122,11 +120,10 @@ def generate_potential(
     N: int,
     style: str,
     amplitude: float = 1.0,
-    nbumps: int = 3,
 ) -> MatrixPotential:
     """Deterministic sitewise-PSD potential in one of three styles.
 
-    gaussian-bumps: sum of Gaussian profiles with random PSD amplitude
+    gaussian-bumps: sum of three Gaussian profiles with random PSD amplitude
     matrices; the bump parameters depend only on the seed and the box, so
     refining the grid samples the same continuum field.
     random-psd-field: i.i.d. PSD site draws smoothed by one stencil
@@ -145,10 +142,10 @@ def generate_potential(
 
     rng = rng_from(seed)
     if style == "gaussian-bumps":
-        values = _gaussian_bump_values(rng, grid, n, amplitude, nbumps)
+        values = _gaussian_bump_values(rng, grid, n, amplitude)
     elif style == "random-psd-field":
         values = _psd_field_values(rng, grid, n, amplitude)
     else:
-        scalar = _gaussian_bump_values(rng, grid, 1, amplitude, nbumps)
+        scalar = _gaussian_bump_values(rng, grid, 1, amplitude)
         values = scalar[:, 0, 0][:, None, None].real * np.eye(n)[None, :, :]
     return MatrixPotential(grid=grid, N=n, values=values)

@@ -7,12 +7,13 @@ canonical CSR matrix straight from the box stencil (_stencil_matrix), and
 every operator's Hermiticity is checked by looking up each stored entry's
 transpose partner (_hermitian_defect).  On top of them sit the counting
 and comparison routines: negative-eigenvalue counts via symmetric-indefinite
-inertia of the block-tridiagonal Schur complements (the dense H is never
-formed), the Birman-Schwinger operator K = V^{1/2} L^{-1} V^{1/2} with its
-spectrum and counting bound, the dense spectra of H and K taken side by
-side (h_and_k_spectra), heat-semigroup and Trotter-product traces, the
-resolvent trace, and Riemann-sum right-hand sides of the counting and
-Riesz-mean bounds.
+inertia of the block-tridiagonal Schur complements (the one counting path:
+the dense H is never formed, and a singular Schur block raises instead of
+falling back to a dense count), the Birman-Schwinger operator
+K = V^{1/2} L^{-1} V^{1/2} with its spectrum and counting bound, the dense
+spectra of H and K taken side by side (h_and_k_spectra), heat-semigroup and
+Trotter-product traces, the resolvent trace, and Riemann-sum right-hand
+sides of the counting and Riesz-mean bounds.
 
 Counting statements at fixed grid size are exact finite-dimensional
 theorems and are tested as hard gates; comparisons that stand in for
@@ -35,7 +36,6 @@ from .config import MAX_MATRIX_DIM, dense_budget
 from .errors import BudgetError, NonHermitianError
 from .matcore import (
     HERMITICITY_RTOL,
-    apply_spectral,
     require_hermitian_stack,
     require_psd_spectrum,
 )
@@ -86,13 +86,13 @@ class GridSpec:
     Dirichlet grids hold the m interior points of a box of side
     (m+1) h per axis (walls at distance h outside the first and last
     site); periodic grids wrap m points around a circle of length m h.
+    The box's lower corner is the origin.
     """
 
     d: int
     points_per_axis: tuple[int, ...]
     h: float
     boundary: str = "dirichlet"
-    origin: tuple[float, ...] | None = None
 
     def __post_init__(self):
         d = int(self.d)
@@ -109,17 +109,10 @@ class GridSpec:
         boundary = str(self.boundary).lower()
         if boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
-        origin = self.origin
-        if origin is None:
-            origin = (0.0,) * d
-        origin = tuple(float(c) for c in origin)
-        if len(origin) != d:
-            raise ValueError(f"origin must have {d} coordinates, got {origin}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "points_per_axis", pts)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "origin", origin)
 
     @property
     def nsites(self) -> int:
@@ -134,21 +127,13 @@ class GridSpec:
     def site_coords(self) -> np.ndarray:
         """Coordinates of every site, shape (nsites, d), C-ordered."""
         axes = []
-        for ax, m in enumerate(self.points_per_axis):
+        for m in self.points_per_axis:
             idx = np.arange(m, dtype=float)
             if self.boundary == "dirichlet":
                 idx += 1.0
-            axes.append(self.origin[ax] + idx * self.h)
+            axes.append(idx * self.h)
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
-
-    def index_tuples(self) -> list[tuple[int, ...]]:
-        """Per-axis index tuple of every site in flat (C) order."""
-        grids = np.meshgrid(
-            *[np.arange(m) for m in self.points_per_axis], indexing="ij"
-        )
-        flat = np.stack([g.ravel() for g in grids], axis=-1)
-        return [tuple(int(i) for i in row) for row in flat]
 
 
 @dataclass(frozen=True)
@@ -189,17 +174,11 @@ class MatrixPotential:
         w = np.maximum(self.eigenvalues_sites(), 0.0)
         return float(self.grid.h**self.grid.d * np.sum(w**p))
 
-    def positive_part(self) -> "MatrixPotential":
-        """Sitewise spectral positive part."""
-        clipped = np.array([apply_spectral(lambda x: np.maximum(x, 0.0), m)
-                            for m in self.values])
-        return MatrixPotential(grid=self.grid, N=self.N, values=clipped)
-
     def sqrt_sites(self) -> np.ndarray:
         """Sitewise PSD square root, shape (nsites, N, N).
 
-        Eigenvalues in [-1e-12 * scale, 0] are clipped to 0 (rounding dust
-        after a positive-part); anything more negative raises.
+        Eigenvalues in [-1e-12 * scale, 0] are clipped to 0 (rounding
+        dust); anything more negative raises.
         """
         w, u = np.linalg.eigh(self.values)
         require_psd_spectrum(w, "a potential site", rtol=1e-12)
@@ -217,21 +196,15 @@ class MatrixPotential:
         """values, as a real array when no site matrix has an imaginary part."""
         return self.values if np.any(self.values.imag) else self.values.real
 
-    def block(self) -> scipy.sparse.csr_matrix:
-        """Block-diagonal operator with the site matrices on the diagonal.
+    def block(self) -> np.ndarray:
+        """Dense block-diagonal array with the site matrices on the diagonal.
 
-        Real when no site matrix has an imaginary part.  Row (x, a) holds
-        the N entries V(x)[a, :], so the CSR row pointer steps by N before
-        exact zeros are dropped.
+        Real when no site matrix has an imaginary part.
         """
         n = self.N
-        cols = np.arange(self.dim).reshape(-1, 1, n)
-        out = scipy.sparse.csr_matrix(
-            (self._entries().ravel(), np.broadcast_to(cols, self.values.shape).ravel(),
-             np.arange(0, self.dim * n + 1, n)),
-            shape=(self.dim, self.dim), copy=True,  # dropping zeros compacts in place
-        )
-        out.eliminate_zeros()
+        out = np.zeros((self.dim, self.dim), dtype=self._entries().dtype)
+        rows = np.arange(self.dim).reshape(-1, n, 1)
+        out[rows, rows.swapaxes(1, 2)] = self._entries()
         return out
 
 
@@ -260,11 +233,9 @@ def _hermitian_defect(m: scipy.sparse.csr_matrix) -> float:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse Hermitian operator on the nsites * fiber dimensional space."""
+    """Sparse Hermitian operator held as a CSR matrix."""
 
     matrix: scipy.sparse.spmatrix
-    nsites: int
-    fiber: int = 1
     _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -273,11 +244,6 @@ class DiscreteOperator:
             m = m.real  # real LAPACK paths are several times faster
         if m.shape[0] != m.shape[1]:
             raise NonHermitianError(f"operator must be square, got {m.shape}")
-        if m.shape[0] != self.nsites * self.fiber:
-            raise ValueError(
-                f"dimension {m.shape[0]} does not match nsites * fiber = "
-                f"{self.nsites * self.fiber}"
-            )
         worst = _hermitian_defect(m)
         scale = 1.0 + (float(np.max(np.abs(m.data))) if m.nnz else 0.0)
         if worst > HERMITICITY_RTOL * scale:
@@ -387,8 +353,7 @@ def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
     fiber = int(fiber)
     if fiber < 1:
         raise ValueError(f"fiber dimension must be positive, got {fiber}")
-    matrix = _stencil_matrix(grid, np.zeros((grid.nsites, fiber, fiber)))
-    return DiscreteOperator(matrix=matrix, nsites=grid.nsites, fiber=fiber)
+    return DiscreteOperator(_stencil_matrix(grid, np.zeros((grid.nsites, fiber, fiber))))
 
 
 def _axis_modes(m: int, h: float, boundary: str) -> tuple[np.ndarray, np.ndarray]:
@@ -435,11 +400,7 @@ def hamiltonian(grid: GridSpec, V: MatrixPotential, sign: float = -1.0) -> Discr
     """L + sign * V as a sparse operator (sign = -1 gives -Delta - V)."""
     if V.grid != grid:
         raise ValueError("potential was generated on a different grid")
-    return DiscreteOperator(
-        matrix=_stencil_matrix(grid, float(sign) * V._entries()),
-        nsites=grid.nsites,
-        fiber=V.N,
-    )
+    return DiscreteOperator(_stencil_matrix(grid, float(sign) * V._entries()))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +474,9 @@ def _schur_negative_count(
         count += _pivot_negative_count(ldu, ipiv)
         if nxt > hi:
             if info > 0:
-                raise np.linalg.LinAlgError(f"singular Schur block on rows {lo}:{hi}")
+                raise np.linalg.LinAlgError(
+                    f"singular Schur block on rows {lo}:{hi}: an eigenvalue sits "
+                    f"on the band edge -zero_tol; re-draw the instance")
             coupling = slab[:, hi - lo :]
             cols = np.flatnonzero(coupling.any(axis=0))
             coupling = coupling[:, cols]
@@ -522,38 +485,24 @@ def _schur_negative_count(
     return count
 
 
-def count_negative(op: DiscreteOperator, method: str = "auto") -> int:
+def count_negative(op: DiscreteOperator) -> int:
     """Number of eigenvalues below -zero_tol, zero_tol = 1e-10 * |H|_inf.
 
-    method "inertia" counts by a block-tridiagonal Schur recursion over the
-    sparse operator (see _schur_negative_count), applied to the band-shifted
-    H + zero_tol * I and never forming the dense H; "dense" uses a full
-    eigendecomposition and applies the zero band directly; "auto" tries
-    inertia and falls back to dense only when a Schur block is exactly
-    singular (LinAlgError); any other error propagates.  The two paths
-    agree whenever no eigenvalue sits essentially on the band edge
-    -zero_tol; instances that violate that are considered degenerate and
-    should be re-drawn by the caller.  The dense budget is charged with
-    the largest slab factored, or with the full order for the dense path.
+    Counts by a block-tridiagonal Schur recursion over the sparse operator
+    (see _schur_negative_count), applied to the band-shifted
+    H + zero_tol * I: the shift makes the strict lambda < 0 inertia count
+    realize the lambda < -zero_tol rule, and exact kernels land at
+    +zero_tol, not at rounding dust.  The dense H is never formed; the
+    dense budget is charged with the largest slab factored.  A Schur block
+    that is exactly singular means an eigenvalue sits on the band edge
+    -zero_tol; such an instance is degenerate, and LinAlgError tells the
+    caller to re-draw it.
     """
-    if method not in ("auto", "inertia", "dense"):
-        raise ValueError(f"unknown method {method!r}")
     if op.dim == 0:
         return 0
-    zero_tol = ZERO_BAND_RTOL * op.scale()
-    if method != "dense":
-        bounds = _slab_bounds(op.matrix)
-        _check_dense(int(np.max(np.diff(bounds))), "negative-eigenvalue counting")
-        try:
-            # shift the spectrum up by the band width so the strict lambda < 0
-            # inertia count realizes the same lambda < -zero_tol rule as the
-            # dense path (exact kernels land at +zero_tol, not at rounding dust)
-            return _schur_negative_count(op.matrix, bounds, zero_tol)
-        except np.linalg.LinAlgError:
-            if method == "inertia":
-                raise
-    w = _dense_spectrum(op, "negative-eigenvalue counting")
-    return int(np.sum(w < -zero_tol))
+    bounds = _slab_bounds(op.matrix)
+    _check_dense(int(np.max(np.diff(bounds))), "negative-eigenvalue counting")
+    return _schur_negative_count(op.matrix, bounds, ZERO_BAND_RTOL * op.scale())
 
 
 def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
@@ -724,7 +673,7 @@ def semigroup_sandwich_trace(grid: GridSpec, V: MatrixPotential, alpha: float, t
     _check_dense(V.dim, "semigroup trace")
     h_op = hamiltonian(grid, V, sign=alpha)
     w, q = np.linalg.eigh(h_op.toarray())
-    diag_v = np.einsum("ij,jk,ki->i", q.conj().T, V.block().toarray(), q).real
+    diag_v = np.einsum("ij,jk,ki->i", q.conj().T, V.block(), q).real
     return float(np.sum(diag_v * np.exp(-t * w)))
 
 
@@ -748,7 +697,7 @@ def resolvent_trace(grid: GridSpec, V: MatrixPotential, alpha: float) -> float:
 
     h_dense = hamiltonian(grid, V, sign=alpha).toarray()
     try:
-        x = np.linalg.solve(h_dense, V.block().toarray())
+        x = np.linalg.solve(h_dense, V.block())
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             f"L + alpha V unexpectedly singular (alpha={alpha})"
@@ -790,12 +739,11 @@ def heat_diagonal_step(grid: GridSpec, V: MatrixPotential, f, t: float) -> float
 
 def potential_to_json_dict(V: MatrixPotential) -> dict:
     """JSON form: grid header, fiber dimension, and the non-zero sites only."""
-    idx = V.grid.index_tuples()
     sites = []
     for flat in V.support(tol=0.0):
-        m = V.values[flat]
-        entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
-        sites.append({"index": list(idx[flat]), "matrix": entries})
+        index = np.unravel_index(flat, V.grid.points_per_axis)
+        entries = [[float(z.real), float(z.imag)] for z in V.values[flat].ravel()]
+        sites.append({"index": [int(i) for i in index], "matrix": entries})
     return {
         "grid": {
             "d": V.grid.d,

@@ -3,8 +3,8 @@
 Everything downstream (time-ordered functional calculus, discretized
 Schroedinger operators, the experiment harness) funnels matrix work
 through this module: the validation rules, eigendecompositions, scalar
-functional calculus f(A), positive and negative parts, and the trace form
-of Hoelder's inequality used by the convexity estimates.
+functional calculus f(A), and the trace form of Hoelder's inequality used
+by the convexity estimates.
 
 This module owns the two rules every check rests on: a matrix (or a stack
 of them) is Hermitian when max|A - A^H| <= HERMITICITY_RTOL (1 + max|A|)
@@ -185,29 +185,6 @@ def apply_spectral(f, a) -> np.ndarray:
     dec = eig_hermitian(a)
     fw = _evaluate_on_spectrum(f, dec.eigenvalues)
     return dec.apply(fw)
-
-
-def split_parts(a) -> tuple[np.ndarray, np.ndarray]:
-    """Positive and negative parts (A_+, A_-) from a single decomposition.
-
-    A = A_+ - A_-, both parts are PSD, and their ranges are orthogonal
-    because both come from the same eigenbasis.
-    """
-    dec = eig_hermitian(a)
-    w = dec.eigenvalues
-    pos = dec.apply(np.maximum(w, 0.0))
-    neg = dec.apply(np.maximum(-w, 0.0))
-    return pos, neg
-
-
-def positive_part(a) -> np.ndarray:
-    """A_+ = sum over positive eigenvalues of w_k P_k."""
-    return split_parts(a)[0]
-
-
-def negative_part(a) -> np.ndarray:
-    """A_- = (-A)_+, so that A = A_+ - A_-."""
-    return split_parts(a)[1]
 
 
 def require_psd_spectrum(w: np.ndarray, what: str, *, rtol: float = PSD_RTOL) -> np.ndarray:

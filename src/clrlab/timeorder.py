@@ -142,18 +142,6 @@ class ScalarFunctionClass:
         return cls(exp_atoms=((float(weight), -float(alpha)),))
 
 
-@dataclass(frozen=True)
-class TimeOrderedResult:
-    """Matrix value of T f(W_1..W_n) together with its real trace."""
-
-    matrix: np.ndarray
-    real_trace: float
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _require_shared_dimension(dims: list[int]) -> None:
     if not dims:
         raise ValueError("need at least one matrix")
@@ -169,31 +157,28 @@ def _decompositions(matrices) -> list[EigenDecomposition]:
     return decs
 
 
-def _result(matrix: np.ndarray) -> TimeOrderedResult:
-    return TimeOrderedResult(matrix=matrix, real_trace=float(np.trace(matrix).real))
-
-
-def time_ordered_apply(f, matrices, budget: int = ENUMERATION_BUDGET) -> TimeOrderedResult:
-    """Evaluate T f(W_1..W_n) by joint spectral enumeration.
+def time_ordered_apply(f, matrices) -> np.ndarray:
+    """Matrix of T f(W_1..W_n) by joint spectral enumeration.
 
     f may be any scalar function that is real and finite on the sums of
     eigenvalues (a ScalarFunctionClass qualifies).  Enumeration touches
-    N**n index tuples; if that exceeds ``budget`` a BudgetError points the
-    caller at the closed forms instead.  Cost is O(N**n) memory and time:
-    f is evaluated once on all N**n eigenvalue sums, and the overlap
-    chain is contracted one index at a time (see the module docstring).
+    N**n index tuples; if that exceeds ENUMERATION_BUDGET a BudgetError
+    points the caller at the closed forms instead.  Cost is O(N**n) memory
+    and time: f is evaluated once on all N**n eigenvalue sums, and the
+    overlap chain is contracted one index at a time (see the module
+    docstring).
     """
-    return _result(_enumerated(f, _decompositions(matrices), budget))
+    return _enumerated(f, _decompositions(matrices))
 
 
-def _enumerated(f, decs, budget: int) -> np.ndarray:
+def _enumerated(f, decs) -> np.ndarray:
     """Matrix of T f(W_1..W_n) by contracting the overlap chain (module doc)."""
     n = len(decs)
     dim = decs[0].dim
-    if dim**n > budget:
+    if dim**n > ENUMERATION_BUDGET:
         raise BudgetError(
             f"joint enumeration needs {dim}**{n} = {dim**n} terms, over the "
-            f"budget of {budget}; use time_ordered_monomial / "
+            f"budget of {ENUMERATION_BUDGET}; use time_ordered_monomial / "
             f"time_ordered_exponential / time_ordered_mu_exp closed forms"
         )
 
@@ -245,7 +230,7 @@ def _ordered_series(decs, alpha, k: int) -> np.ndarray:
     return series @ v[-1].conj().T
 
 
-def time_ordered_monomial(k: int, matrices) -> TimeOrderedResult:
+def time_ordered_monomial(k: int, matrices) -> np.ndarray:
     """Closed form of T mu^k = k! C_k at alpha = 0 (see _ordered_series).
 
     This is the multinomial sum over j_1+..+j_n = k of
@@ -259,20 +244,20 @@ def time_ordered_monomial(k: int, matrices) -> TimeOrderedResult:
             f"monomial power {k} exceeds the cap {MONOMIAL_MAX_POWER}"
         )
     series = _ordered_series(_decompositions(matrices), 0.0, k)
-    return _result(math.factorial(k) * series[k])
+    return math.factorial(k) * series[k]
 
 
-def time_ordered_exponential(alpha: float, matrices) -> TimeOrderedResult:
+def time_ordered_exponential(alpha: float, matrices) -> np.ndarray:
     """Closed form of T exp(alpha mu) = C_0: the product e^{aW_1}..e^{aW_n}."""
-    return _result(_ordered_series(_decompositions(matrices), float(alpha), 0)[0])
+    return _ordered_series(_decompositions(matrices), float(alpha), 0)[0]
 
 
-def time_ordered_mu_exp(alpha: float, matrices) -> TimeOrderedResult:
+def time_ordered_mu_exp(alpha: float, matrices) -> np.ndarray:
     """Closed form of T mu e^{alpha mu} = C_1, the alpha-derivative of C_0:
 
         sum_m e^{aW_1}..e^{aW_{m-1}} (W_m e^{aW_m}) e^{aW_{m+1}}..e^{aW_n}.
     """
-    return _result(_ordered_series(_decompositions(matrices), float(alpha), 1)[1])
+    return _ordered_series(_decompositions(matrices), float(alpha), 1)[1]
 
 
 def _require_admissible(f) -> ScalarFunctionClass:
@@ -322,7 +307,7 @@ def jensen_gap(f, matrices) -> float:
     return averaged - ordered
 
 
-def convex_probe(kink: float, matrices, budget: int = ENUMERATION_BUDGET) -> float:
+def convex_probe(kink: float, matrices) -> float:
     """Same gap for the hinge max(mu - kink, 0), which is outside the class.
 
     Hinges are convex but not admissible, so no sign is guaranteed here.
@@ -342,5 +327,5 @@ def convex_probe(kink: float, matrices, budget: int = ENUMERATION_BUDGET) -> flo
     def hinge(mu):
         return np.maximum(np.asarray(mu, dtype=float) - kink, 0.0)
 
-    lhs = float(np.trace(_enumerated(hinge, decs, budget)).real)
+    lhs = float(np.trace(_enumerated(hinge, decs)).real)
     return averaged_trace(hinge, decs) - lhs

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -76,25 +75,6 @@ def r_bound(gamma: float) -> float:
     if gamma >= 0.5:
         return 2.0 * math.pi / math.sqrt(3.0)
     return 10.332
-
-
-@dataclass(frozen=True)
-class ConstantTable:
-    """Constants attached to one (gamma, d) pair."""
-
-    gamma: float
-    d: int
-    L_cl: float
-    R_bound: float
-
-
-def constant_table(gamma: float, d: int) -> ConstantTable:
-    return ConstantTable(
-        gamma=float(gamma),
-        d=int(d),
-        L_cl=classical_constant(gamma, d),
-        R_bound=r_bound(gamma),
-    )
 
 
 def lw_product_check(d: int) -> float:
@@ -385,15 +365,16 @@ def f_a_transform(a: float, lam):
     lambda e^z E_2(z), which keeps its relative accuracy as lambda/a -> 0,
     it is 0 where z would overflow (lambda <= a 2^-1023, where the value
     rounds to 0), and it is lambda where z would underflow to 0 (lambda >
-    a 2^1074, where the value rounds to lambda).  Returns a float for a
-    scalar lambda.
+    a 2^1074, where the value rounds to lambda).  A negative, infinite or
+    NaN lambda raises ValueError.  Returns a float for a scalar lambda.
     """
     a = float(a)
     if not a > 0.0:
         raise ValueError(f"a must be positive, got {a}")
     x = np.asarray(lam, dtype=float)
-    if not np.all(x >= 0.0):
-        raise ValueError(f"lambda must be >= 0, got {x[~(x >= 0.0)][0]}")
+    ok = (x >= 0.0) & (x < np.inf)
+    if not ok.all():
+        raise ValueError(f"lambda must be finite and >= 0, got {x[~ok][0]}")
     pos = x > a * _F_A_TINY
     safe = np.where(pos, x, 1.0)
     if a < _F_A_CLAMP_A:

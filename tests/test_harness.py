@@ -74,10 +74,9 @@ def test_gaussian_bumps_sample_fixed_continuum_field():
     vc = generate_potential(42, coarse, 1, "gaussian-bumps", 2.0)
     vf = generate_potential(42, fine, 1, "gaussian-bumps", 2.0)
     # coarse site (i,j,k) sits at ((i+1)/4, ...), fine site (2i+1, ...) too
-    for ci, coarse_idx in enumerate(coarse.index_tuples()):
-        fine_idx = tuple(2 * i + 1 for i in coarse_idx)
-        fi = np.ravel_multi_index(fine_idx, fine.points_per_axis)
-        assert np.allclose(vc.values[ci], vf.values[fi], atol=1e-12)
+    coarse_idx = np.unravel_index(np.arange(coarse.nsites), coarse.points_per_axis)
+    fi = np.ravel_multi_index(tuple(2 * i + 1 for i in coarse_idx), fine.points_per_axis)
+    assert np.allclose(vc.values, vf.values[fi], atol=1e-12)
 
 
 def test_random_admissible_function_is_admissible():
@@ -271,14 +270,47 @@ def test_experiment_names_cover_dispatch():
 
 def test_monitor_rows_never_fail_a_run():
     # the hinge probe has no sign guarantee: runs that discover negative
-    # gaps must still pass, because probe rows are monitor-only
+    # gaps must still pass, because probe rows are monitor-only; gaps within
+    # jensen's rounding slack are not counted as negative
     rep = run_experiment(
         ExperimentConfig(experiment="remark-probe", trials=2000, seed=3)
     )
     gaps = [float(r["gap"]) for r in rep.records if r.get("gate") == "monitor"]
-    assert gaps and min(gaps) < 0.0
-    assert float(rep.summary["negative_fraction"]) > 0.0
+    assert gaps and -1e-13 < min(gaps) < 0.0
+    assert rep.summary["negative_fraction"] == 0.0
     assert rep.passed
+
+
+def test_probe_run_takes_one_spectrum_per_matrix(monkeypatch):
+    # each drawn matrix is decomposed once; the hinge gap and its averaged
+    # side both take the decompositions
+    import clrlab.matcore as matcore
+
+    calls = {"hermitian": 0, "eigh": 0}
+    require_hermitian, eigh = matcore.require_hermitian, np.linalg.eigh
+
+    def counted_hermitian(*args, **kwargs):
+        calls["hermitian"] += 1
+        return require_hermitian(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rep = run_experiment(ExperimentConfig(experiment="remark-probe", trials=60, seed=7))
+    per_run = sum(r["n"] for r in rep.records)
+    assert calls == {"hermitian": per_run, "eigh": per_run}
+
+
+def test_probe_negative_fraction_counts_gaps_beyond_the_slack(monkeypatch):
+    import clrlab.harness.experiments as experiments
+
+    for gap, want in ((-1e-12, 0.0), (-1e-6, 1.0)):
+        monkeypatch.setattr(experiments, "convex_probe", lambda kink, decs: gap)
+        rep = run_experiment(ExperimentConfig(experiment="remark-probe", trials=20))
+        assert rep.summary["negative_fraction"] == want
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,13 @@ print(json.dumps({"first_on_main": first_on_main,
     assert side_by_side["report"]["summary"]["hard_failures"] == 0
     assert (json.dumps(side_by_side["report"], sort_keys=True)
             == json.dumps(serial["report"], sort_keys=True))
+
+
+def test_every_exported_name_resolves_once():
+    import clrlab.harness
+
+    for module in (clrlab, clrlab.harness):
+        names = module.__all__
+        assert len(names) == len(set(names)), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

@@ -13,6 +13,7 @@ from clrlab.errors import BudgetError, NonHermitianError, NotPositiveSemidefinit
 from clrlab.harness import ExperimentConfig, generate_potential, run_experiment
 from clrlab.harness.generators import POTENTIAL_STYLES
 from clrlab.lattice import (
+    ZERO_BAND_RTOL,
     DiscreteOperator,
     GridSpec,
     MatrixPotential,
@@ -44,6 +45,11 @@ import scipy.sparse as sp
 
 def grid1d(m=8, h=0.5, boundary="dirichlet"):
     return GridSpec(d=1, points_per_axis=(m,), h=h, boundary=boundary)
+
+
+def dense_count(op):
+    """Oracle: eigenvalues below -zero_tol from a full dense spectrum."""
+    return int(np.sum(np.linalg.eigvalsh(op.toarray()) < -ZERO_BAND_RTOL * op.scale()))
 
 
 def scalar_potential(grid, diag):
@@ -152,18 +158,12 @@ def test_count_negative_free_laplacian():
 
 
 def test_count_negative_explicit_diagonal():
-    op = DiscreteOperator(
-        matrix=sp.diags([-1.0, -2.0, 3.0]).tocsr(), nsites=3, fiber=1
-    )
-    assert count_negative(op) == 2
-    assert count_negative(op, method="inertia") == 2
-    assert count_negative(op, method="dense") == 2
-    with pytest.raises(ValueError):
-        count_negative(op, method="sloppy")
+    op = DiscreteOperator(sp.diags([-1.0, -2.0, 3.0]).tocsr())
+    assert count_negative(op) == 2 == dense_count(op)
 
 
 def _diagonal_op(values):
-    return DiscreteOperator(matrix=sp.diags(values).tocsr(), nsites=len(values), fiber=1)
+    return DiscreteOperator(sp.diags(values).tocsr())
 
 
 def test_count_negative_auto_propagates_non_lapack_errors(monkeypatch):
@@ -175,15 +175,20 @@ def test_count_negative_auto_propagates_non_lapack_errors(monkeypatch):
         count_negative(_diagonal_op([-1.0, -2.0, 3.0]))
 
 
-def test_count_negative_auto_falls_back_on_linalg_error(monkeypatch):
-    def failing(*args):
-        raise np.linalg.LinAlgError("factorization failed")
+def test_count_negative_propagates_linalg_error(monkeypatch):
+    # |H|_inf = 1, so zero_tol = ZERO_BAND_RTOL and the shifted -zero_tol is
+    # an exact zero pivot in the first of two 128-row slabs
+    values = np.full(256, 0.5)
+    values[0], values[5] = 1.0, -ZERO_BAND_RTOL
+    op = _diagonal_op(values)
 
-    monkeypatch.setattr("clrlab.lattice._schur_negative_count", failing)
-    op = _diagonal_op([-1.0, -2.0, 3.0, 1e-13])
-    assert count_negative(op) == 2
-    with pytest.raises(np.linalg.LinAlgError):
-        count_negative(op, method="inertia")
+    def refused(*args, **kwargs):
+        raise AssertionError("count_negative fell back to a dense count")
+
+    monkeypatch.setattr(DiscreteOperator, "toarray", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    with pytest.raises(np.linalg.LinAlgError, match="band edge"):
+        count_negative(op)
 
 
 def test_count_negative_inertia_matches_dense():
@@ -199,17 +204,15 @@ def test_count_negative_inertia_matches_dense():
         for trial in range(trials):
             v = generate_potential((d, trial), g, nf, "random-psd-field", amp)
             ham = hamiltonian(g, v)
-            ci = count_negative(ham, method="inertia")
-            cd = count_negative(ham, method="dense")
-            assert ci == cd
+            ci = count_negative(ham)
+            assert ci == dense_count(ham)
             seen += ci
     assert seen > 0  # the ensembles must actually bind
 
 
 def _assert_structured_matches_dense(op):
-    count = count_negative(op, method="inertia")
-    assert count == count_negative(op, method="dense")
-    assert count == count_negative(op)
+    count = count_negative(op)
+    assert count == dense_count(op)
     return count
 
 
@@ -257,16 +260,15 @@ def test_structured_count_matches_dense_banded_operator(n, band, dtype):
         a = a + 1j * rng.standard_normal((n, n))
     i, j = np.indices((n, n))
     a[np.abs(i - j) > band] = 0.0
-    op = DiscreteOperator(matrix=sp.csr_matrix(a + a.conj().T), nsites=n, fiber=1)
+    op = DiscreteOperator(sp.csr_matrix(a + a.conj().T))
     assert len(_slab_bounds(op.matrix)) > 2
     count = _assert_structured_matches_dense(op)
     assert 0 < count < n
 
 
 def test_structured_count_orders_zero_and_one():
-    empty = DiscreteOperator(matrix=sp.csr_matrix((0, 0)), nsites=0, fiber=1)
-    for method in ("auto", "inertia", "dense"):
-        assert count_negative(empty, method=method) == 0
+    empty = DiscreteOperator(sp.csr_matrix((0, 0)))
+    assert count_negative(empty) == 0 == dense_count(empty)
     for value, want in ((-2.0, 1), (3.0, 0), (0.0, 0)):
         assert _assert_structured_matches_dense(_diagonal_op([value])) == want
 
@@ -283,14 +285,14 @@ def test_slab_bounds_follow_the_bandwidth():
 def test_structured_count_never_densifies(monkeypatch):
     g = GridSpec(d=3, points_per_axis=(9, 9, 9), h=0.1)
     ham = hamiltonian(g, generate_potential(4, g, 1, "gaussian-bumps", 600.0))
-    want = count_negative(ham, method="dense")
+    want = dense_count(ham)
 
     def refused(*args, **kwargs):
         raise AssertionError("the structured count densified H")
 
     monkeypatch.setattr(DiscreteOperator, "toarray", refused)
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-    assert count_negative(ham) == count_negative(ham, method="inertia") == want > 0
+    assert count_negative(ham) == want > 0
 
 
 def test_riesz_mean_matches_eig_oracle():
@@ -550,7 +552,7 @@ def test_trotter_trace_matches_expm_oracle(pts, N, boundary):
     heat = scipy.linalg.expm(-s * build_laplacian(g, fiber=N).toarray())
     pot = scipy.linalg.block_diag(*[scipy.linalg.expm(-s * alpha * b) for b in v.values])
     power = np.linalg.matrix_power(heat @ pot, n)
-    want = float(np.trace(v.block().toarray() @ power).real)
+    want = float(np.trace(v.block() @ power).real)
     got = trotter_trace(g, v, alpha, t, n)
     assert abs(got - want) < 1e-12 * (1.0 + abs(want))
 
@@ -578,7 +580,7 @@ def test_semigroup_sandwich_vs_expm_oracle():
         v = generate_potential(seed, g, 2, "random-psd-field", 3.0)
         alpha, t = 1.5, 0.7
         h_dense = hamiltonian(g, v, sign=alpha).toarray()
-        vb = v.block().toarray()
+        vb = v.block()
         want = float(np.trace(vb @ scipy.linalg.expm(-t * h_dense)).real)
         got = semigroup_sandwich_trace(g, v, alpha, t)
         assert abs(got - want) < 1e-8 * (1.0 + abs(want))
@@ -748,8 +750,7 @@ def test_block_matches_dense_block_diag():
             if not np.any(v.values.imag):
                 want = want.real
             assert got.dtype == want.dtype
-            assert got.toarray().tobytes() == want.tobytes()
-            assert np.all(got.data != 0)
+            assert got.tobytes() == want.tobytes()
 
 
 def _random_sparse(rng, n, complex_, duplicates):
@@ -792,10 +793,10 @@ def test_discrete_operator_rejects_defect_above_tolerance():
         e = factor * HERMITICITY_RTOL * scale
         m = sp.csr_matrix(np.array([[2.0, e], [0.0, 1.0]]))
         if ok:
-            assert DiscreteOperator(matrix=m, nsites=2).scale() == 2.0 + e
+            assert DiscreteOperator(m).scale() == 2.0 + e
         else:
             with pytest.raises(NonHermitianError, match="not Hermitian"):
-                DiscreteOperator(matrix=m, nsites=2)
+                DiscreteOperator(m)
 
 
 def test_matrix_potential_moment_and_sqrt():
@@ -805,9 +806,9 @@ def test_matrix_potential_moment_and_sqrt():
     vals[1] = np.diag([1.0, -2.0])  # negative part must not contribute
     v = MatrixPotential(grid=g, N=2, values=vals)
     assert abs(v.moment(0.5) - 0.5 * (2.0 + 3.0 + 1.0)) < 1e-14
-    roots = v.positive_part().sqrt_sites()
-    squared = np.einsum("xij,xjk->xik", roots, roots)
     clipped = np.array([np.diag([4.0, 9.0]), np.diag([1.0, 0.0])])
+    roots = MatrixPotential(grid=g, N=2, values=clipped).sqrt_sites()
+    squared = np.einsum("xij,xjk->xik", roots, roots)
     assert np.allclose(squared, clipped, atol=1e-12)
     with pytest.raises(NotPositiveSemidefiniteError):
         v.require_psd()
@@ -859,8 +860,9 @@ def test_potential_digest_sensitivity():
 
 def test_dense_budget_env_override(monkeypatch):
     # sparse assembly is not charged against the dense budget; the inertia
-    # count is charged with its largest slab (17^2 = 289 rows on 17^3), the
-    # dense count with the full order; CLRLAB_DENSE_BUDGET moves the cap
+    # count is charged with its largest slab (17^2 = 289 rows on 17^3), a
+    # dense spectrum (riesz_mean's) with the full order; CLRLAB_DENSE_BUDGET
+    # moves the cap
     big = GridSpec(d=3, points_per_axis=(17, 17, 17), h=0.1)
     assert build_laplacian(big).dim == 4913
     values = 300.0 * np.exp(-np.sum((big.site_coords() - 0.9) ** 2, axis=1) / 0.1)
@@ -874,7 +876,7 @@ def test_dense_budget_env_override(monkeypatch):
     assert eigs.max() >= threshold  # the Lanczos window covers every negative one
     assert count == int(np.sum(eigs < threshold)) > 0
     with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
-        count_negative(h_big, method="dense")
+        riesz_mean(h_big, 1.0)
     monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "8")
     with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
         count_negative(hamiltonian(grid1d(9), scalar_potential(grid1d(9), np.ones(9))))

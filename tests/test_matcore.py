@@ -14,11 +14,8 @@ from clrlab.matcore import (
     apply_spectral,
     eig_hermitian,
     holder_trace_product,
-    negative_part,
-    positive_part,
     require_hermitian,
     require_hermitian_stack,
-    split_parts,
 )
 
 
@@ -152,29 +149,6 @@ def test_apply_spectral_composition():
         lhs = apply_spectral(lambda mu: f(g(mu)), a)
         rhs = apply_spectral(f, apply_spectral(g, a))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-
-def test_positive_part_diagonal():
-    assert np.allclose(positive_part(np.diag([3.0, -5.0])), np.diag([3.0, 0.0]))
-    assert np.allclose(negative_part(np.diag([3.0, -5.0])), np.diag([0.0, 5.0]))
-
-
-def test_positive_part_fixes_psd_input():
-    rng = np.random.default_rng(2)
-    a = random_psd(rng, 4)
-    assert np.max(np.abs(positive_part(a) - a)) < 1e-12
-    assert np.max(np.abs(positive_part(positive_part(a)) - positive_part(a))) < 1e-12
-
-
-def test_split_parts_reconstruct_and_orthogonal():
-    for seed in range(40):
-        rng = np.random.default_rng(300 + seed)
-        a = random_hermitian(rng, 5, scale=float(rng.uniform(0.5, 4.0)))
-        plus, minus = split_parts(a)
-        assert np.max(np.abs(a - (plus - minus))) < 1e-10
-        assert abs(np.trace(plus @ minus)) < 1e-10
-        assert np.min(np.linalg.eigvalsh(plus)) > -1e-12
-        assert np.min(np.linalg.eigvalsh(minus)) > -1e-12
 
 
 def test_holder_single_factor_is_equality():

@@ -69,14 +69,14 @@ def test_apply_single_factor_is_spectral_calculus():
     rng = np.random.default_rng(0)
     w = random_psd(rng, 3)
     f = random_admissible(rng)
-    got = time_ordered_apply(f, [w]).matrix
+    got = time_ordered_apply(f, [w])
     want = apply_spectral(f, w)
     assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_apply_square_commuting_pair():
     w = np.diag([1.0, 0.0])
-    got = time_ordered_apply(ScalarFunctionClass.monomial(2), [w, w]).matrix
+    got = time_ordered_apply(ScalarFunctionClass.monomial(2), [w, w])
     assert np.max(np.abs(got - 4.0 * np.diag([1.0, 0.0]))) < 1e-12
 
 
@@ -84,8 +84,8 @@ def test_apply_cube_matches_monomial_closed_form():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         ws = [random_psd(rng, 3) for _ in range(2)]
-        got = time_ordered_apply(ScalarFunctionClass.monomial(3), ws).matrix
-        want = time_ordered_monomial(3, ws).matrix
+        got = time_ordered_apply(ScalarFunctionClass.monomial(3), ws)
+        want = time_ordered_monomial(3, ws)
         assert np.max(np.abs(got - want)) < 1e-9
 
 
@@ -128,7 +128,7 @@ def assert_matches_index_enumeration(rng, decs):
     ]
     for f in functions:
         want = index_enumeration(f, decs)
-        got = time_ordered_apply(f, decs).matrix
+        got = time_ordered_apply(f, decs)
         assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
 
 
@@ -182,10 +182,10 @@ def test_apply_dimension_mismatch():
 def test_result_hermitian_for_single_factor_only():
     rng = np.random.default_rng(2)
     ws = [random_psd(rng, 3) for _ in range(2)]
-    single = time_ordered_apply(ScalarFunctionClass.monomial(3), ws[:1]).matrix
+    single = time_ordered_apply(ScalarFunctionClass.monomial(3), ws[:1])
     assert np.max(np.abs(single - single.conj().T)) < 1e-10
-    res = time_ordered_apply(ScalarFunctionClass.monomial(3), ws)
-    assert abs(res.real_trace - np.trace(res.matrix).real) < 1e-12
+    pair = time_ordered_apply(ScalarFunctionClass.monomial(3), ws)
+    assert np.max(np.abs(pair - pair.conj().T)) > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +194,14 @@ def test_result_hermitian_for_single_factor_only():
 def test_monomial_k1_is_sum():
     rng = np.random.default_rng(3)
     ws = [random_psd(rng, 4) for _ in range(3)]
-    got = time_ordered_monomial(1, ws).matrix
+    got = time_ordered_monomial(1, ws)
     assert np.max(np.abs(got - sum(ws))) < 1e-13
 
 
 def test_monomial_k2_n2_expansion():
     rng = np.random.default_rng(4)
     w1, w2 = random_psd(rng, 3), random_psd(rng, 3)
-    got = time_ordered_monomial(2, [w1, w2]).matrix
+    got = time_ordered_monomial(2, [w1, w2])
     want = w1 @ w1 + 2.0 * (w1 @ w2) + w2 @ w2
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -210,8 +210,8 @@ def test_monomial_matches_enumeration():
     for seed in range(10):
         rng = np.random.default_rng(10 + seed)
         ws = [random_psd(rng, 3) for _ in range(3)]
-        got = time_ordered_monomial(4, ws).matrix
-        want = time_ordered_apply(ScalarFunctionClass.monomial(4), ws).matrix
+        got = time_ordered_monomial(4, ws)
+        want = time_ordered_apply(ScalarFunctionClass.monomial(4), ws)
         assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -226,7 +226,7 @@ def test_monomial_rejects_bad_power():
 def test_exponential_alpha_zero_is_identity():
     rng = np.random.default_rng(5)
     ws = [random_psd(rng, 3) for _ in range(3)]
-    got = time_ordered_exponential(0.0, ws).matrix
+    got = time_ordered_exponential(0.0, ws)
     assert np.max(np.abs(got - np.eye(3))) < 1e-13
 
 
@@ -234,7 +234,7 @@ def test_exponential_commuting_diagonals():
     w1 = np.diag([0.5, 1.5])
     w2 = np.diag([1.0, 0.25])
     alpha = 0.8
-    got = time_ordered_exponential(alpha, [w1, w2]).matrix
+    got = time_ordered_exponential(alpha, [w1, w2])
     want = np.diag(np.exp(alpha * np.array([1.5, 1.75])))
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -244,9 +244,9 @@ def test_exponential_matches_enumeration():
         rng = np.random.default_rng(20 + seed)
         ws = [random_psd(rng, 2) for _ in range(2)]
         alpha = float(rng.uniform(-1.5, 1.5))
-        got = time_ordered_exponential(alpha, ws).matrix
+        got = time_ordered_exponential(alpha, ws)
         f = ScalarFunctionClass.exponential(alpha)
-        want = time_ordered_apply(f, ws).matrix
+        want = time_ordered_apply(f, ws)
         assert np.max(np.abs(got - want)) < 1e-9
 
 
@@ -254,7 +254,7 @@ def test_mu_exp_single_factor():
     rng = np.random.default_rng(6)
     w = random_psd(rng, 3)
     alpha = 0.6
-    got = time_ordered_mu_exp(alpha, [w]).matrix
+    got = time_ordered_mu_exp(alpha, [w])
     want = w @ apply_spectral(lambda mu: np.exp(alpha * mu), w)
     assert np.max(np.abs(got - want)) < 1e-11
 
@@ -262,7 +262,7 @@ def test_mu_exp_single_factor():
 def test_mu_exp_alpha_zero_is_sum():
     rng = np.random.default_rng(7)
     ws = [random_psd(rng, 3) for _ in range(4)]
-    got = time_ordered_mu_exp(0.0, ws).matrix
+    got = time_ordered_mu_exp(0.0, ws)
     assert np.max(np.abs(got - sum(ws))) < 1e-12
 
 
@@ -271,8 +271,8 @@ def test_mu_exp_matches_enumeration():
         rng = np.random.default_rng(30 + seed)
         ws = [random_psd(rng, 3) for _ in range(3)]
         alpha = float(rng.uniform(-1.0, 1.0))
-        got = time_ordered_mu_exp(alpha, ws).matrix
-        want = time_ordered_apply(lambda mu: mu * np.exp(alpha * mu), ws).matrix
+        got = time_ordered_mu_exp(alpha, ws)
+        want = time_ordered_apply(lambda mu: mu * np.exp(alpha * mu), ws)
         assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -298,7 +298,7 @@ def test_closed_forms_match_enumeration_at_workload_sizes():
              lambda mu: mu * np.exp(alpha * mu)),
         ]
         for closed, f in pairs:
-            assert _rel_err(closed.matrix, time_ordered_apply(f, ws).matrix) < 1e-12
+            assert _rel_err(closed, time_ordered_apply(f, ws)) < 1e-12
 
 
 def test_linearity_of_time_ordering():
@@ -307,9 +307,9 @@ def test_linearity_of_time_ordering():
     f = ScalarFunctionClass.monomial(3)
     g = ScalarFunctionClass.exponential(0.5)
     combined = f + 2.0 * g
-    lhs = time_ordered_apply(combined, ws).matrix
-    rhs = (time_ordered_apply(f, ws).matrix
-           + 2.0 * time_ordered_apply(g, ws).matrix)
+    lhs = time_ordered_apply(combined, ws)
+    rhs = (time_ordered_apply(f, ws)
+           + 2.0 * time_ordered_apply(g, ws))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -325,7 +325,7 @@ def test_commuting_collapse():
             m = (q * lam) @ q.conj().T
             ws.append(0.5 * (m + m.conj().T))
         f = random_admissible(rng)
-        got = time_ordered_apply(f, ws).matrix
+        got = time_ordered_apply(f, ws)
         want = apply_spectral(f, sum(ws))
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -383,7 +383,7 @@ def test_jensen_gap_matches_enumeration():
         ws = [random_psd(rng, dim, scale=float(rng.uniform(0.1, 1.5)))
               for _ in range(n)]
         rhs = averaged_trace(f, ws)
-        want = rhs - time_ordered_apply(f, ws).real_trace
+        want = rhs - np.trace(time_ordered_apply(f, ws)).real
         assert abs(jensen_gap(f, ws) - want) < 1e-12 * (1.0 + abs(rhs))
         averaged, ordered = _jensen_sides(f, ws)
         assert averaged == rhs
@@ -435,7 +435,7 @@ def test_holder_chain_for_monomials():
         k = int(rng.integers(1, 6))
         ws = [random_psd(rng, 3, scale=float(rng.uniform(0.2, 1.5)))
               for _ in range(n)]
-        lhs = time_ordered_monomial(k, ws).real_trace
+        lhs = np.trace(time_ordered_monomial(k, ws)).real
         s = sum(np.trace(np.linalg.matrix_power(w, k)).real ** (1.0 / k)
                 for w in ws)
         rhs = s**k
@@ -478,14 +478,16 @@ def test_probe_one_validation_and_one_eigh_per_matrix(monkeypatch):
     assert calls == {"hermitian": 4, "eigh": 4}
 
 
-def test_probe_rejects_indefinite_and_over_budget():
+def test_probe_rejects_indefinite_and_over_budget(monkeypatch):
     with pytest.raises(NotPositiveSemidefiniteError):
         convex_probe(1.0, [np.diag([1.0, -0.2])])
     rng = np.random.default_rng(14)
     ws = [random_psd(rng, 4) for _ in range(3)]  # 4**3 = 64 terms
-    convex_probe(1.0, ws, budget=64)
-    with pytest.raises(BudgetError):
-        convex_probe(1.0, ws, budget=63)
+    monkeypatch.setattr("clrlab.timeorder.ENUMERATION_BUDGET", 64)
+    convex_probe(1.0, ws)
+    monkeypatch.setattr("clrlab.timeorder.ENUMERATION_BUDGET", 63)
+    with pytest.raises(BudgetError, match="budget of 63"):
+        convex_probe(1.0, ws)
 
 
 def test_decompositions_give_the_same_results_as_arrays():
@@ -496,8 +498,8 @@ def test_decompositions_give_the_same_results_as_arrays():
         f = random_admissible(rng)
         assert averaged_trace(f, decs) == averaged_trace(f, ws)
         assert jensen_gap(f, decs) == jensen_gap(f, ws)
-        assert np.array_equal(time_ordered_apply(f, decs).matrix,
-                              time_ordered_apply(f, ws).matrix)
+        assert np.array_equal(time_ordered_apply(f, decs),
+                              time_ordered_apply(f, ws))
 
 
 def test_probe_commuting_inputs_nonnegative():

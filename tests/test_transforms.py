@@ -10,7 +10,6 @@ from clrlab.timeorder import ScalarFunctionClass
 from clrlab.transforms import (
     c_a,
     classical_constant,
-    constant_table,
     corollary_constant,
     e1_scaled,
     exp_integral_E1,
@@ -109,13 +108,6 @@ def test_r_bound_piecewise_with_boundaries():
     assert r_bound(1.0) == pytest.approx(math.pi / math.sqrt(3.0))
     assert r_bound(1.5) == pytest.approx(1.0)
     assert r_bound(7.0) == pytest.approx(1.0)
-
-
-def test_constant_table_fields():
-    tab = constant_table(0.0, 3)
-    assert tab.gamma == 0.0 and tab.d == 3
-    assert abs(tab.L_cl - L03_ORACLE) < 1e-15
-    assert tab.R_bound == pytest.approx(10.332)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +283,15 @@ def test_f_a_transform_elementwise_matches_scalar_calls():
     for bad in (np.array([1.0, -0.5]), np.array([0.0, math.nan])):
         with pytest.raises(ValueError):
             f_a_transform(a, bad)
+
+
+def test_f_a_transform_rejects_infinite_lambda():
+    # the limit is inf, but inf - a e^0 E_1(0) would be inf - inf = nan
+    with np.errstate(invalid="raise"):
+        for bad in (math.inf, -math.inf, np.array([0.4, math.inf])):
+            with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+                f_a_transform(1.0, bad)
+        assert f_a_transform(1.0, 1.7e308) == 1.7e308
 
 
 def test_f_a_transform_is_zero_without_warning_where_a_over_lam_overflows():
