@@ -11,7 +11,7 @@ The package has five layers:
   transform, the exponential integral, the one-parameter test-function
   family ``f_a``, and the constants pipeline ending in ``R ≈ 10.332``.
 * :mod:`clrlab.lattice` — discrete Laplacians, Birman–Schwinger operators,
-  eigenvalue counting by Schur-complement inertia, Trotter traces, and CLR/Lieb–Thirring right-hand
+  eigenvalue counting by Schur-complement inertia, Trotter sandwiches, and CLR/Lieb–Thirring right-hand
   sides on finite grids.
 * :mod:`clrlab.harness` — seeded experiment drivers, potential generators,
   and report writers behind the ``clrlab`` command line tool.
@@ -90,7 +90,7 @@ from .lattice import (
     riesz_mean,
     save_potential,
     semigroup_sandwich_trace,
-    trotter_trace,
+    trotter_sandwich,
 )
 from .harness import (
     EXPERIMENTS,
@@ -127,7 +127,7 @@ __all__ = [
     "bs_bound", "build_laplacian", "clr_rhs", "count_negative",
     "h_and_k_spectra", "hamiltonian", "heat_diagonal_step", "k_spectrum",
     "load_potential", "potential_digest", "resolvent_trace", "riesz_mean",
-    "save_potential", "semigroup_sandwich_trace", "trotter_trace",
+    "save_potential", "semigroup_sandwich_trace", "trotter_sandwich",
     # harness
     "EXPERIMENTS", "ExperimentConfig", "ExperimentReport", "derive_seed",
     "generate_potential", "run_experiment",

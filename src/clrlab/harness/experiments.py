@@ -30,7 +30,7 @@ from ..lattice import (
     resolvent_trace,
     riesz_mean,
     semigroup_sandwich_trace,
-    trotter_trace,
+    trotter_sandwich,
 )
 from ..matcore import apply_spectral, eig_hermitian, holder_trace_product
 from ..timeorder import (
@@ -347,10 +347,9 @@ def _run_trotter(cfg: ExperimentConfig) -> ExperimentReport:
     for i in range(3):
         s, grid, v, alpha, t = _barrier_instance(cfg, 10_000 + i)
         exact = semigroup_sandwich_trace(grid, v, alpha, t)
+        trace = trotter_sandwich(v, alpha)
         ns = np.array([4, 8, 16, 32, 64, 128, 256], dtype=float)
-        errs = np.array([
-            abs(trotter_trace(grid, v, alpha, t, int(n)) - exact) for n in ns
-        ])
+        errs = np.array([abs(trace(t, int(n)) - exact) for n in ns])
         slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
         records.append({
             "kind": "trotter-slope", "gate": "hard", "trial": i, "seed": s,
@@ -361,8 +360,9 @@ def _run_trotter(cfg: ExperimentConfig) -> ExperimentReport:
     for i in range(10):
         s, grid, v, alpha = _trotter_instance(cfg, 20_000 + i)
         r_direct = resolvent_trace(grid, v, alpha)
-        val, _ = scipy.integrate.quad(lambda t: trotter_trace(grid, v, alpha, t, 256),
-                                      0.0, np.inf, epsabs=1e-10, epsrel=1e-7, limit=200)
+        trace = trotter_sandwich(v, alpha)
+        val, _ = scipy.integrate.quad(lambda t: trace(t, 256), 0.0, np.inf,
+                                      epsabs=1e-10, epsrel=1e-7, limit=200)
         rel = abs(val - r_direct) / max(abs(r_direct), 1e-30)
         records.append({
             "kind": "t-quadrature", "gate": "hard", "trial": i, "seed": s,

@@ -374,13 +374,14 @@ def _axis_modes(m: int, h: float, boundary: str) -> tuple[np.ndarray, np.ndarray
     return 4.0 / h**2 * np.sin(theta / 2.0) ** 2, u
 
 
-def _laplacian_function(grid: GridSpec, f, cols: np.ndarray) -> np.ndarray:
-    """Columns cols of f(L), L the spatial (fiber-1) Laplacian; shape (nsites, len(cols)).
+def _unit_columns_in_modes(grid: GridSpec, cols: np.ndarray):
+    """(modes, lam, x): the axis modes, their summed eigenvalues, U^H e_c for c in cols.
 
-    L is the Kronecker sum of the per-axis stencils, so f(L) = U f(Lambda) U^H
-    with U the tensor product of the axis bases: transform the unit columns
-    along every axis with U^H, scale by f of the summed axis eigenvalues,
-    transform back.  Costs O(nsites * sum(m) * len(cols)).
+    L is the Kronecker sum of the per-axis stencils, with eigenvalues lam
+    (the broadcast sum of the axis eigenvalues, shape points_per_axis) and
+    eigenbasis U, the tensor product of the axis bases.  x holds the unit
+    columns cols transformed along every axis with U^H, shape
+    (*points_per_axis, len(cols)); it depends on the grid only.
     """
     pts = grid.points_per_axis
     modes = [_axis_modes(m, grid.h, grid.boundary) for m in pts]
@@ -390,10 +391,25 @@ def _laplacian_function(grid: GridSpec, f, cols: np.ndarray) -> np.ndarray:
     x = x.reshape(*pts, len(cols))
     for ax, (_, u) in enumerate(modes):
         x = np.moveaxis(np.tensordot(u.conj().T, x, axes=(1, ax)), 0, ax)
-    x = x * f(lam)[..., np.newaxis]
+    return modes, lam, x
+
+
+def _from_modes(modes, x: np.ndarray) -> np.ndarray:
+    """Transform x back along every axis with U; real part, shape (nsites, ncols)."""
     for ax, (_, u) in enumerate(modes):
         x = np.moveaxis(np.tensordot(u, x, axes=(1, ax)), 0, ax)
-    return x.reshape(grid.nsites, len(cols)).real
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).real
+
+
+def _laplacian_function(grid: GridSpec, f, cols: np.ndarray) -> np.ndarray:
+    """Columns cols of f(L), L the spatial (fiber-1) Laplacian; shape (nsites, len(cols)).
+
+    f(L) = U f(Lambda) U^H: transform the unit columns along every axis with
+    U^H, scale by f of the summed axis eigenvalues, transform back.  Costs
+    O(nsites * sum(m) * len(cols)).
+    """
+    modes, lam, x = _unit_columns_in_modes(grid, cols)
+    return _from_modes(modes, x * f(lam)[..., np.newaxis])
 
 
 def hamiltonian(grid: GridSpec, V: MatrixPotential, sign: float = -1.0) -> DiscreteOperator:
@@ -547,7 +563,10 @@ def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
     roots = V.sqrt_sites()[support]
     if not np.any(V.values.imag):
         roots = roots.real  # real LAPACK paths are several times faster
-    k = np.einsum("xy,xab,ybc->xayc", green, roots, roots).reshape(n, n)
+    # one GEMM: k[(x,a),(y,c)] = (V(x)^{1/2} V(y)^{1/2})_ac, then scaled by G(x,y)
+    k = roots.reshape(n, V.N) @ roots.transpose(1, 0, 2).reshape(V.N, n)
+    blocks = k.reshape(support.size, V.N, support.size, V.N)
+    blocks *= green[:, None, :, None]
     require_hermitian_stack(k, "Birman-Schwinger operator")
     return k
 
@@ -624,41 +643,45 @@ def bs_bound(F, lam: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Trotter products, semigroup and resolvent traces.
 
-def _potential_exp_blocks(V: MatrixPotential, s: float) -> np.ndarray:
-    """Sitewise exp(-s V(x)) as a stack of blocks."""
-    w, u = np.linalg.eigh(V.values)
-    return np.einsum("xij,xj,xkj->xik", u, np.exp(-s * w), u.conj())
-
-
-def trotter_trace(grid: GridSpec, V: MatrixPotential, alpha: float, t: float, n: int) -> float:
-    """tr of the Trotter sandwich V^{1/2} (e^{-tL/n} e^{-t alpha V/n})^n V^{1/2}.
+def trotter_sandwich(V: MatrixPotential, alpha: float):
+    """trace(t, n) = tr of the Trotter sandwich V^{1/2} (e^{-tL/n} e^{-t alpha V/n})^n V^{1/2}.
 
     Both factors are exact matrix exponentials: the spatial one from the
-    per-axis eigenpairs of L, the potential one sitewise.  Converges to the
-    semigroup sandwich trace with O(1/n) error; the value is real because
-    the trace lets V^{1/2} close the cycle.
+    per-axis eigenpairs of L on V.grid, the potential one sitewise.
+    Converges to the semigroup sandwich trace with O(1/n) error; the value
+    is real because the trace lets V^{1/2} close the cycle.
+
+    Everything that does not depend on t or n is done here, once: the
+    checks (alpha > 0, V sitewise PSD, the dense budget), the axis modes
+    with the unit columns transformed into them, and the eigenpairs of
+    every site block.  The returned trace(t, n) does the rest, so one
+    sandwich serves a whole t-quadrature.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if V.grid != grid:
-        raise ValueError("potential was generated on a different grid")
     V.require_psd()
     _check_dense(V.dim, "Trotter product")
+    grid = V.grid
+    modes, lam, unit = _unit_columns_in_modes(grid, np.arange(grid.nsites))
+    w, u = np.linalg.eigh(V.values)
 
-    s = t / n
-    heat = _laplacian_function(grid, lambda lam: np.exp(-s * lam),
-                               np.arange(grid.nsites))
-    # step[(x,i),(y,j)] = e^{-sL}(x,y) e^{-s alpha V(y)}_ij
-    step = np.einsum("xy,yij->xiyj", heat, _potential_exp_blocks(V, s * alpha))
-    power = np.linalg.matrix_power(step.reshape(V.dim, V.dim), n)
-    power = power.reshape(grid.nsites, V.N, grid.nsites, V.N)
-    return float(np.einsum("xij,xjxi->", V.values, power).real)
+    def trace(t: float, n: int) -> float:
+        t = float(t)
+        if not (t > 0.0 and math.isfinite(t)):
+            raise ValueError(f"time must be positive and finite, got {t}")
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        s = t / n
+        heat = _from_modes(modes, unit * np.exp(-s * lam)[..., np.newaxis])
+        pot = np.einsum("xij,xj,xkj->xik", u, np.exp(-(s * alpha) * w), u.conj())
+        # step[(x,i),(y,j)] = e^{-sL}(x,y) e^{-s alpha V(y)}_ij
+        step = np.einsum("xy,yij->xiyj", heat, pot)
+        power = np.linalg.matrix_power(step.reshape(V.dim, V.dim), n)
+        power = power.reshape(grid.nsites, V.N, grid.nsites, V.N)
+        return float(np.einsum("xij,xjxi->", V.values, power).real)
+
+    return trace
 
 
 def semigroup_sandwich_trace(grid: GridSpec, V: MatrixPotential, alpha: float, t: float) -> float:
@@ -739,11 +762,12 @@ def heat_diagonal_step(grid: GridSpec, V: MatrixPotential, f, t: float) -> float
 
 def potential_to_json_dict(V: MatrixPotential) -> dict:
     """JSON form: grid header, fiber dimension, and the non-zero sites only."""
-    sites = []
-    for flat in V.support(tol=0.0):
-        index = np.unravel_index(flat, V.grid.points_per_axis)
-        entries = [[float(z.real), float(z.imag)] for z in V.values[flat].ravel()]
-        sites.append({"index": [int(i) for i in index], "matrix": entries})
+    support = V.support(tol=0.0)
+    index = np.stack(np.unravel_index(support, V.grid.points_per_axis), axis=-1)
+    # [re, im] pairs of each site matrix, row-major
+    matrix = V.values[support].view(float).reshape(support.size, V.N * V.N, 2)
+    sites = [{"index": i, "matrix": m}
+             for i, m in zip(index.tolist(), matrix.tolist())]
     return {
         "grid": {
             "d": V.grid.d,

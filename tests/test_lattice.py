@@ -34,7 +34,7 @@ from clrlab.lattice import (
     riesz_mean,
     save_potential,
     semigroup_sandwich_trace,
-    trotter_trace,
+    trotter_sandwich,
 )
 from clrlab.lattice import _axis_modes, _hermitian_defect, _slab_bounds
 from clrlab.matcore import HERMITICITY_RTOL, require_psd_spectrum
@@ -401,6 +401,49 @@ def test_birman_schwinger_real_potential_matches_dense_solve(pts, N):
     _check_bs_against_dense(pts, N, real=True)
 
 
+def _einsum_bs_oracle(grid, V):
+    """Oracle: K assembled by one einsum over (G, V^{1/2}, V^{1/2})."""
+    support = V.support()
+    n = support.size * V.N
+    green = lattice._laplacian_function(grid, np.reciprocal, support)[support]
+    roots = V.sqrt_sites()[support]
+    if not np.any(V.values.imag):
+        roots = roots.real
+    return np.einsum("xy,xab,ybc->xayc", green, roots, roots).reshape(n, n)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("pts", [(9,), (4, 3), (3, 2, 3)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_birman_schwinger_gemm_matches_einsum(pts, N, real):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.5)
+    v = generate_potential((53, N, g.nsites), g, N, "random-psd-field", 4.0)
+    vals = v.values.real.copy() if real else v.values.copy()
+    vals[1::2] = 0.0  # sites outside the support
+    v = MatrixPotential(grid=g, N=N, values=vals)
+    k = birman_schwinger(g, v)
+    want = _einsum_bs_oracle(g, v)
+    # K is real exactly when the potential is
+    assert k.dtype == want.dtype == (np.complex128 if np.any(v.values.imag) else np.float64)
+    assert k.shape == want.shape == (v.support().size * N,) * 2
+    assert np.max(np.abs(k - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+
+
+def test_birman_schwinger_makes_no_second_dense_array():
+    import tracemalloc
+
+    g = GridSpec(d=3, points_per_axis=(7, 7, 7), h=0.5)
+    v = generate_potential(3, g, 2, "random-psd-field", 5.0)
+    tracemalloc.start()
+    try:
+        k = birman_schwinger(g, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # K itself plus order-nsites^2 workspace; an n x n temporary would double it
+    assert peak < 1.5 * k.nbytes
+
+
 def test_birman_schwinger_requires_dirichlet():
     g = GridSpec(d=1, points_per_axis=(6,), h=0.5, boundary="periodic")
     with pytest.raises(ValueError, match="Dirichlet"):
@@ -511,13 +554,27 @@ def test_bs_bound_rejects_bad_f():
 # ---------------------------------------------------------------------------
 # Trotter and semigroup traces
 
+def _trotter_trace_oracle(grid, V, alpha, t, n):
+    """Oracle: the Trotter sandwich trace with every step redone per call."""
+    s = t / n
+    heat = lattice._laplacian_function(grid, lambda lam: np.exp(-s * lam),
+                                       np.arange(grid.nsites))
+    w, u = np.linalg.eigh(V.values)
+    pot = np.einsum("xij,xj,xkj->xik", u, np.exp(-(s * alpha) * w), u.conj())
+    step = np.einsum("xy,yij->xiyj", heat, pot)
+    power = np.linalg.matrix_power(step.reshape(V.dim, V.dim), n)
+    power = power.reshape(grid.nsites, V.N, grid.nsites, V.N)
+    return float(np.einsum("xij,xjxi->", V.values, power).real)
+
+
 def test_trotter_commuting_potential_exact_at_every_n():
     g = grid1d(6, 0.5)
     c = 1.7
     v = scalar_potential(g, c * np.ones(6))
     exact = semigroup_sandwich_trace(g, v, alpha=1.3, t=0.8)
+    trace = trotter_sandwich(v, alpha=1.3)
     for n in (1, 2, 7):
-        got = trotter_trace(g, v, alpha=1.3, t=0.8, n=n)
+        got = trace(0.8, n)
         assert abs(got - exact) < 1e-10 * (1.0 + abs(exact))
 
 
@@ -527,7 +584,8 @@ def test_trotter_second_order_for_generic_instances():
     g = grid1d(8, 0.5)
     v = generate_potential(21, g, 2, "random-psd-field", 3.0)
     exact = semigroup_sandwich_trace(g, v, alpha=1.0, t=1.0)
-    errs = [abs(trotter_trace(g, v, 1.0, 1.0, n) - exact) for n in (16, 32, 64, 128)]
+    trace = trotter_sandwich(v, 1.0)
+    errs = [abs(trace(1.0, n) - exact) for n in (16, 32, 64, 128)]
     assert errs[0] > errs[1] > errs[2] > errs[3] > 0.0
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
     assert 3.0 < ratios[-1] < 4.5
@@ -537,7 +595,7 @@ def test_trotter_small_time_recovers_potential_trace():
     g = grid1d(6, 0.5)
     v = generate_potential(4, g, 2, "random-psd-field", 2.0)
     want = float(np.sum(np.trace(v.values, axis1=1, axis2=2)).real)
-    got = trotter_trace(g, v, alpha=1.0, t=1e-9, n=1)
+    got = trotter_sandwich(v, alpha=1.0)(1e-9, 1)
     assert abs(got - want) < 1e-6 * (1.0 + abs(want))
 
 
@@ -553,25 +611,69 @@ def test_trotter_trace_matches_expm_oracle(pts, N, boundary):
     pot = scipy.linalg.block_diag(*[scipy.linalg.expm(-s * alpha * b) for b in v.values])
     power = np.linalg.matrix_power(heat @ pot, n)
     want = float(np.trace(v.block() @ power).real)
-    got = trotter_trace(g, v, alpha, t, n)
+    got = trotter_sandwich(v, alpha)(t, n)
     assert abs(got - want) < 1e-12 * (1.0 + abs(want))
 
 
-def test_trotter_domain_and_budget():
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("pts", [(1,), (2,), (5,), (2, 3), (1, 2, 2), (3, 3, 3)])
+def test_trotter_sandwich_matches_per_call_formula_bit_for_bit(pts, boundary):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.6, boundary=boundary)
+    for N in (1, 2, 3):
+        v = generate_potential((41, N, g.nsites), g, N, "random-psd-field", 2.0)
+        trace = trotter_sandwich(v, 1.3)
+        for t in (1e-9, 0.05, 0.9, 7.0, 50.0):
+            for n in (1, 2, 7, 256):
+                assert trace(t, n) == _trotter_trace_oracle(g, v, 1.3, t, n), (N, t, n)
+
+
+def test_trotter_domain_and_budget(monkeypatch):
     g = grid1d(6, 0.5)
     v = scalar_potential(g, np.ones(6))
-    with pytest.raises(ValueError):
-        trotter_trace(g, v, alpha=0.0, t=1.0, n=4)
-    with pytest.raises(ValueError):
-        trotter_trace(g, v, alpha=1.0, t=-1.0, n=4)
-    with pytest.raises(ValueError):
-        trotter_trace(g, v, alpha=1.0, t=1.0, n=0)
+    # the instance is checked when the sandwich is built ...
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            trotter_sandwich(v, alpha=alpha)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        trotter_sandwich(scalar_potential(g, [1.0, -0.5, 0.0, 0.0, 0.0, 0.0]), 1.0)
     big = GridSpec(d=1, points_per_axis=(5000,), h=0.1)
     vbig = MatrixPotential(
         grid=big, N=1, values=np.zeros((5000, 1, 1), dtype=complex)
     )
     with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
-        trotter_trace(big, vbig, alpha=1.0, t=1.0, n=2)
+        trotter_sandwich(vbig, alpha=1.0)
+    # ... once: evaluating it re-checks nothing about V ...
+    calls = []
+    psd = MatrixPotential.require_psd
+    monkeypatch.setattr(MatrixPotential, "require_psd",
+                        lambda self: calls.append(1) or psd(self))
+    trace = trotter_sandwich(v, alpha=1.0)
+    for t in (0.1, 1.0, 10.0):
+        trace(t, 4)
+    assert len(calls) == 1
+    # ... and the arguments of each evaluation when it is called
+    for t in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="time"):
+            trace(t, 4)
+    for n in (0, -2, 2.0, 2.5, "2"):
+        with pytest.raises(ValueError, match="n must"):
+            trace(1.0, n)
+
+
+def test_trotter_experiment_same_records_with_the_per_call_oracle(monkeypatch):
+    from clrlab.harness import experiments
+
+    cfg = ExperimentConfig(experiment="trotter", trials=5)
+    fast = run_experiment(cfg)
+    monkeypatch.setattr(
+        experiments, "trotter_sandwich",
+        lambda V, alpha: lambda t, n: _trotter_trace_oracle(V.grid, V, alpha, t, n))
+    slow = run_experiment(cfg)
+
+    def canon(rep):
+        return json.dumps({"records": rep.records, "summary": rep.summary}, sort_keys=True)
+
+    assert canon(fast) == canon(slow)
 
 
 def test_semigroup_sandwich_vs_expm_oracle():
@@ -853,6 +955,53 @@ def test_potential_digest_sensitivity():
         grid=g, N=1, values=v.values + 1e-6 * np.eye(1)[None, :, :]
     )
     assert potential_digest(bumped) != d1
+
+
+def _loop_json_oracle(V):
+    """Oracle: the JSON dict built site by site in Python."""
+    sites = []
+    for flat in V.support(tol=0.0):
+        index = np.unravel_index(flat, V.grid.points_per_axis)
+        entries = [[float(z.real), float(z.imag)] for z in V.values[flat].ravel()]
+        sites.append({"index": [int(i) for i in index], "matrix": entries})
+    return {
+        "grid": {"d": V.grid.d, "points": list(V.grid.points_per_axis),
+                 "h": V.grid.h, "boundary": V.grid.boundary},
+        "N": V.N,
+        "sites": sites,
+    }
+
+
+def _hand_built_potential():
+    """Exact dyadic entries: zero sites, -0.0 and complex off-diagonals."""
+    g = GridSpec(d=2, points_per_axis=(2, 3), h=0.25)
+    vals = np.zeros((6, 2, 2), dtype=complex)
+    vals[1] = [[1.5, 0.25 - 0.5j], [0.25 + 0.5j, -0.0]]
+    vals[4] = [[-0.0, 3.0j], [-3.0j, 2.0]]
+    vals[5] = [[0.125, 0.0], [0.0, 0.125]]
+    return MatrixPotential(grid=g, N=2, values=vals)
+
+
+@pytest.mark.parametrize("pts,N", [((11,), 3), ((4, 3), 2), ((3, 3, 3), 1), ((5, 4, 3), 2)])
+def test_potential_json_matches_site_loop(pts, N):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.3)
+    v = generate_potential((61, N, g.nsites), g, N, "random-psd-field", 2.0)
+    vals = v.values.copy()
+    vals[::3] = 0.0  # omitted sites
+    vals[1::4, 0, 0] = -0.0
+    for w in (v, MatrixPotential(grid=g, N=N, values=vals), _hand_built_potential()):
+        got, want = potential_to_json_dict(w), _loop_json_oracle(w)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        for site in got["sites"]:
+            assert all(type(i) is int for i in site["index"])
+            assert all(type(x) is float for pair in site["matrix"] for x in pair)
+
+
+def test_potential_digest_pinned():
+    v = _hand_built_potential()
+    assert [s["index"] for s in potential_to_json_dict(v)["sites"]] == [[0, 1], [1, 1], [1, 2]]
+    assert potential_digest(v) == (
+        "8886985e5d807b6c5190fb05be0632100a64f1a3dbf05e6fd048f763b0b60b7c")
 
 
 # ---------------------------------------------------------------------------
