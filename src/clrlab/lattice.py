@@ -8,8 +8,9 @@ every operator's Hermiticity is checked by looking up each stored entry's
 transpose partner (_hermitian_defect).  On top of them sit the counting
 and comparison routines: negative-eigenvalue counts via symmetric-indefinite
 inertia of the block-tridiagonal Schur complements (the one counting path:
-the dense H is never formed, and a singular Schur block raises instead of
-falling back to a dense count), the Birman-Schwinger operator
+each slab is factored once, the next Schur block comes from the inverse of
+those factors, the dense H is never formed, and a singular Schur block
+raises instead of falling back to a dense count), the Birman-Schwinger operator
 K = V^{1/2} L^{-1} V^{1/2} with its spectrum and counting bound, the dense
 spectra of H and K taken side by side (h_and_k_spectra), heat-semigroup and
 Trotter-product traces, the resolvent trace, and Riemann-sum right-hand
@@ -43,9 +44,11 @@ from .transforms import classical_constant
 
 SUPPORT_TOL = 1e-12
 ZERO_BAND_RTOL = 1e-10
-# Narrowest slab of the Schur inertia count: slabs thinner than this do not
-# repay their per-slab solve, so small operators are factored whole.
-_MIN_SLAB = 128
+# Narrowest slab of the Schur inertia count.  Each slab has a fixed cost (its
+# dense copy, two LAPACK calls, the update's bookkeeping) that thinner slabs
+# no longer repay, so small operators are factored whole; from 64 rows every
+# plane of a 3-D box with m >= 8 is a slab of its own.
+_MIN_SLAB = 64
 # Order from which a dense spectrum is taken in place (one dense copy instead
 # of numpy's two) and may run beside another; below it scipy's wrapper costs
 # more than the copy it saves.
@@ -455,6 +458,15 @@ def _pivot_negative_count(ldu: np.ndarray, ipiv: np.ndarray) -> int:
                + np.sum(half_tr + disc < 0.0))
 
 
+def _block(idx: np.ndarray):
+    """Index of the square block on rows and columns idx: a pair of slices
+    (a view) when idx is a contiguous ascending run, else an np.ix_ gather."""
+    if np.all(np.diff(idx) == 1):
+        run = slice(int(idx[0]), int(idx[-1]) + 1)
+        return run, run
+    return np.ix_(idx, idx)
+
+
 def _schur_negative_count(
     matrix: scipy.sparse.csr_matrix, bounds: np.ndarray, shift: float
 ) -> int:
@@ -464,40 +476,68 @@ def _schur_negative_count(
     the Schur complements S_i = A_i + shift I - C_{i-1}^H S_{i-1}^{-1} C_{i-1}
     are congruent to the whole matrix block by block, so by Sylvester's law
     of inertia the count is the sum of their negative counts.  Each S_i is
-    factored once by Bunch-Kaufman (sytrf / hetrf): D gives its count and
-    the same factors solve for the next coupling.  Raises LinAlgError when
-    a Schur block that must be solved against is exactly singular.
+    factored once by Bunch-Kaufman (sytrf / hetrf), and D gives its count.
+    Unless C_i is empty, the same factors then give S_i^{-1} (sytri /
+    hetri), read only on the rows C_i touches: where every column of C_i
+    holds one entry (a plane-aligned Dirichlet slab, C_i = -h^-2 I),
+    C_i^H S_i^{-1} C_i is that block of S_i^{-1} gathered and scaled;
+    otherwise it is one dense product on those rows.  The factorization,
+    the inverse and the product (symm / hemm) read lower triangles only, so
+    only those are formed.  Raises LinAlgError when a Schur block that has
+    a successor is exactly singular.
     """
     if not np.all(np.isfinite(matrix.data)):
         raise ValueError("operator has non-finite entries")
-    if np.iscomplexobj(matrix):
-        names = ("hetrf", "hetrs", "hetrf_lwork")
-    else:
-        names = ("sytrf", "sytrs", "sytrf_lwork")
-    trf, trs, trf_lwork = scipy.linalg.get_lapack_funcs(names, (matrix.data,))
+    kind = "he" if np.iscomplexobj(matrix) else "sy"
+    trf, tri, trf_lwork = scipy.linalg.get_lapack_funcs(
+        (kind + "trf", kind + "tri", kind + "trf_lwork"), (matrix.data,))
+    hemm = scipy.linalg.get_blas_funcs(kind + "mm", (matrix.data,))
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     count = 0
     # C_{i-1}^H S_{i-1}^{-1} C_{i-1} on the columns `cols` that C_{i-1} reaches
+    # (only its lower triangle is read)
     cols = schur = None
     for lo, hi, nxt in zip(bounds[:-1], bounds[1:], np.append(bounds[2:], bounds[-1])):
-        slab = matrix[lo:hi, lo:nxt].toarray()
-        s = slab[:, : hi - lo]
+        w = hi - lo
+        # the slab's stored entries as (row, column, value), both from lo
+        row = np.repeat(np.arange(w), np.diff(indptr[lo:hi + 1]))
+        col = indices[indptr[lo]:indptr[hi]] - lo
+        val = data[indptr[lo]:indptr[hi]]
+        own = (col >= 0) & (col < w)
+        s = np.zeros((w, w), dtype=data.dtype, order="F")
+        s[row[own], col[own]] = val[own]
         s[np.diag_indices_from(s)] += shift
         if schur is not None:
-            s[np.ix_(cols, cols)] -= schur
-            s = 0.5 * (s + s.conj().T)
-        lwork = int(trf_lwork(hi - lo, lower=1)[0].real)
-        ldu, ipiv, info = trf(s, lower=1, lwork=max(lwork, 1))
+            s[_block(cols)] -= schur
+            schur = None
+        lwork = int(trf_lwork(w, lower=1)[0].real)
+        ldu, ipiv, info = trf(s, lower=1, lwork=max(lwork, 1), overwrite_a=1)
         count += _pivot_negative_count(ldu, ipiv)
-        if nxt > hi:
-            if info > 0:
-                raise np.linalg.LinAlgError(
-                    f"singular Schur block on rows {lo}:{hi}: an eigenvalue sits "
-                    f"on the band edge -zero_tol; re-draw the instance")
-            coupling = slab[:, hi - lo :]
-            cols = np.flatnonzero(coupling.any(axis=0))
-            coupling = coupling[:, cols]
-            x, _ = trs(ldu, ipiv, coupling, lower=1)
-            schur = coupling.conj().T @ x
+        if nxt == hi:
+            continue
+        # C_i's entries by column; stored zeros couple nothing
+        out = (col >= w) & (val != 0)
+        by_col = np.argsort(col[out], kind="stable")
+        r, c, v = row[out][by_col], col[out][by_col] - w, val[out][by_col]
+        if info == 0 and c.size:
+            inv, info = tri(ldu, ipiv, lower=1, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular Schur block on rows {lo}:{hi}: an eigenvalue sits "
+                f"on the band edge -zero_tol; re-draw the instance")
+        if not c.size:
+            continue
+        cols = np.unique(c)
+        if cols.size == c.size and np.all(np.diff(r) >= 0):
+            # C e_j = v_j e_{r_j} with r ascending in j, so the lower
+            # triangle of the gathered block is read from that of S^{-1}
+            schur = v.conj()[:, None] * inv[_block(r)]
+            schur *= v
+        else:
+            touched = np.unique(r)
+            ct = np.zeros((touched.size, cols.size), dtype=data.dtype, order="F")
+            ct[np.searchsorted(touched, r), np.searchsorted(cols, c)] = v
+            schur = ct.conj().T @ hemm(1.0, inv[_block(touched)], ct, lower=1)
     return count
 
 
@@ -508,11 +548,13 @@ def count_negative(op: DiscreteOperator) -> int:
     (see _schur_negative_count), applied to the band-shifted
     H + zero_tol * I: the shift makes the strict lambda < 0 inertia count
     realize the lambda < -zero_tol rule, and exact kernels land at
-    +zero_tol, not at rounding dust.  The dense H is never formed; the
-    dense budget is charged with the largest slab factored.  A Schur block
-    that is exactly singular means an eigenvalue sits on the band edge
-    -zero_tol; such an instance is degenerate, and LinAlgError tells the
-    caller to re-draw it.
+    +zero_tol, not at rounding dust.  Each slab is factored once by
+    Bunch-Kaufman, and the next Schur block comes from the inverse of those
+    factors, with no solve against the coupling.  The dense H is never
+    formed; the dense budget is charged with the largest slab factored.
+    A Schur block that is exactly singular means an eigenvalue sits on the
+    band edge -zero_tol; such an instance is degenerate, and LinAlgError
+    tells the caller to re-draw it.
     """
     if op.dim == 0:
         return 0

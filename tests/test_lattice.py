@@ -36,7 +36,7 @@ from clrlab.lattice import (
     semigroup_sandwich_trace,
     trotter_sandwich,
 )
-from clrlab.lattice import _axis_modes, _hermitian_defect, _slab_bounds
+from clrlab.lattice import _axis_modes, _hermitian_defect, _pivot_negative_count, _slab_bounds
 from clrlab.matcore import HERMITICITY_RTOL, require_psd_spectrum
 from clrlab.transforms import classical_constant, corollary_constant, f_a_transform
 
@@ -175,18 +175,22 @@ def test_count_negative_auto_propagates_non_lapack_errors(monkeypatch):
         count_negative(_diagonal_op([-1.0, -2.0, 3.0]))
 
 
-def test_count_negative_propagates_linalg_error(monkeypatch):
-    # |H|_inf = 1, so zero_tol = ZERO_BAND_RTOL and the shifted -zero_tol is
-    # an exact zero pivot in the first of two 128-row slabs
-    values = np.full(256, 0.5)
-    values[0], values[5] = 1.0, -ZERO_BAND_RTOL
-    op = _diagonal_op(values)
-
+def _refuse_dense(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("count_negative fell back to a dense count")
 
     monkeypatch.setattr(DiscreteOperator, "toarray", refused)
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+
+
+def test_count_negative_propagates_linalg_error(monkeypatch):
+    # |H|_inf = 1, so zero_tol = ZERO_BAND_RTOL and the shifted -zero_tol is
+    # an exact zero pivot in the first of several slabs
+    values = np.full(256, 0.5)
+    values[0], values[5] = 1.0, -ZERO_BAND_RTOL
+    op = _diagonal_op(values)
+    assert len(_slab_bounds(op.matrix)) > 2
+    _refuse_dense(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError, match="band edge"):
         count_negative(op)
 
@@ -212,7 +216,7 @@ def test_count_negative_inertia_matches_dense():
 
 def _assert_structured_matches_dense(op):
     count = count_negative(op)
-    assert count == dense_count(op)
+    assert count == _solve_schur_oracle(op) == dense_count(op)
     return count
 
 
@@ -251,19 +255,26 @@ def test_structured_count_periodic_runs_as_one_slab(pts):
     assert _assert_structured_matches_dense(ham) > 0
 
 
-@pytest.mark.parametrize("n,band,dtype", [(500, 30, float), (500, 30, complex),
-                                          (600, 150, complex)])
-def test_structured_count_matches_dense_banded_operator(n, band, dtype):
+def _banded_op(n, band, dtype):
     rng = np.random.default_rng(band)
     a = rng.standard_normal((n, n))
     if dtype is complex:
         a = a + 1j * rng.standard_normal((n, n))
     i, j = np.indices((n, n))
     a[np.abs(i - j) > band] = 0.0
-    op = DiscreteOperator(sp.csr_matrix(a + a.conj().T))
-    assert len(_slab_bounds(op.matrix)) > 2
+    return DiscreteOperator(sp.csr_matrix(a + a.conj().T))
+
+
+@pytest.mark.parametrize("n,band,dtype", [(500, 30, float), (500, 30, complex),
+                                          (600, 150, complex)])
+def test_structured_count_matches_dense_banded_operator(monkeypatch, n, band, dtype):
+    op = _banded_op(n, band, dtype)
+    slabs = len(_slab_bounds(op.matrix)) - 1
+    assert slabs > 1
+    calls = _spy_linalg(monkeypatch)
     count = _assert_structured_matches_dense(op)
     assert 0 < count < n
+    assert len(calls["tri"]) == len(calls["mm"]) == slabs - 1  # dense couplings: products
 
 
 def test_structured_count_orders_zero_and_one():
@@ -293,6 +304,234 @@ def test_structured_count_never_densifies(monkeypatch):
     monkeypatch.setattr(DiscreteOperator, "toarray", refused)
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     assert count_negative(ham) == want > 0
+
+
+def _solve_schur_oracle(op):
+    """Oracle: the Schur inertia count with the next block from a solve.
+
+    Same slabs and shift as count_negative, but each S_i^{-1} C_i comes
+    from sytrs / hetrs against the dense coupling columns, on the
+    symmetrized Schur block, instead of from the inverse of the factors.
+    """
+    if op.dim == 0:
+        return 0
+    matrix, bounds = op.matrix, _slab_bounds(op.matrix)
+    shift = ZERO_BAND_RTOL * op.scale()
+    kind = "he" if np.iscomplexobj(matrix) else "sy"
+    trf, trs = scipy.linalg.get_lapack_funcs((kind + "trf", kind + "trs"), (matrix.data,))
+    count = 0
+    cols = schur = None
+    for lo, hi, nxt in zip(bounds[:-1], bounds[1:], np.append(bounds[2:], bounds[-1])):
+        slab = matrix[lo:hi, lo:nxt].toarray()
+        s = slab[:, : hi - lo]
+        s[np.diag_indices_from(s)] += shift
+        if schur is not None:
+            s[np.ix_(cols, cols)] -= schur
+            s = 0.5 * (s + s.conj().T)
+        ldu, ipiv, info = trf(s, lower=1)
+        count += _pivot_negative_count(ldu, ipiv)
+        if nxt > hi:
+            assert info == 0
+            coupling = slab[:, hi - lo :]
+            cols = np.flatnonzero(coupling.any(axis=0))
+            coupling = coupling[:, cols]
+            x, _ = trs(ldu, ipiv, coupling, lower=1)
+            schur = coupling.conj().T @ x
+    return count
+
+
+def _spy_linalg(monkeypatch):
+    """Record every LAPACK / BLAS call made through scipy.linalg's getters.
+
+    Keys drop the type prefix ("trf", "tri", "mm"); values are the outputs.
+    """
+    calls = {}
+
+    def spying(getter):
+        def get(names, arrays=(), **kwargs):
+            funcs = getter(names, arrays, **kwargs)
+            if isinstance(names, str):
+                return wrap(names, funcs)
+            return [wrap(name, f) for name, f in zip(names, funcs)]
+        return get
+
+    def wrap(name, f):
+        def call(*args, **kwargs):
+            out = f(*args, **kwargs)
+            calls.setdefault(name[2:], []).append(out)
+            return out
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spying(scipy.linalg.get_lapack_funcs))
+    monkeypatch.setattr(scipy.linalg, "get_blas_funcs", spying(scipy.linalg.get_blas_funcs))
+    return calls
+
+
+def _plane_invariant_hamiltonian(m, N, seed, amplitude):
+    """H on an m^3 Dirichlet box whose potential does not vary along axis 0,
+    with the count read off its separated dense spectrum: H is the Kronecker
+    sum of the 1-D Laplacian and the m x m plane's H, so its eigenvalues are
+    the sums of theirs."""
+    h = 1.0 / (m + 1)
+    plane = GridSpec(d=2, points_per_axis=(m, m), h=h)
+    vp = generate_potential(seed, plane, N, "random-psd-field", amplitude)
+    g = GridSpec(d=3, points_per_axis=(m, m, m), h=h)
+    ham = hamiltonian(g, MatrixPotential(grid=g, N=N, values=np.tile(vp.values, (m, 1, 1))))
+    mu = np.linalg.eigvalsh(build_laplacian(grid1d(m, h)).toarray())
+    nu = np.linalg.eigvalsh(hamiltonian(plane, vp).toarray())
+    want = int(np.sum(np.add.outer(mu, nu) < -ZERO_BAND_RTOL * ham.scale()))
+    return ham, want
+
+
+_LINKS = {  # (rows of slab i, columns of slab i+1) that the coupling -1 joins
+    "identity": (np.arange(64), np.arange(64)),
+    "every-other": (np.arange(0, 64, 2), np.arange(0, 64, 2)),
+    "reversed": (63 - 2 * np.arange(16), 2 * np.arange(16)),
+    "shared-column": (np.array([62, 63]), np.array([0, 0])),
+}
+
+
+def _block_tridiagonal_op(blocks, dtype, seed, link="identity"):
+    """Random indefinite 64-row diagonal blocks, slab i joined to slab i+1
+    on the _LINKS[link] positions by -1 (real) or -(0.8 + 0.6i) (complex);
+    its factors take 2x2 pivots."""
+    rng = np.random.default_rng(seed)
+    n = blocks * 64
+    a = np.zeros((n, n), dtype=dtype)
+    for b in range(blocks):
+        x = rng.standard_normal((64, 64))
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal((64, 64))
+        a[b * 64:(b + 1) * 64, b * 64:(b + 1) * 64] = x + x.conj().T
+    r, c = _LINKS[link]
+    for b in range(blocks - 1):
+        a[b * 64 + r, (b + 1) * 64 + c] = z = -1.0 if dtype is float else -0.8 - 0.6j
+        a[(b + 1) * 64 + c, b * 64 + r] = np.conj(z)
+    return DiscreteOperator(sp.csr_matrix(a))
+
+
+@pytest.mark.parametrize("m,N,seed,amplitude", [(15, 1, 3, 3000.0), (9, 2, 4, 1500.0)])
+def test_inverse_update_gathers_on_plane_aligned_slabs(monkeypatch, m, N, seed, amplitude):
+    ham, want = _plane_invariant_hamiltonian(m, N, seed, amplitude)
+    assert ham.matrix.dtype == (np.complex128 if N > 1 else np.float64)
+    assert np.all(np.diff(_slab_bounds(ham.matrix)) == m * m * N)  # one plane per slab
+    assert _solve_schur_oracle(ham) == want > 0
+    calls = _spy_linalg(monkeypatch)
+    assert count_negative(ham) == want
+    assert len(calls["tri"]) == m - 1 and "mm" not in calls  # scaled gathers only
+
+
+def test_inverse_update_multiplies_when_columns_share_rows(monkeypatch):
+    # 343 rows in 5 slabs that cut through the 49-row planes, so a coupling
+    # column takes entries from up to three rows
+    g = GridSpec(d=3, points_per_axis=(7, 7, 7), h=0.125)
+    op = hamiltonian(g, generate_potential(8, g, 1, "random-psd-field", 3000.0))
+    assert len(_slab_bounds(op.matrix)) == 6
+    want = dense_count(op)
+    assert _solve_schur_oracle(op) == want > 0
+    calls = _spy_linalg(monkeypatch)
+    assert count_negative(op) == want
+    assert len(calls["tri"]) == len(calls["mm"]) == 4
+
+
+@pytest.mark.parametrize("link,products", [
+    ("identity", 0), ("every-other", 0), ("reversed", 3), ("shared-column", 3),
+])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_inverse_update_with_two_by_two_pivots(monkeypatch, dtype, link, products):
+    # one entry per coupling column, rows ascending with the columns:
+    # a gather; rows out of column order or a column with two entries:
+    # the product
+    op = _block_tridiagonal_op(4, dtype, seed=11, link=link)
+    assert list(_slab_bounds(op.matrix)) == [0, 64, 128, 192, 256]
+    want = dense_count(op)
+    assert _solve_schur_oracle(op) == want > 0
+    calls = _spy_linalg(monkeypatch)
+    assert count_negative(op) == want
+    assert any(np.any(ipiv < 0) for _, ipiv, _ in calls["trf"])
+    assert len(calls["tri"]) == 3 and len(calls.get("mm", ())) == products
+
+
+def test_inverse_update_takes_no_inverse_without_coupling(monkeypatch):
+    # stored zeros across every slab boundary couple nothing
+    n = 256
+    i = np.arange(n - 1)
+    op = DiscreteOperator(sp.csr_matrix(
+        (np.concatenate([np.linspace(-1.0, 2.0, n), np.zeros(2 * (n - 1))]),
+         (np.concatenate([np.arange(n), i, i + 1]), np.concatenate([np.arange(n), i + 1, i]))),
+        shape=(n, n)))
+    assert op.matrix.nnz == 3 * n - 2
+    assert len(_slab_bounds(op.matrix)) > 2
+    want = dense_count(op)
+    assert _solve_schur_oracle(op) == want > 0
+    calls = _spy_linalg(monkeypatch)
+    assert count_negative(op) == want
+    assert len(calls["trf"]) == len(_slab_bounds(op.matrix)) - 1
+    assert "tri" not in calls and "mm" not in calls
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_inverse_update_restarts_after_an_empty_coupling(monkeypatch, dtype):
+    # two coupled pairs of slabs side by side: slab 2 has no predecessor term
+    pair = [_block_tridiagonal_op(2, dtype, seed=s).matrix for s in (13, 14)]
+    op = DiscreteOperator(sp.block_diag(pair, format="csr"))
+    assert list(_slab_bounds(op.matrix)) == [0, 64, 128, 192, 256]
+    want = dense_count(op)
+    assert _solve_schur_oracle(op) == want > 0
+    calls = _spy_linalg(monkeypatch)
+    assert count_negative(op) == want
+    assert len(calls["tri"]) == 2
+
+
+def test_count_negative_sums_duplicate_entries():
+    # every entry of a tridiagonal operator handed over as two halves, the
+    # second copy after the first in each row; the count reads the stored
+    # entries one by one, so they must reach it summed
+    n = 256
+    base = sp.diags([np.full(n - 1, -0.3), np.linspace(-1.0, 2.0, n), np.full(n - 1, -0.3)],
+                    [-1, 0, 1], format="csr")
+    rows = np.repeat(np.arange(n), np.diff(base.indptr))
+    by_row = np.argsort(np.concatenate([rows, rows]), kind="stable")
+    split = sp.csr_matrix((np.concatenate([base.data, base.data])[by_row] / 2,
+                           np.concatenate([base.indices, base.indices])[by_row],
+                           2 * base.indptr), shape=(n, n))
+    assert split.nnz == 2 * base.nnz
+    op = DiscreteOperator(split)
+    assert len(_slab_bounds(op.matrix)) > 2
+    want = dense_count(DiscreteOperator(base))
+    assert count_negative(op) == _solve_schur_oracle(op) == want > 0
+
+
+def test_singular_block_with_coupling_raises(monkeypatch):
+    # a tridiagonal entry couples the first slab to the second, so its exact
+    # zero pivot (the shifted -zero_tol on row 5) sits in a block to invert
+    values = np.full(256, 0.5)
+    values[0], values[5] = 1.0, -ZERO_BAND_RTOL
+    a = sp.diags(values).tolil()
+    a[63, 64] = a[64, 63] = 0.25
+    op = DiscreteOperator(a.tocsr())
+    assert op.scale() == 1.0 and list(_slab_bounds(op.matrix))[:2] == [0, 64]
+    calls = _spy_linalg(monkeypatch)
+    _refuse_dense(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="band edge"):
+        count_negative(op)
+    assert "tri" not in calls
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_failed_inverse_raises(monkeypatch, dtype):
+    op = _block_tridiagonal_op(3, dtype, seed=12)
+    real = scipy.linalg.get_lapack_funcs
+
+    def failing_tri(names, arrays=(), **kwargs):
+        funcs = real(names, arrays, **kwargs)
+        return [(lambda *a, **k: (a[0], 1)) if name[2:] == "tri" else f
+                for name, f in zip(names, funcs)]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing_tri)
+    _refuse_dense(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="band edge"):
+        count_negative(op)
 
 
 def test_riesz_mean_matches_eig_oracle():
