@@ -8,8 +8,10 @@ The package has five layers:
   PSD matrices, closed forms for monomials and exponentials, and the
   time-ordered Jensen inequality.
 * :mod:`clrlab.transforms` — semiclassical constants, the Laplace-type
-  transform, the exponential integral, the one-parameter test-function
-  family ``f_a``, and the constants pipeline ending in ``R ≈ 10.332``.
+  transform and corollary integral of a plain callable, the exponential
+  integral, the one-parameter test-function family ``f_a`` with its
+  closed-form transform, and the constants pipeline ending in
+  ``R ≈ 10.332``.  It imports nothing from the rest of the package.
 * :mod:`clrlab.lattice` — discrete Laplacians, Birman–Schwinger operators,
   eigenvalue counting by Schur-complement inertia, Trotter sandwiches, and CLR/Lieb–Thirring right-hand
   sides on finite grids.
@@ -22,7 +24,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .config import (
-    ATOM_MAX_ORDER,
     DEFAULT_DENSE_BUDGET,
     ENUMERATION_BUDGET,
     MAX_MATRIX_DIM,
@@ -61,7 +62,6 @@ from .transforms import (
     corollary_constant,
     e1_scaled,
     exp_integral_E1,
-    f_a_atoms,
     f_a_eval,
     f_a_transform,
     laplace_type_transform,
@@ -104,8 +104,8 @@ from .harness import (
 __all__ = [
     "__version__",
     # config
-    "ATOM_MAX_ORDER", "DEFAULT_DENSE_BUDGET", "ENUMERATION_BUDGET",
-    "MAX_MATRIX_DIM", "MONOMIAL_MAX_POWER", "dense_budget",
+    "DEFAULT_DENSE_BUDGET", "ENUMERATION_BUDGET", "MAX_MATRIX_DIM",
+    "MONOMIAL_MAX_POWER", "dense_budget",
     # errors
     "AdmissibilityError", "BudgetError", "ClrlabError", "ConfigError",
     "EigenSolverError", "NonHermitianError", "NotPositiveSemidefiniteError",
@@ -119,7 +119,7 @@ __all__ = [
     "time_ordered_mu_exp",
     # transforms
     "c_a", "classical_constant", "corollary_constant", "e1_scaled",
-    "exp_integral_E1", "f_a_atoms", "f_a_eval", "f_a_transform",
+    "exp_integral_E1", "f_a_eval", "f_a_transform",
     "laplace_type_transform", "lt_rhs", "lw_product_check", "minimize_R",
     "r_bound", "r_of_a",
     # lattice

@@ -20,9 +20,6 @@ ENUMERATION_BUDGET = 10**6
 # Largest power accepted by time_ordered_monomial.
 MONOMIAL_MAX_POWER = 12
 
-# Largest number of exponential atoms in a discretized function class.
-ATOM_MAX_ORDER = 64
-
 # Largest matrix order sent to a dense eigensolver / factorization.
 DEFAULT_DENSE_BUDGET = 4096
 DENSE_BUDGET_ENV = "CLRLAB_DENSE_BUDGET"

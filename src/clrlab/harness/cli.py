@@ -75,9 +75,9 @@ def _load_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
         data["trials"] = args.trials
     if args.out is not None:
         data["out"] = str(args.out)
-    if getattr(args, "dmax", None) is not None:
-        data.setdefault("options", {})
-        data["options"]["dmax"] = args.dmax
+    options = data.get("options", {})
+    if getattr(args, "dmax", None) is not None and isinstance(options, dict):
+        data["options"] = {**options, "dmax": args.dmax}  # else validate rejects it
     return ExperimentConfig.from_dict(data)
 
 

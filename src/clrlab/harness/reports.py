@@ -39,6 +39,11 @@ def inputs_digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON true/false parse to bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs for one experiment run.
@@ -68,9 +73,17 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; pick one of "
                 f"{', '.join(EXPERIMENT_NAMES)}"
             )
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.trials is not None and (not isinstance(self.trials, int) or self.trials < 1):
+        for name in ("seed", "trials", "n_max", "N_max"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (name == "trials" and value is None)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("tolerances", "options"):
+            value = getattr(self, name)
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if self.trials is not None and self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not (1 <= self.n_max <= 8):
             raise ConfigError(f"n_max must be in [1, 8], got {self.n_max}")
@@ -82,8 +95,10 @@ class ExperimentConfig:
                 f"enumeration budget {ENUMERATION_BUDGET}"
             )
         if self.grid_points is not None:
+            if not isinstance(self.grid_points, (list, tuple)):
+                raise ConfigError(f"grid_points must be a list, got {self.grid_points!r}")
             pts = tuple(self.grid_points)
-            if not pts or any((not isinstance(m, int)) or m < 1 for m in pts):
+            if not pts or any(not _is_int(m) or m < 1 for m in pts):
                 raise ConfigError(f"grid_points must be positive integers, got {pts}")
             if len(pts) > 3:
                 raise ConfigError(f"at most 3 grid axes supported, got {pts}")
@@ -100,8 +115,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "grid_points" in kwargs and kwargs["grid_points"] is not None:
-            kwargs["grid_points"] = tuple(int(m) for m in kwargs["grid_points"])
+        if isinstance(kwargs.get("grid_points"), list):
+            kwargs["grid_points"] = tuple(kwargs["grid_points"])
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg

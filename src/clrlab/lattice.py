@@ -214,14 +214,17 @@ class MatrixPotential:
 def _hermitian_defect(m: scipy.sparse.csr_matrix) -> float:
     """max |(m - m^H)_ij| of a square CSR matrix, without forming m^H.
 
-    On a canonical copy (duplicates summed, indices sorted, so the caller's
-    matrix is untouched) the keys row * n + col are sorted, and each stored
-    entry finds its transpose partner by binary search; an entry without a
-    stored partner is its own defect.  Entries of m^H with no partner in m
-    are the conjugates of such entries, so the maximum is the same.
+    On a canonical matrix (duplicates summed, indices sorted) the keys
+    row * n + col are sorted, and each stored entry finds its transpose
+    partner by binary search; an entry without a stored partner is its own
+    defect.  Entries of m^H with no partner in m are the conjugates of such
+    entries, so the maximum is the same.  DiscreteOperator hands over its
+    canonical copy; any other m is canonicalized in a copy, so the caller's
+    matrix is untouched.
     """
-    m = m.copy()
-    m.sum_duplicates()
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
     if m.nnz == 0:
         return 0.0
     n = m.shape[0]
@@ -242,7 +245,10 @@ class DiscreteOperator:
     _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = scipy.sparse.csr_matrix(self.matrix)
+        # One canonical copy: summing duplicates in place would rewrite the
+        # caller's arrays, and the inertia count reads stored entries one by one.
+        m = scipy.sparse.csr_matrix(self.matrix, copy=True)
+        m.sum_duplicates()
         if np.iscomplexobj(m) and not np.any(m.data.imag):
             m = m.real  # real LAPACK paths are several times faster
         if m.shape[0] != m.shape[1]:

@@ -104,15 +104,6 @@ class ScalarFunctionClass:
             exp_atoms=self.exp_atoms + other.exp_atoms,
         )
 
-    def __mul__(self, c) -> "ScalarFunctionClass":
-        c = float(c)
-        return ScalarFunctionClass(
-            poly_coeffs=tuple(c * a for a in self.poly_coeffs),
-            exp_atoms=tuple((c * w, r) for w, r in self.exp_atoms),
-        )
-
-    __rmul__ = __mul__
-
     @property
     def degree(self) -> int:
         d = 0
@@ -120,15 +111,6 @@ class ScalarFunctionClass:
             if c != 0.0:
                 d = j
         return d
-
-    def derivative_at_zero(self, m: int) -> float:
-        """m-th derivative at 0: m! alpha_m + sum_k beta_k (-r_k)^m."""
-        val = 0.0
-        if m < len(self.poly_coeffs):
-            val += math.factorial(m) * self.poly_coeffs[m]
-        for w, r in self.exp_atoms:
-            val += w * (-r) ** m
-        return val
 
     @classmethod
     def monomial(cls, k: int, coeff: float = 1.0) -> "ScalarFunctionClass":

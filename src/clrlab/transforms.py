@@ -1,14 +1,16 @@
 """Analysis feeding the counting-bound pipeline.
 
 Contents: semiclassical phase-space constants L^cl_{gamma,d} and the
-best-known excess factors R(gamma); the Laplace-type transform
+best-known excess factors R(gamma); the Laplace-type transform of a
+callable f,
 
-    F(lambda) = int_0^inf f(mu) exp(-mu/lambda) mu^{-1} dmu;
+    F(lambda) = int_0^inf f(mu) exp(-mu/lambda) mu^{-1} dmu,
 
-the exponential integral E_1 (scipy's exp1, with e^a E_1(a) continued by
-its asymptotic series where exp1 underflows); the rational family
-f_a(mu) = mu^2/(mu+a) with its exponential-atom discretization and
-closed-form transform, elementwise in lambda,
+and the corollary integral int_0^inf f(s) s^{-d/2-1} ds, both by adaptive
+quadrature; the exponential integral E_1 (scipy's exp1, with e^a E_1(a)
+continued by its asymptotic series where exp1 underflows); the rational
+family f_a(mu) = mu^2/(mu+a) with its closed-form transform, elementwise
+in lambda,
 
     F_a(lambda) = lambda - a e^{a/lambda} E_1(a/lambda);
 
@@ -20,6 +22,8 @@ Sign note, recorded prominently: F_a(1) = 1 - a e^a E_1(a), with a minus
 sign.  A plus sign there would give R approximately 2.4, below the known
 lower bound 8/sqrt(3) of the excess factor, so it cannot be right; the
 minus sign reproduces both the reference digits and the lower bound.
+
+The module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -29,10 +33,6 @@ import warnings
 
 import numpy as np
 import scipy
-
-from .config import ATOM_MAX_ORDER
-from .errors import BudgetError
-from .timeorder import ScalarFunctionClass
 
 # Shared adaptive-quadrature settings: integrands here are smooth after
 # substitution, so tight tolerances are affordable.
@@ -155,83 +155,29 @@ def _quad_checked(integrand, lo, hi, what: str) -> float:
 
 
 def laplace_type_transform(f, lam: float) -> float:
-    """F(lambda) = int_0^inf f(mu) e^{-mu/lambda} mu^{-1} dmu.
+    """F(lambda) = int_0^inf f(mu) e^{-mu/lambda} mu^{-1} dmu for a callable f.
 
-    For a ScalarFunctionClass the preconditions are enforced analytically:
-    f(0) = alpha_0 + sum beta_k must vanish so the integrand is bounded at
-    the origin, and every atom must satisfy r_k > -1/lambda so the tail
-    converges.  The integrand is then assembled in the cancellation-free
-    form f(mu)/mu = sum_{j>=1} alpha_j mu^{j-1} + sum_k beta_k expm1(-r_k mu)/mu.
-
-    A general callable f is integrated as given (caller guarantees decay);
-    divergence surfaces as a quadrature failure.  Both paths integrate
-    after the exponential substitution mu = lambda e^u.
+    f maps a float mu >= 0 to a float (a ScalarFunctionClass qualifies).
+    The caller guarantees convergence: f(mu)/mu integrable at the origin
+    and f(mu) e^{-mu/lambda} decaying at infinity; divergence surfaces as
+    a quadrature failure.  The integral is taken after the exponential
+    substitution mu = lambda e^u.
     """
     lam = float(lam)
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
 
-    if isinstance(f, ScalarFunctionClass):
-        coeffs = np.asarray(f.poly_coeffs, dtype=float)
-        wts = np.array([w for w, _ in f.exp_atoms], dtype=float)
-        rates = np.array([r for _, r in f.exp_atoms], dtype=float)
-        mass = (coeffs[0] if coeffs.size else 0.0) + wts.sum()
-        scale = 1.0 + float(np.abs(coeffs).sum()) + float(wts.sum())
-        if abs(mass) > 1e-12 * scale:
-            raise ValueError(
-                f"f(0) = alpha_0 + sum(beta) = {mass:.6e} must vanish for the "
-                f"transform integrand to be bounded at the origin"
-            )
-        bad = np.nonzero(rates <= -1.0 / lam)[0]
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(
-                f"atom {wts[k]} * exp({-rates[k]} * mu) outgrows "
-                f"exp(-mu/{lam}); the transform diverges at infinity"
-            )
-        tail = coeffs[1:]
-        deg_idx = np.arange(1, coeffs.size, dtype=float)
-        lam_rates = lam * rates
-        lnlam = math.log(lam)
-
-        def integrand(u: float) -> float:
-            # After mu = lam e^u the integrand is
-            #   sum_{j>=1} alpha_j mu^j e^{-x} + sum_k beta_k expm1(-r_k mu) e^{-x}
-            # with x = e^u.  Powers are assembled in log space and the atom
-            # terms switch to a pure difference of exponentials once the
-            # expm1 argument would overflow (there e^{-x} has long died).
-            if u >= 709.0:
-                return 0.0
-            x = math.exp(u)
-            total = 0.0
-            if tail.size:
-                # overflow here means the transform itself exceeds double
-                # range; the non-finite value is rejected downstream
-                with np.errstate(over="ignore"):
-                    total += float(np.sum(tail * np.exp(deg_idx * (lnlam + u) - x)))
-            if wts.size:
-                arg = -x * lam_rates  # equals -r_k mu, formed without mu
-                small = arg <= 300.0
-                em = np.where(
-                    small,
-                    np.expm1(np.minimum(arg, 300.0)) * math.exp(-x),
-                    np.exp(arg - x),  # arg - x = -x (1 + lam r_k) <= 0
-                )
-                total += float(np.sum(wts * em))
-            return total
-
-    else:
-        def integrand(u: float) -> float:
-            # f(mu)/mu * e^{-x} * mu = f(mu) e^{-x}; never divide by mu.
-            if u >= 709.0:
-                return 0.0
-            x = math.exp(u)
-            damp = math.exp(-x)
-            if damp == 0.0:
-                # admissible f cannot outgrow the dead damping factor, and
-                # skipping the call keeps f away from absurd arguments
-                return 0.0
-            return f(lam * x) * damp
+    def integrand(u: float) -> float:
+        # f(mu)/mu * e^{-x} * mu = f(mu) e^{-x}; never divide by mu.
+        if u >= 709.0:
+            return 0.0
+        x = math.exp(u)
+        damp = math.exp(-x)
+        if damp == 0.0:
+            # admissible f cannot outgrow the dead damping factor, and
+            # skipping the call keeps f away from absurd arguments
+            return 0.0
+        return f(lam * x) * damp
 
     return _quad_checked(integrand, -np.inf, np.inf, "Laplace-type transform")
 
@@ -251,65 +197,6 @@ def f_a_eval(a: float, mu):
     if np.ndim(mu) == 0:
         return float(out)
     return out
-
-
-def _atom_window(order: int) -> float:
-    """Truncation parameter T for the log-step atom rule with `order` nodes.
-
-    T balances the three error sources of the rule: upper truncation
-    e^{-T}, step error e^{-pi^2/h}, and the lower tail, which the alpha_0
-    mass correction cancels to second order so the window can stay short.
-    T solves (ln T + T/2)(T + 2) = pi^2 (order - 1), monotone on [1, 400].
-    """
-    target = math.pi**2 * (order - 1)
-    lo, hi = 1.0, 400.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if (math.log(mid) + 0.5 * mid) * (mid + 2.0) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def f_a_atoms(a: float, order: int) -> ScalarFunctionClass:
-    """Exponential-atom surrogate for f_a built from its integral form.
-
-    Writing f_a(mu) = mu - a + a^2 int_0^inf e^{-t(mu+a)} dt and
-    discretizing the t-integral on a geometric grid t = e^{x_lo + j h}
-    (trapezoid rule in log t) gives atoms with weights
-    beta_j = a^2 h t_j e^{-a t_j} >= 0 and rates t_j > 0.  The constant
-    alpha_0 = -sum(beta) replaces the exact -a, which pins f(0) = 0 and
-    cancels the lower truncation error of the rule.
-
-    The node window scales with 1/a, so accuracy is scale-invariant:
-    sup error on [0, 20a] is about a * 5e-9 at order 32 and drops to
-    a * 4e-13 at order 64.
-    """
-    a = float(a)
-    if not a > 0.0:
-        raise ValueError(f"a must be positive, got {a}")
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
-    if order > ATOM_MAX_ORDER:
-        raise BudgetError(f"atom order {order} exceeds the cap {ATOM_MAX_ORDER}")
-
-    if order == 1:
-        nodes = np.array([1.0 / a])
-        h = 1.0
-    else:
-        t_trunc = _atom_window(order)
-        x_lo = -0.5 * t_trunc - 1.0 - math.log(a)
-        x_hi = math.log((t_trunc + 2.0) / a)
-        h = (x_hi - x_lo) / (order - 1)
-        nodes = np.exp(x_lo + h * np.arange(order))
-
-    beta = a * a * h * nodes * np.exp(-a * nodes)
-    alpha0 = -float(beta.sum())
-    return ScalarFunctionClass(
-        poly_coeffs=(alpha0, 1.0),
-        exp_atoms=tuple(zip(beta.tolist(), nodes.tolist())),
-    )
 
 
 # F_a(lambda) = lambda - a e^z E_1(z), z = a/lambda, loses about log10(z)
@@ -393,87 +280,23 @@ def f_a_transform(a: float, lam):
 # ---------------------------------------------------------------------------
 # The counting-constant pipeline.
 
-def _exp_remainder(x: float, m_max: int) -> float:
-    """e^{-x} minus its Taylor polynomial through degree m_max, stable for small x."""
-    if abs(x) < 0.1:
-        # Continue the series a dozen terms past the subtracted ones.
-        total = 0.0
-        term = 1.0
-        for m in range(1, m_max + 1):
-            term *= -x / m
-        for m in range(m_max + 1, m_max + 14):
-            term *= -x / m
-            total += term
-        return total
-    partial = 0.0
-    term = 1.0
-    for m in range(0, m_max + 1):
-        if m:
-            term *= -x / m
-        partial += term
-    return math.exp(-x) - partial
-
-
 def corollary_constant(f, d: int) -> float:
-    """int_0^inf f(s) s^{-d/2 - 1} ds by adaptive quadrature, d >= 3.
+    """int_0^inf f(s) s^{-d/2 - 1} ds for a callable f, d >= 3.
 
+    f maps a float s >= 0 to a float (a ScalarFunctionClass qualifies).
     Convergence needs f to vanish faster than s^{d/2} at the origin and to
-    grow slower than s^{d/2} at infinity.  For a ScalarFunctionClass both
-    conditions are checked analytically: polynomial powers j with 2j >= d
-    or growing atoms are rejected, and every derivative of order
-    m <= floor(d/2) must vanish at 0 within tolerance.  Sub-tolerance
-    derivative dust (quadrature residue of atom discretizations) is then
-    projected out exactly, since even dust makes this integral diverge.
-
-    General callables are integrated as given under the substitution
-    s = u^2, which flattens the integrable endpoint behavior.
+    grow slower than s^{d/2} at infinity; the caller guarantees both, and
+    a divergent integral surfaces as a quadrature failure.  The integral
+    is taken by adaptive quadrature under the substitution s = u^2, which
+    flattens the integrable endpoint behavior.
     """
     d = int(d)
     if d < 3:
         raise ValueError(f"dimension must be >= 3, got {d}")
 
-    if isinstance(f, ScalarFunctionClass):
-        coeffs = list(f.poly_coeffs)
-        m_cut = d // 2
-        for j, c in enumerate(coeffs):
-            # j > floor(d/2) implies 2j > d, so s^j outgrows s^{d/2}.
-            if c != 0.0 and j > m_cut:
-                raise ValueError(
-                    f"polynomial term mu^{j} grows too fast at infinity for d={d}"
-                )
-        for w, r in f.exp_atoms:
-            if w != 0.0 and r < 0.0:
-                raise ValueError(
-                    f"atom {w} * exp({-r} * mu) grows at infinity; integral diverges"
-                )
-        wts = np.array([w for w, _ in f.exp_atoms], dtype=float)
-        rates = np.array([r for _, r in f.exp_atoms], dtype=float)
-        for m in range(0, m_cut + 1):
-            dm = f.derivative_at_zero(m)
-            scale = math.factorial(m) * (1.0 + sum(abs(c) for c in coeffs))
-            if wts.size:
-                scale += float(np.sum(wts * (1.0 + np.abs(rates)) ** m))
-            if abs(dm) > 1e-6 * scale:
-                raise ValueError(
-                    f"derivative of order {m} at 0 is {dm:.6e}, not 0: the "
-                    f"integral diverges at the origin for d={d}"
-                )
-        # Every surviving polynomial power sits at or below m_cut, so the
-        # Taylor projection removes the polynomial exactly and leaves only
-        # the atom remainders e^{-rs} - (Taylor through m_cut).
-        def f_clean(s: float) -> float:
-            if not wts.size:
-                return 0.0
-            rem = np.array([_exp_remainder(r * s, m_cut) for r in rates])
-            return float(np.sum(wts * rem))
-
-        target = f_clean
-    else:
-        target = f
-
     def integrand(u: float) -> float:
         s = u * u
-        return 2.0 * float(target(s)) * u ** (-(d + 1))
+        return 2.0 * float(f(s)) * u ** (-(d + 1))
 
     return _quad_checked(integrand, 0.0, np.inf, "corollary-constant integral")
 

@@ -350,6 +350,22 @@ def test_cli_usage_errors_exit_two(tmp_path):
     assert cli_main(["jensen", "--config", str(ugly)]) == 2
 
 
+@pytest.mark.parametrize("fields, command", [
+    ({"n_max": "3"}, ["jensen"]),
+    ({"tolerances": None}, ["jensen"]),
+    ({"grid_points": [3, "a"]}, ["jensen"]),
+    ({"n_max": 3.5}, ["jensen"]),
+    ({"N_max": 2.0}, ["jensen"]),
+    ({"out": 5}, ["jensen"]),
+    ({"options": []}, ["constants", "--dmax", "5"]),  # --dmax merges into options
+])
+def test_cli_malformed_config_exits_two(tmp_path, capsys, fields, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(fields))
+    assert cli_main(command + ["--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_constants_prints_table(capsys):
     rc = cli_main(["constants", "--dmax", "5"])
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ Each case runs in a fresh interpreter, since the test process itself has
 long since imported every subpackage.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -113,3 +114,19 @@ def test_every_exported_name_resolves_once():
         assert len(names) == len(set(names)), module.__name__
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_transforms_is_a_leaf_module():
+    # the transforms take plain callables, so they need nothing from clrlab
+    tree = ast.parse(Path(clrlab.transforms.__file__).read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            names = [node.module]
+        else:
+            names = [alias.name for alias in node.names]
+        assert not any(n == "clrlab" or n.startswith("clrlab.") for n in names), (
+            ast.unparse(node))

@@ -502,6 +502,19 @@ def test_count_negative_sums_duplicate_entries():
     assert count_negative(op) == _solve_schur_oracle(op) == want > 0
 
 
+def test_discrete_operator_leaves_the_callers_matrix_alone():
+    # each entry of a diagonal 4x4 stored twice: the operator sums the
+    # duplicates in its own copy, never in the caller's arrays
+    m = sp.csr_matrix((np.repeat([1.0, 2.0, -1.0, 0.5], 2), np.repeat(np.arange(4), 2),
+                       np.arange(0, 9, 2)), shape=(4, 4))
+    before = (m.indptr.copy(), m.indices.copy(), m.data.copy())
+    op = DiscreteOperator(m)
+    assert m.nnz == 8 and op.matrix.nnz == 4
+    for old, new in zip(before, (m.indptr, m.indices, m.data)):
+        assert np.array_equal(old, new)
+    assert op.scale() == 4.0 and count_negative(op) == 1
+
+
 def test_singular_block_with_coupling_raises(monkeypatch):
     # a tridiagonal entry couples the first slab to the second, so its exact
     # zero pivot (the shifted -zero_tol on row 5) sits in a block to invert

@@ -306,7 +306,7 @@ def test_linearity_of_time_ordering():
     ws = [random_psd(rng, 3) for _ in range(2)]
     f = ScalarFunctionClass.monomial(3)
     g = ScalarFunctionClass.exponential(0.5)
-    combined = f + 2.0 * g
+    combined = f + ScalarFunctionClass.exponential(0.5, weight=2.0)
     lhs = time_ordered_apply(combined, ws)
     rhs = (time_ordered_apply(f, ws)
            + 2.0 * time_ordered_apply(g, ws))

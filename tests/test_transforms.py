@@ -5,7 +5,6 @@ import pytest
 import scipy.special
 from scipy.integrate import quad
 
-from clrlab.errors import BudgetError
 from clrlab.timeorder import ScalarFunctionClass
 from clrlab.transforms import (
     c_a,
@@ -13,7 +12,6 @@ from clrlab.transforms import (
     corollary_constant,
     e1_scaled,
     exp_integral_E1,
-    f_a_atoms,
     f_a_eval,
     f_a_transform,
     laplace_type_transform,
@@ -170,41 +168,6 @@ def test_f_a_eval_decomposition():
         assert abs(lhs - rhs) < 1e-13 * (1.0 + abs(lhs))
 
 
-def f_a_atoms_sup_error(a, order, samples=4001):
-    """Sup-norm error of f_a_atoms against f_a_eval on [0, 20a]."""
-    fc = f_a_atoms(a, order)
-    mu = np.linspace(0.0, 20.0 * float(a), samples)
-    return float(np.max(np.abs(fc(mu) - f_a_eval(a, mu))))
-
-
-def test_f_a_atoms_meets_sup_error_contract():
-    err = f_a_atoms_sup_error(1.0, 32)
-    assert err < 1e-6
-    # direct dense-sampling check against the closed form on [0, 20a]
-    f = f_a_atoms(1.0, 32)
-    mus = np.linspace(0.0, 20.0, 2001)
-    worst = max(abs(f(m) - f_a_eval(1.0, m)) for m in mus)
-    assert worst < 1e-6
-
-
-def test_f_a_atoms_zero_at_origin_and_admissible():
-    f = f_a_atoms(1.3, 24)
-    assert abs(f(0.0)) < 1e-12
-    assert all(w >= 0.0 for w, _ in f.exp_atoms)
-    assert f.poly_coeffs[1] == 1.0
-
-
-def test_f_a_atoms_error_decreases_with_order():
-    errs = [f_a_atoms_sup_error(1.0, order) for order in (16, 32, 48, 64)]
-    assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] <= errs[2]
-
-
-def test_f_a_atoms_budget():
-    with pytest.raises(BudgetError):
-        f_a_atoms(1.0, 65)
-    f_a_atoms(1.0, 1)  # single-atom edge case must construct
-
-
 # ---------------------------------------------------------------------------
 # Laplace-type transform
 
@@ -232,28 +195,6 @@ def test_laplace_atom_minus_constant_frullani():
             got = laplace_type_transform(f, lam)
             want = -2.0 * math.log(1.0 + r * lam)
             assert abs(got - want) < 1e-9 * (1.0 + abs(want))
-
-
-def test_laplace_of_f_a_atoms_matches_closed_form():
-    f = f_a_atoms(1.13, 48)
-    got = laplace_type_transform(f, 1.0)
-    assert abs(got - f_a_transform(1.13, 1.0)) < 1e-8
-    assert abs(got - F_A1_ORACLE_113) < 1e-8
-
-
-def test_laplace_rejects_nonvanishing_origin():
-    f = ScalarFunctionClass(poly_coeffs=(1.0, 1.0), exp_atoms=())
-    with pytest.raises(ValueError):
-        laplace_type_transform(f, 1.0)
-
-
-def test_laplace_rejects_growing_atom():
-    # rate -2 against lambda = 1 means e^{2mu} beats e^{-mu}: divergent
-    f = ScalarFunctionClass(poly_coeffs=(-1.0,), exp_atoms=((1.0, -2.0),))
-    with pytest.raises(ValueError):
-        laplace_type_transform(f, 1.0)
-    # the same atom is fine for small enough lambda
-    assert math.isfinite(laplace_type_transform(f, 0.25))
 
 
 def test_laplace_domain():
@@ -342,17 +283,7 @@ def test_corollary_scaling_identity():
     assert abs(scaled - 2.0**1.5 * base) < 1e-8 * (1.0 + abs(scaled))
 
 
-def test_corollary_with_atom_discretization():
-    f = f_a_atoms(1.13, 48)
-    got = corollary_constant(f, 3)
-    assert abs(got - math.pi / math.sqrt(1.13)) < 1e-6
-
-
 def test_corollary_rejects_surviving_taylor_terms():
-    # f ~ s^2/a near zero makes the d=5 integral diverge at the origin
-    f = f_a_atoms(1.0, 48)
-    with pytest.raises(ValueError):
-        corollary_constant(f, 5)
     # polynomial growth faster than s^{d/2} diverges at infinity
     g = ScalarFunctionClass(poly_coeffs=(0.0, 0.0, 1.0), exp_atoms=())
     with pytest.raises(ValueError):
@@ -416,11 +347,6 @@ def test_c_a_assembly_consistency():
         cc = corollary_constant(lambda s, aa=a: f_a_eval(aa, s), 3)
         assembled = (4.0 * math.pi) ** (-1.5) * cc / f1
         assert abs(assembled - c_a(a)) < 1e-6 * c_a(a)
-
-
-def test_f_a1_cross_check_via_atoms():
-    got = laplace_type_transform(f_a_atoms(1.13, 48), 1.0)
-    assert abs(got - 0.38026) < 1e-4
 
 
 def test_minimize_r_window():
