@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ..errors import ClrlabError, ConfigError
 from ..lattice import GridSpec, save_potential
-from .experiments import EXPERIMENT_NAMES, run_experiment
+from .experiments import EXPERIMENT_NAMES, EXPERIMENTS, run_experiment
 from .generators import POTENTIAL_STYLES, generate_potential
 from .reports import ExperimentConfig
 
@@ -38,8 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="directory for report.json and summary.csv")
         if name == "constants":
+            dmax = EXPERIMENTS[name].options["dmax"].default
             p.add_argument("--dmax", type=int, default=None,
-                           help="largest dimension in the table (default 20)")
+                           help=f"largest dimension in the table (default {dmax})")
 
     pot = sub.add_parser("potential", help="potential file utilities")
     pot_sub = pot.add_subparsers(dest="action", required=True)

@@ -1,4 +1,9 @@
-"""Experiment implementations and the run_experiment dispatcher.
+"""Experiment implementations, their registry and the run_experiment dispatcher.
+
+EXPERIMENTS declares each experiment once: its runner, default trials,
+tolerance and option keys with their defaults, and the config fields it
+reads.  A runner takes the config with those defaults resolved and returns
+its records, CSV columns and summary extras.
 
 Every experiment draws its instances from per-trial derived seeds, emits
 one record per checked statement, and reduces the records into a summary
@@ -10,6 +15,8 @@ carry continuum-comparison data and never affect the exit status.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -59,18 +66,21 @@ from .generators import (
     random_psd,
     rng_from,
 )
-from .reports import ExperimentConfig, ExperimentReport, derive_seed, inputs_digest
+from .reports import (
+    ExperimentConfig,
+    ExperimentReport,
+    _is_int,
+    _is_number,
+    derive_seed,
+    inputs_digest,
+)
 
 
 # Rounding slack of a time-ordered Jensen gap, relative to 1 + |averaged side|.
 JENSEN_GAP_RTOL = 1e-9
 
 
-def _tol(cfg: ExperimentConfig, key: str, default: float) -> float:
-    return float(cfg.tolerances.get(key, default))
-
-
-def _summary(records: list, extra: dict | None = None) -> dict:
+def _summary(records: list, extra: dict | None) -> dict:
     hard = [r for r in records if r.get("gate") == "hard"]
     failures = sum(1 for r in hard if r["margin"] < 0.0)
     out = {
@@ -89,24 +99,11 @@ def _summary(records: list, extra: dict | None = None) -> dict:
     return out
 
 
-def _report(cfg: ExperimentConfig, records: list, csv_columns: list,
-            extra: dict | None = None) -> ExperimentReport:
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        records=records,
-        summary=_summary(records, extra),
-        csv_columns=csv_columns,
-    )
-
-
 # ---------------------------------------------------------------------------
 # constants
 
-def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
-    dmax = int(cfg.options.get("dmax", 20))
-    if not (4 <= dmax <= 40):
-        raise ClrlabError(f"dmax must be in [4, 40], got {dmax}")
+def _run_constants(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    dmax = cfg.options["dmax"]
     records = []
     for d in range(1, dmax + 1):
         for gamma in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0):
@@ -118,12 +115,12 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
         residual = lw_product_check(d)
         records.append({
             "kind": "lw-residual", "gate": "hard", "d": d, "value": residual,
-            "margin": _tol(cfg, "lw_residual", 1e-12) - residual,
+            "margin": cfg.tolerances["lw_residual"] - residual,
         })
     e1 = exp_integral_E1(1.0)
     records.append({
         "kind": "e1-check", "gate": "hard", "value": e1,
-        "margin": _tol(cfg, "e1_abs", 1e-6) - abs(e1 - 0.219384),
+        "margin": cfg.tolerances["e1_abs"] - abs(e1 - 0.219384),
     })
     a_star, r_star = minimize_R(0.5, 3.0)
     records.append({
@@ -151,17 +148,16 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
         "L_cl": extra["L_cl_0_3"], "value": extra["L_cl_0_3"],
     })
     cols = ["kind", "gate", "gamma", "d", "L_cl", "R_bound", "value", "margin"]
-    return _report(cfg, records, cols, extra)
+    return records, cols, extra
 
 
 # ---------------------------------------------------------------------------
 # jensen
 
-def _run_jensen(cfg: ExperimentConfig) -> ExperimentReport:
-    trials = cfg.trials or 1000
-    tol = _tol(cfg, "jensen_gap", JENSEN_GAP_RTOL)
+def _run_jensen(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    tol = cfg.tolerances["jensen_gap"]
     records = []
-    for i in range(trials):
+    for i in range(cfg.trials):
         s = derive_seed(cfg.seed, i)
         rng = rng_from(s)
         n = int(rng.integers(1, cfg.n_max + 1))
@@ -184,17 +180,16 @@ def _run_jensen(cfg: ExperimentConfig) -> ExperimentReport:
     extra = {"min_gap": float(gaps.min()),
              "min_gap_seed": records[int(np.argmin(gaps))]["seed"]}
     cols = ["kind", "trial", "seed", "n", "N", "gap", "scale", "margin"]
-    return _report(cfg, records, cols, extra)
+    return records, cols, extra
 
 
 # ---------------------------------------------------------------------------
 # holder
 
-def _run_holder(cfg: ExperimentConfig) -> ExperimentReport:
-    trials = cfg.trials or 1000
-    tol = _tol(cfg, "holder_slack", 1e-10)
+def _run_holder(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    tol = cfg.tolerances["holder_slack"]
     records = []
-    for i in range(trials):
+    for i in range(cfg.trials):
         s = derive_seed(cfg.seed, i)
         rng = rng_from(s)
         n = int(rng.integers(1, cfg.n_max + 1))
@@ -219,7 +214,7 @@ def _run_holder(cfg: ExperimentConfig) -> ExperimentReport:
             "n": n, "N": nf, "k": k, "lhs": lhs, "rhs": rhs, "margin": margin,
         })
     cols = ["kind", "trial", "seed", "n", "N", "k", "lhs", "rhs", "margin"]
-    return _report(cfg, records, cols)
+    return records, cols, None
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +224,11 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _run_timeorder(cfg: ExperimentConfig) -> ExperimentReport:
-    trials = cfg.trials or 500
-    tol_closed = _tol(cfg, "closed_form", 1e-8)
-    tol_commute = _tol(cfg, "commuting_collapse", 1e-9)
+def _run_timeorder(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    tol_closed = cfg.tolerances["closed_form"]
+    tol_commute = cfg.tolerances["commuting_collapse"]
     records = []
-    for i in range(trials):
+    for i in range(cfg.trials):
         s = derive_seed(cfg.seed, i)
         rng = rng_from(s)
         n = int(rng.integers(2, cfg.n_max + 1))
@@ -277,7 +271,7 @@ def _run_timeorder(cfg: ExperimentConfig) -> ExperimentReport:
             "n": n, "N": nf, "worst_check": worst, "margin": checks[worst],
         })
     cols = ["kind", "trial", "seed", "n", "N", "worst_check", "margin"]
-    return _report(cfg, records, cols)
+    return records, cols, None
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +320,12 @@ def _barrier_instance(cfg: ExperimentConfig, index: int):
     return s, grid, v, alpha, t
 
 
-def _run_trotter(cfg: ExperimentConfig) -> ExperimentReport:
-    trials = cfg.trials or 50
-    tol_res = _tol(cfg, "resolvent_rel", 1e-8)
-    tol_quad = _tol(cfg, "t_quadrature_rel", 1e-3)
+def _run_trotter(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    tol_res = cfg.tolerances["resolvent_rel"]
+    tol_quad = cfg.tolerances["t_quadrature_rel"]
     records = []
 
-    for i in range(trials):
+    for i in range(cfg.trials):
         s, grid, v, alpha = _trotter_instance(cfg, i)
         r_direct = resolvent_trace(grid, v, alpha)
         lam = k_spectrum(birman_schwinger(grid, v))
@@ -371,7 +364,7 @@ def _run_trotter(cfg: ExperimentConfig) -> ExperimentReport:
         })
 
     cols = ["kind", "trial", "seed", "dim", "alpha", "value", "reference", "margin"]
-    return _report(cfg, records, cols)
+    return records, cols, None
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +408,9 @@ def _bs_instance(cfg: ExperimentConfig, trial: int):
     raise ClrlabError(f"could not draw a non-degenerate instance for trial {trial}")
 
 
-def _run_bs(cfg: ExperimentConfig) -> ExperimentReport:
-    trials = cfg.trials or 200
+def _run_bs(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
     records = []
-    for i in range(trials):
+    for i in range(cfg.trials):
         s, grid, v, h_op, w_h, lam_k = _bs_instance(cfg, i)
         zero_tol = ZERO_BAND_RTOL * h_op.scale()
         count_inertia = count_negative(h_op)
@@ -441,22 +433,20 @@ def _run_bs(cfg: ExperimentConfig) -> ExperimentReport:
     extra = {"max_count": int(max(counts)), "mean_count": float(np.mean(counts))}
     cols = ["kind", "trial", "seed", "dim", "count", "count_dense", "k_count",
             "a", "bound", "margin"]
-    return _report(cfg, records, cols, extra)
+    return records, cols, extra
 
 
 # ---------------------------------------------------------------------------
 # clr-survey
 
-def _run_survey(cfg: ExperimentConfig) -> ExperimentReport:
-    ensembles = cfg.trials or 3
-    refinements = tuple(cfg.options.get("refinements", (3, 7, 15)))
-    amplitude = float(cfg.options.get("amplitude", 600.0))
+def _run_survey(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    amplitude = float(cfg.options["amplitude"])
     records = []
     trend_ok_all = True
-    for e in range(ensembles):
+    for e in range(cfg.trials):
         s = derive_seed(cfg.seed, e)
         eps_chain = []
-        for m in refinements:
+        for m in cfg.options["refinements"]:
             grid = GridSpec(d=3, points_per_axis=(m, m, m), h=1.0 / (m + 1))
             v = generate_potential(s, grid, 1, "gaussian-bumps",
                                    amplitude=amplitude)
@@ -481,20 +471,18 @@ def _run_survey(cfg: ExperimentConfig) -> ExperimentReport:
     ratios = [r["ratio"] for r in records if r["kind"] == "survey"]
     extra = {"trend_ok": trend_ok_all, "max_ratio": float(max(ratios))}
     cols = ["kind", "ensemble", "seed", "m", "h", "count", "rhs", "ratio", "eps"]
-    return _report(cfg, records, cols, extra)
+    return records, cols, extra
 
 
 # ---------------------------------------------------------------------------
 # lt-moments
 
-def _run_lt(cfg: ExperimentConfig) -> ExperimentReport:
-    instances = cfg.trials or 3
+def _run_lt(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
     records = []
-    for i in range(instances):
+    for i in range(cfg.trials):
         s = derive_seed(cfg.seed, i)
         rng = rng_from(s)
-        pts = cfg.grid_points or (5, 5, 5)
-        grid = GridSpec(d=len(pts), points_per_axis=pts,
+        grid = GridSpec(d=len(cfg.grid_points), points_per_axis=cfg.grid_points,
                         h=float(rng.uniform(0.4, 0.6)))
         nf = int(rng.integers(1, 3))
         amp = float(rng.uniform(1.0, 3.0)) * _lambda_floor(grid) * 30.0
@@ -511,17 +499,16 @@ def _run_lt(cfg: ExperimentConfig) -> ExperimentReport:
     ratios = [r["ratio"] for r in records]
     extra = {"max_ratio": float(max(ratios))}
     cols = ["kind", "trial", "seed", "gamma", "riesz", "rhs", "ratio"]
-    return _report(cfg, records, cols, extra)
+    return records, cols, extra
 
 
 # ---------------------------------------------------------------------------
 # remark-probe
 
-def _run_probe(cfg: ExperimentConfig) -> ExperimentReport:
-    trials = cfg.trials or 5000
+def _run_probe(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
     records = []
     scales = []
-    for i in range(trials):
+    for i in range(cfg.trials):
         s = derive_seed(cfg.seed, i)
         rng = rng_from(s)
         n = int(rng.integers(2, min(cfg.n_max, 3) + 1))
@@ -546,27 +533,110 @@ def _run_probe(cfg: ExperimentConfig) -> ExperimentReport:
         "negative_fraction": float(np.mean(gaps < -JENSEN_GAP_RTOL * np.asarray(scales))),
     }
     cols = ["kind", "trial", "seed", "n", "N", "kink", "gap"]
-    return _report(cfg, records, cols, extra)
+    return records, cols, extra
+
+
+@dataclass(frozen=True)
+class Option:
+    """An experiment option: its default and the rule a configured value meets."""
+
+    default: object
+    rule: str
+    accepts: Callable[[object], bool]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment's declaration: its runner and every config key it reads.
+
+    ``trials`` is the default trial count, None for an experiment that reads
+    no trials.  ``tolerances`` maps each gate-slack key to its default and
+    ``options`` each option key to its ``Option``.  ``reads`` names which of
+    n_max, N_max and grid_points the runner reads, ``least`` the lower
+    bounds it needs on them, and ``grid_points`` the grid it uses when the
+    config names none (None: drawn per trial).  ``ExperimentConfig.validate``
+    rejects every key and field outside this declaration.
+    """
+
+    run: Callable[[ExperimentConfig], tuple[list, list, dict | None]]
+    trials: int | None
+    tolerances: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)
+    reads: tuple[str, ...] = ()
+    least: dict = field(default_factory=dict)
+    grid_points: tuple[int, ...] | None = None
+
+    def resolve(self, cfg: ExperimentConfig) -> ExperimentConfig:
+        """cfg with trials, tolerances, options and grid_points filled in
+        from the defaults, as the runner takes it."""
+        return replace(
+            cfg,
+            trials=self.trials if cfg.trials is None else cfg.trials,
+            tolerances={key: float(cfg.tolerances.get(key, default))
+                        for key, default in self.tolerances.items()},
+            options={key: cfg.options.get(key, option.default)
+                     for key, option in self.options.items()},
+            grid_points=self.grid_points if cfg.grid_points is None else cfg.grid_points,
+        )
 
 
 EXPERIMENTS = {
-    "constants": _run_constants,
-    "jensen": _run_jensen,
-    "holder": _run_holder,
-    "timeorder-consistency": _run_timeorder,
-    "trotter": _run_trotter,
-    "bs-equivalence": _run_bs,
-    "clr-survey": _run_survey,
-    "lt-moments": _run_lt,
-    "remark-probe": _run_probe,
+    "constants": Experiment(
+        _run_constants, trials=None,
+        tolerances={"lw_residual": 1e-12, "e1_abs": 1e-6},
+        options={"dmax": Option(20, "an integer in [4, 40]",
+                                lambda v: _is_int(v) and 4 <= v <= 40)}),
+    "jensen": Experiment(
+        _run_jensen, trials=1000, tolerances={"jensen_gap": JENSEN_GAP_RTOL},
+        reads=("n_max", "N_max")),
+    "holder": Experiment(
+        _run_holder, trials=1000, tolerances={"holder_slack": 1e-10},
+        reads=("n_max", "N_max")),
+    "timeorder-consistency": Experiment(
+        _run_timeorder, trials=500,
+        tolerances={"closed_form": 1e-8, "commuting_collapse": 1e-9},
+        reads=("n_max", "N_max"), least={"n_max": 2}),
+    "trotter": Experiment(
+        _run_trotter, trials=50,
+        tolerances={"resolvent_rel": 1e-8, "t_quadrature_rel": 1e-3},
+        reads=("grid_points",)),
+    "bs-equivalence": Experiment(
+        _run_bs, trials=200, reads=("N_max", "grid_points")),
+    "clr-survey": Experiment(
+        _run_survey, trials=3,
+        options={
+            "refinements": Option(
+                (3, 7, 15), "a non-empty list of positive integers",
+                lambda v: (isinstance(v, (list, tuple)) and len(v) > 0
+                           and all(_is_int(m) and m >= 1 for m in v))),
+            "amplitude": Option(600.0, "a finite number >= 0",
+                                lambda v: _is_number(v) and v >= 0),
+        }),
+    "lt-moments": Experiment(
+        _run_lt, trials=3, reads=("grid_points",), grid_points=(5, 5, 5)),
+    "remark-probe": Experiment(
+        _run_probe, trials=5000, reads=("n_max", "N_max"),
+        least={"n_max": 2, "N_max": 2}),
 }
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Validate, dispatch, optionally write report files, return the report."""
+    """Validate, dispatch, optionally write report files, return the report.
+
+    The runner sees the config with its defaults resolved; the report
+    carries the config as given.
+    """
     config.validate()
-    report = EXPERIMENTS[config.experiment](config)
+    experiment = EXPERIMENTS[config.experiment]
+    records, csv_columns, extra = experiment.run(experiment.resolve(config))
+    report = ExperimentReport(
+        experiment=config.experiment,
+        config=config.to_dict(),
+        records=records,
+        summary=_summary(records, extra),
+        csv_columns=csv_columns,
+    )
     if config.out:
         report.write(config.out)
     return report

@@ -44,14 +44,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """True for an int or float, not a bool, that is a finite float."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs for one experiment run.
 
-    trials = None means the experiment's documented default.  tolerances
-    can override per-gate slack constants (keys documented per
-    experiment); options carries experiment-specific extras such as dmax
-    or amplitude.
+    The experiment's entry in ``experiments.EXPERIMENTS`` declares what it
+    reads: its default trials (None here means that default), its
+    tolerance keys (per-gate slack constants) and option keys
+    (experiment-specific extras such as dmax or amplitude) with their
+    defaults, and which of n_max, N_max and grid_points it reads.
+    ``validate`` rejects anything outside that declaration.
     """
 
     experiment: str
@@ -66,12 +73,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         # experiments.py imports this module, so the registry is looked up here.
-        from .experiments import EXPERIMENT_NAMES
+        from .experiments import EXPERIMENTS
 
-        if self.experiment not in EXPERIMENT_NAMES:
+        spec = EXPERIMENTS.get(self.experiment)
+        if spec is None:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; pick one of "
-                f"{', '.join(EXPERIMENT_NAMES)}"
+                f"{', '.join(EXPERIMENTS)}"
             )
         for name in ("seed", "trials", "n_max", "N_max"):
             value = getattr(self, name)
@@ -103,8 +111,34 @@ class ExperimentConfig:
             if len(pts) > 3:
                 raise ConfigError(f"at most 3 grid axes supported, got {pts}")
         for key, val in self.tolerances.items():
-            if not isinstance(val, (int, float)):
-                raise ConfigError(f"tolerance {key!r} must be numeric, got {val!r}")
+            if not _is_number(val):
+                raise ConfigError(f"tolerance {key!r} must be a finite number, got {val!r}")
+        # the experiment's declaration: no key or field beyond it
+        name = self.experiment
+        for kind, given, known in (("tolerance", self.tolerances, spec.tolerances),
+                                   ("option", self.options, spec.options)):
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                raise ConfigError(
+                    f"unknown {kind} keys for {name}: {unknown}; it takes "
+                    f"{sorted(known) or 'none'}")
+        for key, value in self.options.items():
+            option = spec.options[key]
+            if not option.accepts(value):
+                raise ConfigError(f"option {key!r} must be {option.rule}, got {value!r}")
+        if self.trials is not None and spec.trials is None:
+            raise ConfigError(f"{name} takes no trials, got {self.trials}")
+        for field_name in ("n_max", "N_max", "grid_points"):
+            value = getattr(self, field_name)
+            default = self.__dataclass_fields__[field_name].default
+            if field_name not in spec.reads:
+                if value != default:
+                    raise ConfigError(
+                        f"{name} does not read {field_name}, so it must stay "
+                        f"{default!r}, got {value!r}")
+            elif field_name in spec.least and value < spec.least[field_name]:
+                raise ConfigError(
+                    f"{name} needs {field_name} >= {spec.least[field_name]}, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

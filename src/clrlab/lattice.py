@@ -536,8 +536,10 @@ def _schur_negative_count(
         cols = np.unique(c)
         if cols.size == c.size and np.all(np.diff(r) >= 0):
             # C e_j = v_j e_{r_j} with r ascending in j, so the lower
-            # triangle of the gathered block is read from that of S^{-1}
-            schur = v.conj()[:, None] * inv[_block(r)]
+            # triangle of the gathered block is read from that of S^{-1};
+            # its strict upper triangle holds stale entries that sytri
+            # never writes, which each slab would scale by |v|^2 again
+            schur = v.conj()[:, None] * np.tril(inv[_block(r)])
             schur *= v
         else:
             touched = np.unique(r)

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from clrlab.errors import ConfigError
 from clrlab.harness import (
     EXPERIMENT_NAMES,
+    EXPERIMENTS,
     POTENTIAL_STYLES,
     ExperimentConfig,
     derive_seed,
@@ -176,6 +179,10 @@ def test_experiment_smoke(cfg):
     assert rep.passed, rep.summary
     for rec in rep.records:
         assert rec.get("gate") in ("hard", "monitor", "info")
+    # every declared tolerance reaches a gate: a strongly negative slack fails one
+    for key in EXPERIMENTS[cfg.experiment].tolerances:
+        bad = run_experiment(dataclasses.replace(cfg, tolerances={key: -1e6}))
+        assert bad.summary["hard_failures"] > 0, key
 
 
 def test_jensen_run_takes_one_spectrum_per_matrix(monkeypatch):
@@ -252,6 +259,29 @@ def test_timeorder_run_takes_one_spectrum_per_matrix(monkeypatch):
     assert rep.passed
     per_run = sum(2 * r["n"] + 1 for r in rep.records)
     assert calls == {"hermitian": per_run, "eigh": per_run}
+
+
+def _readme_row(name, spec):
+    def pairs(mapping):
+        return ", ".join(f"`{k}` = {json.dumps(v)}" for k, v in mapping.items()) or "—"
+
+    reads = []
+    for field in spec.reads:
+        text = f"`{field}`"
+        if field in spec.least:
+            text += f" ≥ {spec.least[field]}"
+        if field == "grid_points" and spec.grid_points is not None:
+            text += f" (default {json.dumps(spec.grid_points)})"
+        reads.append(text)
+    options = {key: option.default for key, option in spec.options.items()}
+    return (f"| `{name}` | {'—' if spec.trials is None else spec.trials} | "
+            f"{pairs(spec.tolerances)} | {pairs(options)} | {', '.join(reads) or '—'} |")
+
+
+def test_readme_experiment_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    assert rows == [_readme_row(name, spec) for name, spec in EXPERIMENTS.items()]
 
 
 def test_experiment_names_cover_dispatch():
@@ -358,6 +388,21 @@ def test_cli_usage_errors_exit_two(tmp_path):
     ({"N_max": 2.0}, ["jensen"]),
     ({"out": 5}, ["jensen"]),
     ({"options": []}, ["constants", "--dmax", "5"]),  # --dmax merges into options
+    ({"trials": 3, "tolerances": {"no_such_gate": 1.0}}, ["jensen"]),
+    ({"tolerances": {"jensen_gap": float("nan")}}, ["jensen"]),
+    ({"options": {"refinemnts": [3]}}, ["clr-survey"]),
+    ({"options": {"refinements": 5}}, ["clr-survey"]),
+    ({"options": {"refinements": [0]}}, ["clr-survey"]),
+    ({"options": {"refinements": [3.5]}}, ["clr-survey"]),
+    ({"options": {"amplitude": "x"}}, ["clr-survey"]),
+    ({"options": {"amplitude": -5}}, ["clr-survey"]),
+    ({"options": {"dmax": "abc"}}, ["constants"]),
+    ({}, ["constants", "--trials", "3"]),
+    ({"grid_points": [3, 3, 3]}, ["clr-survey"]),
+    ({"n_max": 7}, ["bs-equivalence"]),
+    ({"n_max": 1}, ["timeorder-consistency"]),
+    ({"n_max": 1}, ["remark-probe"]),
+    ({"N_max": 1}, ["remark-probe"]),
 ])
 def test_cli_malformed_config_exits_two(tmp_path, capsys, fields, command):
     path = tmp_path / "cfg.json"

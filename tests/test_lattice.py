@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,18 @@ def test_inverse_update_gathers_on_plane_aligned_slabs(monkeypatch, m, N, seed, 
     calls = _spy_linalg(monkeypatch)
     assert count_negative(ham) == want
     assert len(calls["tri"]) == m - 1 and "mm" not in calls  # scaled gathers only
+
+
+def test_inverse_update_gather_leaves_no_stale_upper_triangle():
+    # one 16-row plane per slab, coupled by -h^-2 = -1e8: each gather scales
+    # by h^-4, so an upper triangle carried from slab to slab overflows
+    g = GridSpec(d=3, points_per_axis=(24, 4, 4), h=1e-4)
+    op = hamiltonian(g, generate_potential(5, g, 1, "gaussian-bumps", 3e9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        count = lattice._schur_negative_count(
+            op.matrix, np.arange(25) * 16, ZERO_BAND_RTOL * op.scale())
+    assert count == dense_count(op) > 0
 
 
 def test_inverse_update_multiplies_when_columns_share_rows(monkeypatch):
