@@ -4,7 +4,7 @@ from .generators import (
     POTENTIAL_STYLES,
     generate_potential,
     random_admissible_function,
-    random_psd,
+    random_psd_tuple,
     rng_from,
 )
 from .reports import ExperimentConfig, ExperimentReport, derive_seed
@@ -19,7 +19,7 @@ __all__ = [
     "derive_seed",
     "generate_potential",
     "random_admissible_function",
-    "random_psd",
+    "random_psd_tuple",
     "rng_from",
     "run_experiment",
 ]

@@ -39,16 +39,14 @@ from ..lattice import (
     semigroup_sandwich_trace,
     trotter_sandwich,
 )
-from ..matcore import apply_spectral, eig_hermitian, holder_trace_product
+from ..matcore import apply_spectral, eig_hermitian_tuple, holder_trace_product
 from ..timeorder import (
     ScalarFunctionClass,
+    _hinge_sides,
     _jensen_sides,
-    averaged_trace,
-    convex_probe,
+    _ordered_series,
+    _require_power,
     time_ordered_apply,
-    time_ordered_exponential,
-    time_ordered_monomial,
-    time_ordered_mu_exp,
 )
 from ..transforms import (
     classical_constant,
@@ -63,7 +61,7 @@ from ..transforms import (
 from .generators import (
     generate_potential,
     random_admissible_function,
-    random_psd,
+    random_psd_tuple,
     rng_from,
 )
 from .reports import (
@@ -163,10 +161,8 @@ def _run_jensen(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
         n = int(rng.integers(1, cfg.n_max + 1))
         nf = int(rng.integers(1, cfg.N_max + 1))
         f = random_admissible_function(rng)
-        ws = [random_psd(rng, nf, eig_max=float(rng.uniform(0.1, 1.2)))
-              for _ in range(n)]
-        decs = [eig_hermitian(w) for w in ws]
-        averaged, ordered = _jensen_sides(f, decs)
+        ws = random_psd_tuple(rng, n, nf, 0.1, 1.2)
+        averaged, ordered = _jensen_sides(f, eig_hermitian_tuple(ws))
         gap = averaged - ordered
         scale = 1.0 + abs(averaged)
         records.append({
@@ -196,8 +192,7 @@ def _run_holder(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
         nf = int(rng.integers(1, cfg.N_max + 1))
         k = int(rng.integers(1, 6))
         powers = rng.multinomial(k, np.full(n, 1.0 / n)).tolist()
-        ws = [random_psd(rng, nf, eig_max=float(rng.uniform(0.2, 1.5)))
-              for _ in range(n)]
+        ws = random_psd_tuple(rng, n, nf, 0.2, 1.5)
         try:
             lhs, rhs = holder_trace_product(ws, powers)
             margin = rhs + tol * (1.0 + abs(rhs)) - lhs
@@ -233,24 +228,25 @@ def _run_timeorder(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
         rng = rng_from(s)
         n = int(rng.integers(2, cfg.n_max + 1))
         nf = int(rng.integers(1, cfg.N_max + 1))
-        ws = [random_psd(rng, nf, eig_max=float(rng.uniform(0.3, 1.0)))
-              for _ in range(n)]
-        decs = [eig_hermitian(w) for w in ws]
+        decs = eig_hermitian_tuple(random_psd_tuple(rng, n, nf, 0.3, 1.0))
 
-        checks = {}
-        k = int(rng.integers(2, 7))
-        a = time_ordered_monomial(k, decs)
-        b = time_ordered_apply(ScalarFunctionClass.monomial(k), decs)
-        checks["monomial"] = tol_closed * (1.0 + _max_abs(a)) - _max_abs(a - b)
-
+        # One ordered series gives all three closed forms: k! C_k(0) for
+        # T mu^k, C_0(alpha) for T e^{alpha mu} and C_1(alpha) for
+        # T mu e^{alpha mu}.  Each is checked against its own enumeration.
+        k = _require_power(int(rng.integers(2, 7)))
         alpha = float(rng.uniform(-2.0, 2.0))
-        a = time_ordered_exponential(alpha, decs)
-        b = time_ordered_apply(ScalarFunctionClass.exponential(alpha), decs)
-        checks["exponential"] = tol_closed * (1.0 + _max_abs(a)) - _max_abs(a - b)
-
-        a = time_ordered_mu_exp(alpha, decs)
-        b = time_ordered_apply(lambda mu: mu * np.exp(alpha * mu), decs)
-        checks["mu-exp"] = tol_closed * (1.0 + _max_abs(a)) - _max_abs(a - b)
+        series = _ordered_series(decs, [0.0, alpha], k)
+        forms = {
+            "monomial": (math.factorial(k) * series[0, k],
+                         ScalarFunctionClass.monomial(k)),
+            "exponential": (series[1, 0], ScalarFunctionClass.exponential(alpha)),
+            "mu-exp": (series[1, 1], lambda mu: mu * np.exp(alpha * mu)),
+        }
+        checks = {}
+        for name, (closed, f) in forms.items():
+            enumerated = time_ordered_apply(f, decs)
+            checks[name] = (tol_closed * (1.0 + _max_abs(closed))
+                            - _max_abs(closed - enumerated))
 
         # Commuting family: shared eigenbasis, random non-negative spectra.
         g = rng.standard_normal((nf, nf)) + 1j * rng.standard_normal((nf, nf))
@@ -514,11 +510,9 @@ def _run_probe(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
         n = int(rng.integers(2, min(cfg.n_max, 3) + 1))
         nf = int(rng.integers(2, min(cfg.N_max, 3) + 1))
         kink = float(rng.uniform(0.2, 2.0))
-        ws = [random_psd(rng, nf, eig_max=float(rng.uniform(0.3, 1.5)))
-              for _ in range(n)]
-        decs = [eig_hermitian(w) for w in ws]
-        gap = convex_probe(kink, decs)
-        averaged = averaged_trace(lambda mu: np.maximum(mu - kink, 0.0), decs)
+        averaged, ordered = _hinge_sides(
+            kink, eig_hermitian_tuple(random_psd_tuple(rng, n, nf, 0.3, 1.5)))
+        gap = averaged - ordered
         scales.append(1.0 + abs(averaged))
         records.append({
             "kind": "hinge-gap", "gate": "monitor", "trial": i, "seed": s,

@@ -1,7 +1,11 @@
-"""Seeded random instances: matrices, admissible functions, potentials.
+"""Seeded random instances: matrix tuples, admissible functions, potentials.
 
 Everything here is a pure function of its numpy Generator (or integer
 seed), so identical seeds reproduce identical instances byte for byte.
+Random PSD matrices come only as whole tuples (``random_psd_tuple``): the
+time-ordered experiments draw one tuple per trial and gaussian-bumps one
+per field, its bump amplitudes.  Each matrix takes its draws from the
+generator in turn, and the tuple is normalised as one stack.
 """
 
 from __future__ import annotations
@@ -23,12 +27,29 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_psd(rng: np.random.Generator, n: int, eig_max: float = 1.0) -> np.ndarray:
-    """Random PSD matrix with largest eigenvalue exactly eig_max."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    a = g @ g.conj().T
-    top = float(np.linalg.eigvalsh(a)[-1])
-    return (float(eig_max) / top) * a
+def random_psd_tuple(
+    rng: np.random.Generator,
+    count: int,
+    n: int,
+    low: float,
+    high: float,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """count random n x n PSD matrices, as one (count, n, n) complex stack.
+
+    Matrix i is G G^H for a complex Gaussian G, scaled so that its largest
+    eigenvalue is scale * u_i with u_i uniform in [low, high).  Matrix by
+    matrix, the generator draws u_i, then the real and the imaginary part
+    of G.  The products and the spectra that fix the scale are taken for
+    the whole stack at once.
+    """
+    tops = np.empty(count)
+    g = np.empty((count, n, n), dtype=complex)
+    for i in range(count):
+        tops[i] = scale * rng.uniform(low, high)
+        g[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = g @ g.conj().swapaxes(1, 2)
+    return (tops / np.linalg.eigvalsh(a)[:, -1])[:, None, None] * a
 
 
 def random_admissible_function(rng: np.random.Generator) -> ScalarFunctionClass:
@@ -70,8 +91,7 @@ def _gaussian_bump_values(
     extent = np.asarray(grid.extent)
     centers = rng.uniform(0.0, 1.0, size=(_NBUMPS, grid.d)) * extent
     sigmas = rng.uniform(0.12, 0.28, size=_NBUMPS) * float(np.min(extent))
-    amps = [random_psd(rng, n, eig_max=amplitude * rng.uniform(0.5, 1.0))
-            for _ in range(_NBUMPS)]
+    amps = random_psd_tuple(rng, _NBUMPS, n, 0.5, 1.0, scale=amplitude)
 
     coords = grid.site_coords()
     values = np.zeros((grid.nsites, n, n), dtype=complex)

@@ -13,6 +13,11 @@ least eigenvalue is >= -PSD_RTOL (1 + spectral radius)
 (``require_psd_spectrum``).  Matrices are plain complex numpy arrays
 throughout.  Validation always rejects non-Hermitian input rather than
 symmetrizing silently.
+
+A tuple of small matrices is the unit of work: ``eig_hermitian_tuple``
+checks each matrix by the Hermitian rule against its own scale and
+decomposes the whole tuple by one stacked eigh; ``eig_hermitian`` is its
+one-matrix case.
 """
 
 from __future__ import annotations
@@ -73,25 +78,54 @@ def require_hermitian_stack(a: np.ndarray, what: str) -> None:
         )
 
 
-def require_hermitian(entries) -> np.ndarray:
-    """Return the input as a complex ndarray, rejecting non-Hermitian data.
+def _require_hermitian_tuple(matrices) -> np.ndarray:
+    """The matrices as one complex (count, n, n) stack, each checked alone.
 
-    The rule is require_hermitian_stack's.  Empty matrices and dimensions
-    above MAX_MATRIX_DIM are refused; large operators live in the lattice
-    module and never pass through here.
+    Every matrix must be square, non-empty and at most MAX_MATRIX_DIM wide,
+    and Hermitian by require_hermitian_stack's rule applied to it alone, so
+    each is judged against its own 1 + max|A_i|.  When there is more than
+    one matrix, an error names the offending one by its position.  Large
+    operators live in the lattice module and never pass through here.
     """
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    try:
+        a = np.asarray(matrices, dtype=complex)
+    except ValueError:
+        # Shapes differ: check each matrix alone, in order, then the dimension.
+        dims = [_require_hermitian_tuple([m]).shape[1] for m in matrices]
+        raise ValueError(
+            f"matrices must share a dimension, got {sorted(set(dims))}"
+        ) from None
+    if a.ndim == 0 or a.shape[0] == 0:
+        raise ValueError("need at least one matrix")
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NonHermitianError(f"expected a square matrix, got shape {a.shape[1:]}")
+    count, n = a.shape[:2]
     if n == 0:
         raise NonHermitianError("empty matrix")
     if n > MAX_MATRIX_DIM:
         raise NonHermitianError(
             f"matrix dimension {n} exceeds the cap {MAX_MATRIX_DIM}"
         )
-    require_hermitian_stack(a, "matrix")
+    defect = np.max(np.abs(a - a.swapaxes(1, 2).conj()), axis=(1, 2))
+    scale = 1.0 + np.max(np.abs(a), axis=(1, 2))
+    bad = np.flatnonzero(defect > HERMITICITY_RTOL * scale)
+    if bad.size:
+        i = int(bad[0])
+        what = "matrix" if count == 1 else f"matrix {i} of {count}"
+        raise NonHermitianError(
+            f"{what} is not Hermitian: defect {defect[i]:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.1e} * (1 + max|entry|) = {HERMITICITY_RTOL * scale[i]:.3e}"
+        )
     return a
+
+
+def require_hermitian(entries) -> np.ndarray:
+    """Return one matrix as a complex ndarray, rejecting non-Hermitian data.
+
+    The count-1 case of _require_hermitian_tuple: square, non-empty, at
+    most MAX_MATRIX_DIM wide and within require_hermitian_stack's rule.
+    """
+    return _require_hermitian_tuple([entries])[0]
 
 
 @dataclass(frozen=True)
@@ -126,22 +160,43 @@ class EigenDecomposition:
         return 0.5 * (out + out.conj().T)
 
 
-def eig_hermitian(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def eig_hermitian_tuple(matrices) -> list[EigenDecomposition]:
+    """Eigendecompositions of Hermitian matrices of one size, eigenvalues ascending.
 
-    Raises EigenSolverError with size and magnitude diagnostics in the
-    (rare) event the dense solver fails to converge.
+    The matrices are checked as _require_hermitian_tuple checks them and
+    decomposed by one stacked eigh, so a tuple costs one solver call.
+    Raises EigenSolverError with size and magnitude diagnostics of the
+    failing matrix in the (rare) event the dense solver fails to converge.
     """
-    m = require_hermitian(a)
+    a = _require_hermitian_tuple(matrices)
     try:
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
+        count, n = a.shape[:2]
+        i = 0
+        if count > 1:
+            # The stacked call does not say which matrix failed: find it alone.
+            i = next((j for j in range(count) if not _eigh_converges(a[j])), 0)
+        what = f"a {n} x {n} matrix" if count == 1 else f"matrix {i} of {count} ({n} x {n})"
         raise EigenSolverError(
-            f"eigh failed on a {m.shape[0]} x {m.shape[0]} matrix "
-            f"(max|entry| = {np.max(np.abs(m)):.3e}, "
-            f"frobenius = {np.linalg.norm(m):.3e}): {exc}"
+            f"eigh failed on {what} "
+            f"(max|entry| = {np.max(np.abs(a[i])):.3e}, "
+            f"frobenius = {np.linalg.norm(a[i]):.3e}): {exc}"
         ) from exc
-    return EigenDecomposition(eigenvalues=w, vectors=v)
+    return [EigenDecomposition(eigenvalues=wi, vectors=vi) for wi, vi in zip(w, v)]
+
+
+def _eigh_converges(m: np.ndarray) -> bool:
+    try:
+        np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def eig_hermitian(a) -> EigenDecomposition:
+    """Eigendecomposition of one Hermitian matrix: eig_hermitian_tuple([a])[0]."""
+    return eig_hermitian_tuple([a])[0]
 
 
 def _evaluate_on_spectrum(f, w: np.ndarray) -> np.ndarray:
@@ -214,25 +269,24 @@ def holder_trace_product(matrices, powers) -> tuple[float, float]:
 
     and checks lhs <= rhs up to slack 1e-10 * (1 + rhs); a violation
     beyond slack raises ArithmeticError since it would signal a numerical
-    inconsistency, not a mathematical possibility.
+    inconsistency, not a mathematical possibility.  The factors are checked
+    as one tuple, each against its own scale, and their spectra come from
+    one stacked eigvalsh.
     """
-    mats = [require_hermitian(m) for m in matrices]
+    mats = _require_hermitian_tuple(matrices)
     js = [int(j) for j in powers]
-    if len(mats) != len(js) or not mats:
+    if len(mats) != len(js):
         raise ValueError("need matching, non-empty matrices and powers")
     if any(j < 0 for j in js):
         raise ValueError(f"powers must be non-negative, got {js}")
     k = sum(js)
     if k == 0:
         raise ValueError("total power must be at least 1")
-    dims = {m.shape[0] for m in mats}
-    if len(dims) != 1:
-        raise ValueError(f"matrices must share a dimension, got {sorted(dims)}")
 
-    eigs = [np.maximum(require_psd_spectrum(np.linalg.eigvalsh(m), "Hoelder factor"), 0.0)
-            for m in mats]
+    eigs = [np.maximum(require_psd_spectrum(w, "Hoelder factor"), 0.0)
+            for w in np.linalg.eigvalsh(mats)]
 
-    word = np.eye(mats[0].shape[0], dtype=complex)
+    word = np.eye(mats.shape[1], dtype=complex)
     for m, j in zip(mats, js):
         if j:
             word = word @ np.linalg.matrix_power(m, j)

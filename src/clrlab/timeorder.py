@@ -9,8 +9,9 @@ the time-ordered application of a scalar function f is
 with the projector product taken in the fixed order 1..n.  The result is
 generally non-Hermitian for n >= 2; its real trace is the quantity of
 interest.  Every routine takes the W_j as Hermitian arrays or as
-EigenDecompositions from matcore.eig_hermitian, used as given, so a caller
-that reuses a tuple validates and decomposes each matrix once.
+EigenDecompositions from matcore.eig_hermitian_tuple, used as given, so a
+caller that reuses a tuple validates and decomposes each matrix once.  The
+arrays of a tuple are checked and decomposed together, by one stacked eigh.
 
 Enumeration (time_ordered_apply) serves as the oracle.  Written in the
 eigenbases V_j, the sum is a chain of overlap matrices O_j = V_j^H V_{j+1}:
@@ -49,7 +50,7 @@ import numpy as np
 
 from .config import ENUMERATION_BUDGET, MONOMIAL_MAX_POWER
 from .errors import AdmissibilityError, BudgetError
-from .matcore import EigenDecomposition, eig_hermitian, require_psd_spectrum
+from .matcore import EigenDecomposition, eig_hermitian_tuple, require_psd_spectrum
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,14 @@ def _require_shared_dimension(dims: list[int]) -> None:
 
 
 def _decompositions(matrices) -> list[EigenDecomposition]:
-    """One validated spectrum per matrix; EigenDecompositions pass through."""
-    decs = [m if isinstance(m, EigenDecomposition) else eig_hermitian(m)
+    """One validated spectrum per matrix; EigenDecompositions pass through.
+
+    The arrays among the matrices are decomposed as one stack.
+    """
+    matrices = list(matrices)
+    arrays = [m for m in matrices if not isinstance(m, EigenDecomposition)]
+    fresh = iter(eig_hermitian_tuple(arrays) if arrays else ())
+    decs = [m if isinstance(m, EigenDecomposition) else next(fresh)
             for m in matrices]
     _require_shared_dimension([d.dim for d in decs])
     return decs
@@ -212,6 +219,17 @@ def _ordered_series(decs, alpha, k: int) -> np.ndarray:
     return series @ v[-1].conj().T
 
 
+def _require_power(k) -> int:
+    """k itself, if it is an integer in [1, MONOMIAL_MAX_POWER]."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"power must be a positive integer, got {k!r}")
+    if k > MONOMIAL_MAX_POWER:
+        raise BudgetError(
+            f"monomial power {k} exceeds the cap {MONOMIAL_MAX_POWER}"
+        )
+    return k
+
+
 def time_ordered_monomial(k: int, matrices) -> np.ndarray:
     """Closed form of T mu^k = k! C_k at alpha = 0 (see _ordered_series).
 
@@ -219,13 +237,7 @@ def time_ordered_monomial(k: int, matrices) -> np.ndarray:
     k! / (j_1! .. j_n!) W_1^{j_1} .. W_n^{j_n}, without walking its words.
     k stays capped at MONOMIAL_MAX_POWER.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"power must be a positive integer, got {k!r}")
-    if k > MONOMIAL_MAX_POWER:
-        raise BudgetError(
-            f"monomial power {k} exceeds the cap {MONOMIAL_MAX_POWER}"
-        )
-    series = _ordered_series(_decompositions(matrices), 0.0, k)
+    series = _ordered_series(_decompositions(matrices), 0.0, _require_power(k))
     return math.factorial(k) * series[k]
 
 
@@ -289,15 +301,11 @@ def jensen_gap(f, matrices) -> float:
     return averaged - ordered
 
 
-def convex_probe(kink: float, matrices) -> float:
-    """Same gap for the hinge max(mu - kink, 0), which is outside the class.
+def _hinge_sides(kink: float, matrices) -> tuple[float, float]:
+    """(averaged, ordered) of _jensen_sides for the hinge max(mu - kink, 0).
 
-    Hinges are convex but not admissible, so no sign is guaranteed here.
-    For two matrices the gap is >= 0 for every convex f, since the trace
-    weights |<u_i, v_j>|^2 form a doubly stochastic matrix; for three or
-    more nothing is proved either way.  No input found so far gives a gap
-    below rounding: remark-probe's 5,000 default draws (n = 2 and 3) give
-    none below -4.0e-15.  Exposed for exploration only.
+    The ordered side is enumerated, so the tuple must fit
+    ENUMERATION_BUDGET.
     """
     kink = float(kink)
     if not kink > 0.0:
@@ -309,5 +317,19 @@ def convex_probe(kink: float, matrices) -> float:
     def hinge(mu):
         return np.maximum(np.asarray(mu, dtype=float) - kink, 0.0)
 
-    lhs = float(np.trace(_enumerated(hinge, decs)).real)
-    return averaged_trace(hinge, decs) - lhs
+    ordered = float(np.trace(_enumerated(hinge, decs)).real)
+    return averaged_trace(hinge, decs), ordered
+
+
+def convex_probe(kink: float, matrices) -> float:
+    """Same gap for the hinge max(mu - kink, 0), which is outside the class.
+
+    Hinges are convex but not admissible, so no sign is guaranteed here.
+    For two matrices the gap is >= 0 for every convex f, since the trace
+    weights |<u_i, v_j>|^2 form a doubly stochastic matrix; for three or
+    more nothing is proved either way.  No input found so far gives a gap
+    below rounding: remark-probe's 5,000 default draws (n = 2 and 3) give
+    none below -4.0e-15.  Exposed for exploration only.
+    """
+    averaged, ordered = _hinge_sides(kink, matrices)
+    return averaged - ordered

@@ -92,6 +92,96 @@ def test_random_admissible_function_is_admissible():
 
 
 # ---------------------------------------------------------------------------
+# per-matrix oracles of the stacked draw and decompositions
+
+def _per_matrix_psd_tuple(rng, count, n, low, high, scale=1.0):
+    # one product and one eigvalsh per matrix, drawn in the same order
+    mats = []
+    for _ in range(count):
+        eig_max = scale * rng.uniform(low, high)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = g @ g.conj().T
+        mats.append((float(eig_max) / float(np.linalg.eigvalsh(a)[-1])) * a)
+    return np.array(mats)
+
+
+def _per_matrix_eig(ms):
+    from clrlab.matcore import EigenDecomposition, require_hermitian_stack
+
+    decs = []
+    for m in ms:
+        a = np.asarray(m, dtype=complex)
+        require_hermitian_stack(a, "matrix")
+        w, v = np.linalg.eigh(a)
+        decs.append(EigenDecomposition(eigenvalues=w, vectors=v))
+    return decs
+
+
+def _per_matrix_holder(matrices, powers):
+    # Hoelder's two sides with one eigvalsh per factor
+    from clrlab.matcore import require_psd_spectrum
+
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    k = sum(powers)
+    eigs = [np.maximum(require_psd_spectrum(np.linalg.eigvalsh(m), "factor"), 0.0)
+            for m in mats]
+    word = np.eye(mats[0].shape[0], dtype=complex)
+    for m, j in zip(mats, powers):
+        if j:
+            word = word @ np.linalg.matrix_power(m, j)
+    rhs = 1.0
+    for w, j in zip(eigs, powers):
+        if j:
+            rhs *= float(np.sum(w**k)) ** (j / k)
+    return float(np.trace(word).real), rhs
+
+
+def _separate_series(decs, alphas, k):
+    # the three series the public closed forms take, one call each
+    from clrlab.timeorder import _ordered_series
+
+    zero, alpha = alphas
+    out = np.zeros((2, k + 1) + np.shape(decs[0]), dtype=complex)
+    out[0, k] = _ordered_series(decs, zero, k)[k]
+    out[1, 0] = _ordered_series(decs, alpha, 0)[0]
+    out[1, 1] = _ordered_series(decs, alpha, 1)[1]
+    return out
+
+
+def test_bump_potentials_same_with_the_per_matrix_draw(monkeypatch):
+    import clrlab.harness.generators as generators
+
+    g = GridSpec(d=2, points_per_axis=(5, 4), h=0.3)
+    cases = [(seed, n, style) for seed in (1, 2) for n in (1, 2, 4)
+             for style in ("gaussian-bumps", "scalar-embed")]
+
+    def digests():
+        return [potential_digest(generate_potential(seed, g, n, style, 7.5))
+                for seed, n, style in cases]
+
+    want = digests()
+    monkeypatch.setattr(generators, "random_psd_tuple", _per_matrix_psd_tuple)
+    assert digests() == want
+
+
+@pytest.mark.parametrize("name", ["jensen", "holder", "timeorder-consistency",
+                                  "remark-probe"])
+def test_tuple_experiments_same_records_with_the_per_matrix_oracles(monkeypatch, name):
+    import clrlab.harness.experiments as experiments
+    import clrlab.timeorder as timeorder
+
+    cfg = ExperimentConfig(experiment=name, trials=50, seed=19, n_max=8, N_max=4)
+    want = run_experiment(cfg)
+    monkeypatch.setattr(experiments, "random_psd_tuple", _per_matrix_psd_tuple)
+    monkeypatch.setattr(experiments, "eig_hermitian_tuple", _per_matrix_eig)
+    monkeypatch.setattr(timeorder, "eig_hermitian_tuple", _per_matrix_eig)
+    monkeypatch.setattr(experiments, "holder_trace_product", _per_matrix_holder)
+    monkeypatch.setattr(experiments, "_ordered_series", _separate_series)
+    got = run_experiment(cfg)
+    assert json.dumps([got.records, got.summary]) == json.dumps([want.records, want.summary])
+
+
+# ---------------------------------------------------------------------------
 # config
 
 def test_config_from_dict_and_roundtrip():
@@ -185,36 +275,34 @@ def test_experiment_smoke(cfg):
         assert bad.summary["hard_failures"] > 0, key
 
 
-def test_jensen_run_takes_one_spectrum_per_matrix(monkeypatch):
-    # one eigh per matrix; the only eigvalsh is random_psd's normalisation
+def test_jensen_run_takes_one_spectrum_per_matrix(monkeypatch, decomposition_counts):
+    # each matrix is validated and decomposed once, by one eigh per tuple;
+    # the only eigvalsh is the draw's normalisation, one per tuple too
     import clrlab.harness.experiments as experiments
 
-    calls = {"eigh": 0, "eigvalsh": 0}
+    eigvalsh_calls = {"draw": 0, "other": 0}
     drawing = [False]
-    random_psd, eigh, eigvalsh = experiments.random_psd, np.linalg.eigh, np.linalg.eigvalsh
+    draw, eigvalsh = experiments.random_psd_tuple, np.linalg.eigvalsh
 
-    def tracked_random_psd(*args, **kwargs):
+    def tracked_draw(*args, **kwargs):
         drawing[0] = True
         try:
-            return random_psd(*args, **kwargs)
+            return draw(*args, **kwargs)
         finally:
             drawing[0] = False
 
-    def counted_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
-
     def counted_eigvalsh(*args, **kwargs):
-        if not drawing[0]:
-            calls["eigvalsh"] += 1
+        eigvalsh_calls["draw" if drawing[0] else "other"] += 1
         return eigvalsh(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "random_psd", tracked_random_psd)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(experiments, "random_psd_tuple", tracked_draw)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     rep = run_experiment(ExperimentConfig(experiment="jensen", trials=100, seed=7))
     assert rep.passed
-    assert calls == {"eigh": sum(r["n"] for r in rep.records), "eigvalsh": 0}
+    matrices = sum(r["n"] for r in rep.records)
+    assert decomposition_counts == {"validated": matrices, "decomposed": matrices,
+                                    "eigh": 100}
+    assert eigvalsh_calls == {"draw": 100, "other": 0}
 
 
 def test_jensen_run_evaluates_the_averaged_side_once(monkeypatch):
@@ -236,29 +324,16 @@ def test_jensen_run_evaluates_the_averaged_side_once(monkeypatch):
     assert calls[0] == 50
 
 
-def test_timeorder_run_takes_one_spectrum_per_matrix(monkeypatch):
+def test_timeorder_run_takes_one_spectrum_per_matrix(decomposition_counts):
     # per trial: the drawn tuple and the commuting family (n matrices each),
-    # plus the commuting check's apply_spectral on the family's sum
-    import clrlab.matcore as matcore
-
-    calls = {"hermitian": 0, "eigh": 0}
-    require_hermitian, eigh = matcore.require_hermitian, np.linalg.eigh
-
-    def counted_hermitian(*args, **kwargs):
-        calls["hermitian"] += 1
-        return require_hermitian(*args, **kwargs)
-
-    def counted_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    # plus the commuting check's apply_spectral on the family's sum; each
+    # matrix is validated and decomposed once, by one eigh per tuple
     rep = run_experiment(ExperimentConfig(experiment="timeorder-consistency",
                                           trials=60, seed=7))
     assert rep.passed
-    per_run = sum(2 * r["n"] + 1 for r in rep.records)
-    assert calls == {"hermitian": per_run, "eigh": per_run}
+    matrices = sum(2 * r["n"] + 1 for r in rep.records)
+    assert decomposition_counts == {"validated": matrices, "decomposed": matrices,
+                                    "eigh": 3 * 60}
 
 
 def _readme_row(name, spec):
@@ -311,34 +386,38 @@ def test_monitor_rows_never_fail_a_run():
     assert rep.passed
 
 
-def test_probe_run_takes_one_spectrum_per_matrix(monkeypatch):
-    # each drawn matrix is decomposed once; the hinge gap and its averaged
-    # side both take the decompositions
-    import clrlab.matcore as matcore
-
-    calls = {"hermitian": 0, "eigh": 0}
-    require_hermitian, eigh = matcore.require_hermitian, np.linalg.eigh
-
-    def counted_hermitian(*args, **kwargs):
-        calls["hermitian"] += 1
-        return require_hermitian(*args, **kwargs)
-
-    def counted_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+def test_probe_run_takes_one_spectrum_per_matrix(decomposition_counts):
+    # each drawn matrix is decomposed once, by one eigh per tuple; the hinge
+    # gap and its averaged side both take the decompositions
     rep = run_experiment(ExperimentConfig(experiment="remark-probe", trials=60, seed=7))
-    per_run = sum(r["n"] for r in rep.records)
-    assert calls == {"hermitian": per_run, "eigh": per_run}
+    matrices = sum(r["n"] for r in rep.records)
+    assert decomposition_counts == {"validated": matrices, "decomposed": matrices,
+                                    "eigh": 60}
+
+
+def test_probe_run_evaluates_the_averaged_side_once(monkeypatch):
+    import clrlab.harness.experiments as experiments
+    import clrlab.timeorder as timeorder
+
+    calls = [0]
+    averaged_trace = timeorder.averaged_trace
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return averaged_trace(*args, **kwargs)
+
+    # patched in every namespace a trial could call it through
+    monkeypatch.setattr(timeorder, "averaged_trace", counted)
+    monkeypatch.setattr(experiments, "averaged_trace", counted, raising=False)
+    run_experiment(ExperimentConfig(experiment="remark-probe", trials=50, seed=7))
+    assert calls[0] == 50
 
 
 def test_probe_negative_fraction_counts_gaps_beyond_the_slack(monkeypatch):
     import clrlab.harness.experiments as experiments
 
     for gap, want in ((-1e-12, 0.0), (-1e-6, 1.0)):
-        monkeypatch.setattr(experiments, "convex_probe", lambda kink, decs: gap)
+        monkeypatch.setattr(experiments, "_hinge_sides", lambda kink, decs: (0.0, -gap))
         rep = run_experiment(ExperimentConfig(experiment="remark-probe", trials=20))
         assert rep.summary["negative_fraction"] == want
 

@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from clrlab.config import MAX_MATRIX_DIM
 from clrlab.errors import (
+    EigenSolverError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
     SpectralDomainError,
@@ -13,6 +15,7 @@ from clrlab.matcore import (
     _defect_and_scale,
     apply_spectral,
     eig_hermitian,
+    eig_hermitian_tuple,
     holder_trace_product,
     require_hermitian,
     require_hermitian_stack,
@@ -87,6 +90,99 @@ def test_eig_projector_invariants_and_reconstruction():
         radius = np.max(np.abs(dec.eigenvalues))
         rebuilt = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
         assert np.max(np.abs(rebuilt - a)) < 1e-10 * (1.0 + radius)
+
+
+# ---------------------------------------------------------------------------
+# tuples: one check per matrix and one stacked eigh, against per-matrix loops
+
+def _per_matrix_check(m):
+    # the one-matrix check, each matrix judged alone
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonHermitianError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise NonHermitianError("empty matrix")
+    if a.shape[0] > MAX_MATRIX_DIM:
+        raise NonHermitianError("over the cap")
+    require_hermitian_stack(a, "matrix")
+    return a
+
+
+def _per_matrix_eig(ms):
+    # per-matrix loop: one check and one eigh per matrix, then the dimension
+    pairs = [np.linalg.eigh(_per_matrix_check(m)) for m in ms]
+    if len({w.shape[0] for w, _ in pairs}) != 1:
+        raise ValueError("matrices must share a dimension")
+    return pairs
+
+
+def test_tuple_decompositions_equal_the_per_matrix_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for count in range(1, 9):
+        for n in range(1, 5):
+            ms = [random_hermitian(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+                  for _ in range(count)]
+            decs = eig_hermitian_tuple(ms)
+            assert len(decs) == count
+            for dec, (w, v), m in zip(decs, _per_matrix_eig(ms), ms):
+                assert np.array_equal(dec.eigenvalues, w)
+                assert np.array_equal(dec.vectors, v)
+                one = eig_hermitian(m)
+                assert np.array_equal(one.eigenvalues, w)
+                assert np.array_equal(one.vectors, v)
+
+
+def test_tuple_check_judges_each_matrix_by_its_own_scale():
+    # the small member's defect 1e-9 breaks its own tolerance (about 3e-12)
+    # but not the largest member's (about 1e-6), which a shared scale would use
+    rng = np.random.default_rng(18)
+    big = random_hermitian(rng, 3, scale=1e6)
+    small = random_hermitian(rng, 3)
+    small[0, 1] += 1e-9
+    ms = [big, small, random_hermitian(rng, 3)]
+    require_hermitian_stack(np.array(ms), "stack")
+    with pytest.raises(NonHermitianError, match="matrix 1 of 3 is not Hermitian"):
+        eig_hermitian_tuple(ms)
+    with pytest.raises(NonHermitianError, match="^matrix is not Hermitian"):
+        eig_hermitian(small)
+
+
+@pytest.mark.parametrize("ms, error", [
+    ([np.eye(2), np.eye(3)], ValueError),
+    ([np.eye(2), np.ones((2, 3))], NonHermitianError),
+    ([np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(3)], NonHermitianError),
+    ([np.eye(3), np.eye(3), np.ones((3, 2))], NonHermitianError),
+    ([np.ones((2, 3)), np.ones((2, 3))], NonHermitianError),
+    ([np.zeros((0, 0))], NonHermitianError),
+    ([np.eye(MAX_MATRIX_DIM + 1)], NonHermitianError),
+    ([np.eye(2), np.array([[0.0, 1.0], [2.0, 0.0]])], NonHermitianError),
+    ([1.0], NonHermitianError),
+], ids=["dims", "ragged-non-square", "ragged-non-hermitian", "late-non-square",
+        "non-square", "empty", "over-cap", "non-hermitian", "scalar"])
+def test_tuple_errors_match_the_per_matrix_loop(ms, error):
+    # the exact type: NonHermitianError is also a ValueError
+    raised = []
+    for decompose in (_per_matrix_eig, eig_hermitian_tuple):
+        with pytest.raises(ValueError) as err:
+            decompose(ms)
+        raised.append(type(err.value))
+    assert raised == [error, error]
+
+
+def test_tuple_eigh_failure_names_the_matrix(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def failing(a, *args, **kwargs):
+        if np.any(np.asarray(a)[..., 0, 0] == 13.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    ms = [np.eye(2), np.diag([13.0, 1.0]), np.eye(2)]
+    with pytest.raises(EigenSolverError, match=r"matrix 1 of 3 \(2 x 2\)"):
+        eig_hermitian_tuple(ms)
+    with pytest.raises(EigenSolverError, match="on a 2 x 2 matrix"):
+        eig_hermitian(ms[1])
 
 
 def test_apply_spectral_identity_function():

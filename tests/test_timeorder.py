@@ -1,13 +1,20 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from clrlab.errors import AdmissibilityError, BudgetError, NotPositiveSemidefiniteError
-from clrlab.matcore import EigenDecomposition, apply_spectral, eig_hermitian
+from clrlab.matcore import (
+    EigenDecomposition,
+    apply_spectral,
+    eig_hermitian,
+    eig_hermitian_tuple,
+)
 from clrlab.timeorder import (
     ScalarFunctionClass,
     _jensen_sides,
+    _ordered_series,
     averaged_trace,
     convex_probe,
     jensen_gap,
@@ -223,6 +230,23 @@ def test_monomial_rejects_bad_power():
         time_ordered_monomial(13, ws)
 
 
+def test_merged_series_equals_the_three_closed_forms_bit_for_bit():
+    # timeorder-consistency takes all three closed forms from one series at
+    # alpha = (0, a); each public closed form takes its own series
+    rng = np.random.default_rng(16)
+    for n in range(1, 9):
+        for dim in range(1, 5):
+            decs = eig_hermitian_tuple(
+                [random_psd(rng, dim, scale=float(rng.uniform(0.1, 1.2))) for _ in range(n)])
+            for k in range(1, 7):
+                for alpha in (-2.0, float(rng.uniform(-2.0, 2.0)), 2.0):
+                    series = _ordered_series(decs, [0.0, alpha], k)
+                    assert np.array_equal(math.factorial(k) * series[0, k],
+                                          time_ordered_monomial(k, decs))
+                    assert np.array_equal(series[1, 0], time_ordered_exponential(alpha, decs))
+                    assert np.array_equal(series[1, 1], time_ordered_mu_exp(alpha, decs))
+
+
 def test_exponential_alpha_zero_is_identity():
     rng = np.random.default_rng(5)
     ws = [random_psd(rng, 3) for _ in range(3)]
@@ -390,32 +414,20 @@ def test_jensen_gap_matches_enumeration():
         assert jensen_gap(f, ws) == averaged - ordered
 
 
-def test_jensen_gap_one_validation_and_one_eigh_per_matrix(monkeypatch):
-    import clrlab.matcore as matcore
-
+def test_jensen_gap_one_validation_and_one_eigh_per_matrix(monkeypatch, decomposition_counts):
+    # each matrix is validated and decomposed once, by one eigh for the tuple
     rng = np.random.default_rng(12)
     ws = [random_psd(rng, 3) for _ in range(4)]
     f = random_admissible(rng)
     want = jensen_gap(f, ws)
-    calls = {"hermitian": 0, "eigh": 0}
-    require_hermitian, eigh = matcore.require_hermitian, np.linalg.eigh
-
-    def counted_hermitian(*args, **kwargs):
-        calls["hermitian"] += 1
-        return require_hermitian(*args, **kwargs)
-
-    def counted_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
 
     def refused(*args, **kwargs):
         raise AssertionError("jensen_gap took a second spectrum")
 
-    monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    decomposition_counts.update(validated=0, decomposed=0, eigh=0)
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     assert jensen_gap(f, ws) == want
-    assert calls == {"hermitian": 4, "eigh": 4}
+    assert decomposition_counts == {"validated": 4, "decomposed": 4, "eigh": 1}
 
 
 def test_jensen_gap_beyond_enumeration_budget():
@@ -451,31 +463,19 @@ def test_probe_single_factor_zero():
     assert convex_probe(1.0, [w]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_probe_one_validation_and_one_eigh_per_matrix(monkeypatch):
-    import clrlab.matcore as matcore
-
+def test_probe_one_validation_and_one_eigh_per_matrix(monkeypatch, decomposition_counts):
+    # each matrix is validated and decomposed once, by one eigh for the tuple
     rng = np.random.default_rng(13)
     ws = [random_psd(rng, 3) for _ in range(4)]
     want = convex_probe(0.7, ws)
-    calls = {"hermitian": 0, "eigh": 0}
-    require_hermitian, eigh = matcore.require_hermitian, np.linalg.eigh
-
-    def counted_hermitian(*args, **kwargs):
-        calls["hermitian"] += 1
-        return require_hermitian(*args, **kwargs)
-
-    def counted_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
 
     def refused(*args, **kwargs):
         raise AssertionError("convex_probe took a second spectrum")
 
-    monkeypatch.setattr(matcore, "require_hermitian", counted_hermitian)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    decomposition_counts.update(validated=0, decomposed=0, eigh=0)
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     assert convex_probe(0.7, ws) == want
-    assert calls == {"hermitian": 4, "eigh": 4}
+    assert decomposition_counts == {"validated": 4, "decomposed": 4, "eigh": 1}
 
 
 def test_probe_rejects_indefinite_and_over_budget(monkeypatch):
