@@ -12,9 +12,10 @@ The package has five layers:
   integral, the one-parameter test-function family ``f_a`` with its
   closed-form transform, and the constants pipeline ending in
   ``R ≈ 10.332``.  It imports nothing from the rest of the package.
-* :mod:`clrlab.lattice` — discrete Laplacians, Birman–Schwinger operators,
-  eigenvalue counting by Schur-complement inertia, Trotter sandwiches, and CLR/Lieb–Thirring right-hand
-  sides on finite grids.
+* :mod:`clrlab.lattice` — Hamiltonians with the Dirichlet Laplacian of a
+  finite box, Birman–Schwinger operators, eigenvalue counting by
+  Schur-complement inertia, Trotter sandwiches, and CLR/Lieb–Thirring
+  right-hand sides.
 * :mod:`clrlab.harness` — seeded experiment drivers, potential generators,
   and report writers behind the ``clrlab`` command line tool.
 """
@@ -77,7 +78,6 @@ from .lattice import (
     MatrixPotential,
     birman_schwinger,
     bs_bound,
-    build_laplacian,
     clr_rhs,
     count_negative,
     h_and_k_spectra,
@@ -124,7 +124,7 @@ __all__ = [
     "r_bound", "r_of_a",
     # lattice
     "DiscreteOperator", "GridSpec", "MatrixPotential", "birman_schwinger",
-    "bs_bound", "build_laplacian", "clr_rhs", "count_negative",
+    "bs_bound", "clr_rhs", "count_negative",
     "h_and_k_spectra", "hamiltonian", "heat_diagonal_step", "k_spectrum",
     "load_potential", "potential_digest", "resolvent_trace", "riesz_mean",
     "save_potential", "semigroup_sandwich_trace", "trotter_sandwich",

@@ -51,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--points", type=int, nargs="+", default=[8],
                      help="grid points per axis (1 to 3 values)")
     gen.add_argument("--h", type=float, default=0.5, help="lattice spacing")
-    gen.add_argument("--boundary", default="dirichlet",
-                     choices=("dirichlet", "periodic"))
     gen.add_argument("--amplitude", type=float, default=5.0)
     gen.add_argument("--out", type=Path, required=True)
     return parser
@@ -111,7 +109,7 @@ def _gen_potential(args: argparse.Namespace) -> int:
     if not (1 <= len(args.points) <= 3):
         raise ConfigError("--points takes 1 to 3 values")
     grid = GridSpec(d=len(args.points), points_per_axis=tuple(args.points),
-                    h=args.h, boundary=args.boundary)
+                    h=args.h)
     v = generate_potential(args.seed, grid, args.N, args.style,
                            amplitude=args.amplitude)
     save_potential(v, args.out)

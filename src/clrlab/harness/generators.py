@@ -112,8 +112,8 @@ def _psd_field_values(
     raw = np.einsum("xij,xkj->xik", g, g.conj()) / (2.0 * n)
     raw *= (amplitude * rng.uniform(0.3, 1.0, size=nsites))[:, None, None]
 
-    # One stencil averaging pass; missing neighbors (Dirichlet walls) just
-    # drop out of the convex combination, which keeps every site PSD.
+    # One stencil averaging pass; neighbors beyond the walls drop out of the
+    # convex combination, which keeps every site PSD.
     pts = grid.points_per_axis
     arr = raw.reshape(*pts, n, n)
     total = arr.copy()
@@ -123,11 +123,10 @@ def _psd_field_values(
         for step in (1, -1):
             shifted = np.roll(arr, step, axis=ax)
             mask = np.roll(ones, step, axis=ax)
-            if grid.boundary == "dirichlet":
-                edge = [slice(None)] * grid.d
-                edge[ax] = 0 if step == 1 else -1
-                shifted[tuple(edge)] = 0.0
-                mask[tuple(edge)] = 0.0
+            edge = [slice(None)] * grid.d
+            edge[ax] = 0 if step == 1 else -1
+            shifted[tuple(edge)] = 0.0
+            mask[tuple(edge)] = 0.0
             total += shifted
             count += mask
     smoothed = total / count[..., None, None]

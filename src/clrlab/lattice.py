@@ -1,9 +1,10 @@
 """Finite-difference realizations of -Delta - V with matrix potentials.
 
-Grids are 1-D to 3-D boxes with Dirichlet or periodic boundary; the
-Laplacian is the standard 2d+1-point stencil acting as the identity on
-the internal C^N fiber.  It and H = L - V are assembled in one pass as a
-canonical CSR matrix straight from the box stencil (_stencil_matrix), and
+Grids are 1-D to 3-D Dirichlet boxes; the Laplacian is the standard
+2d+1-point stencil acting as the identity on the internal C^N fiber, and
+its eigenbasis is the tensor product of per-axis DST-I bases.  It and
+H = L - V are assembled in one pass as a canonical CSR matrix straight
+from the box stencil (_stencil_matrix; L alone is H of a zero potential), and
 every operator's Hermiticity is checked by looking up each stored entry's
 transpose partner (_hermitian_defect).  On top of them sit the counting
 and comparison routines: negative-eigenvalue counts via symmetric-indefinite
@@ -79,23 +80,18 @@ def _usable_cpus() -> int:
 # ---------------------------------------------------------------------------
 # Grid and potential containers.
 
-_BOUNDARIES = ("dirichlet", "periodic")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular box grid in d = 1, 2, or 3 dimensions.
 
-    Dirichlet grids hold the m interior points of a box of side
+    The grid holds the m interior points of a Dirichlet box of side
     (m+1) h per axis (walls at distance h outside the first and last
-    site); periodic grids wrap m points around a circle of length m h.
-    The box's lower corner is the origin.
+    site).  The box's lower corner is the origin.
     """
 
     d: int
     points_per_axis: tuple[int, ...]
     h: float
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         d = int(self.d)
@@ -109,13 +105,9 @@ class GridSpec:
         h = float(self.h)
         if not h > 0.0:
             raise ValueError(f"grid spacing must be positive, got {h}")
-        boundary = str(self.boundary).lower()
-        if boundary not in _BOUNDARIES:
-            raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "points_per_axis", pts)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "boundary", boundary)
 
     @property
     def nsites(self) -> int:
@@ -123,18 +115,11 @@ class GridSpec:
 
     @property
     def extent(self) -> tuple[float, ...]:
-        if self.boundary == "dirichlet":
-            return tuple((m + 1) * self.h for m in self.points_per_axis)
-        return tuple(m * self.h for m in self.points_per_axis)
+        return tuple((m + 1) * self.h for m in self.points_per_axis)
 
     def site_coords(self) -> np.ndarray:
         """Coordinates of every site, shape (nsites, d), C-ordered."""
-        axes = []
-        for m in self.points_per_axis:
-            idx = np.arange(m, dtype=float)
-            if self.boundary == "dirichlet":
-                idx += 1.0
-            axes.append(idx * self.h)
+        axes = [(np.arange(m, dtype=float) + 1.0) * self.h for m in self.points_per_axis]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
 
@@ -155,7 +140,7 @@ class MatrixPotential:
         want = (self.grid.nsites, n, n)
         if vals.shape != want:
             raise ValueError(f"values must have shape {want}, got {vals.shape}")
-        require_hermitian_stack(vals, "a potential site")
+        require_hermitian_stack(vals, "potential site")
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "values", vals)
 
@@ -180,11 +165,11 @@ class MatrixPotential:
     def sqrt_sites(self) -> np.ndarray:
         """Sitewise PSD square root, shape (nsites, N, N).
 
-        Eigenvalues in [-1e-12 * scale, 0] are clipped to 0 (rounding
-        dust); anything more negative raises.
+        The site eigenvalues must pass the PSD rule (require_psd); those it
+        allows below 0 are rounding dust and are clipped to 0.
         """
         w, u = np.linalg.eigh(self.values)
-        require_psd_spectrum(w, "a potential site", rtol=1e-12)
+        require_psd_spectrum(w, "a potential site")
         root = np.sqrt(np.maximum(w, 0.0))
         return np.einsum("xij,xj,xkj->xik", u, root, u.conj())
 
@@ -312,29 +297,23 @@ def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> scipy.sparse.csr_matr
     """Canonical CSR of L kron I_N plus the block diagonal of blocks (nsites, N, N).
 
     Assembled in one pass from the 2d+1-point stencil.  Along each axis the
-    sites i and i+1 couple with -1/h^2 (periodic axes also wrap m-1 to 0;
-    with m = 2 the two couplings fall on one pair, -2/h^2), and every axis
-    adds 2/h^2 to the site diagonal (a periodic m = 1 axis adds 0, its
-    stencil cancelling on the one site).  Diagonal blocks are
-    diag * I_N + blocks, so the entries and the dropped exact zeros match
-    the sparse sum of the Kronecker-sum Laplacian and the block diagonal.
+    sites i and i+1 couple with -1/h^2, and every axis adds 2/h^2 to the
+    site diagonal.  Diagonal blocks are diag * I_N + blocks, so the entries
+    and the dropped exact zeros match the sparse sum of the Kronecker-sum
+    Laplacian and the block diagonal.
     """
     pts, h = grid.points_per_axis, grid.h
-    periodic = grid.boundary == "periodic"
     n = blocks.shape[1]
     dim = grid.nsites * n
     sites = np.arange(grid.nsites)
     diag = 0.0
     lo, hi, coupling = [], [], []
     for ax, m in enumerate(pts):
-        if not (periodic and m == 1):
-            diag += 2.0 / h**2
-        pairs = m if periodic and m >= 3 else m - 1  # i <-> i+1 (mod m)
+        diag += 2.0 / h**2
         line = sites.reshape(math.prod(pts[:ax]), m, -1)
-        lo.append(line[:, :pairs].ravel())
-        hi.append(line[:, np.arange(1, pairs + 1) % m].ravel())
-        value = (-2.0 if periodic and m == 2 else -1.0) / h**2
-        coupling.append(np.full(lo[-1].size, value))
+        lo.append(line[:, :-1].ravel())
+        hi.append(line[:, 1:].ravel())
+        coupling.append(np.full(lo[-1].size, -1.0 / h**2))
     lo, hi, coupling = (np.concatenate(a) for a in (lo, hi, coupling))
 
     idx = np.arange(dim).reshape(grid.nsites, n)  # row of (site x, component a)
@@ -352,69 +331,51 @@ def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> scipy.sparse.csr_matr
     return scipy.sparse.csr_matrix((data[order], cols[order], indptr), shape=(dim, dim))
 
 
-def build_laplacian(grid: GridSpec, fiber: int = 1) -> DiscreteOperator:
-    """Stencil Laplacian on the grid, identity on the C^fiber component.
-
-    Dirichlet boundary makes it positive definite with per-axis smallest
-    eigenvalue 4/h^2 sin^2(pi / (2(m+1))); periodic boundary has the
-    constant vector in its kernel.
-    """
-    fiber = int(fiber)
-    if fiber < 1:
-        raise ValueError(f"fiber dimension must be positive, got {fiber}")
-    return DiscreteOperator(_stencil_matrix(grid, np.zeros((grid.nsites, fiber, fiber))))
-
-
-def _axis_modes(m: int, h: float, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+def _axis_modes(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs (lam, U) of the 1-D stencil Laplacian on m sites.
 
     lam_j = (4/h^2) sin^2(theta_j / 2), with theta_j = pi j / (m+1) and the
-    DST-I basis U_ij = sqrt(2/(m+1)) sin(i theta_j) (Dirichlet), or
-    theta_k = 2 pi k / m and the Fourier basis U_jk = e^{i j theta_k} / sqrt(m)
-    (periodic).
+    real DST-I basis U_ij = sqrt(2/(m+1)) sin(i theta_j), i, j = 1..m.
     """
-    i = np.arange(m)
-    if boundary == "dirichlet":
-        theta = np.pi * (i + 1) / (m + 1)
-        u = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(i + 1, theta))
-    else:
-        theta = 2.0 * np.pi * i / m
-        u = np.exp(1j * np.outer(i, theta)) / math.sqrt(m)
+    i = np.arange(1, m + 1)
+    theta = np.pi * i / (m + 1)
+    u = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(i, theta))
     return 4.0 / h**2 * np.sin(theta / 2.0) ** 2, u
 
 
 def _unit_columns_in_modes(grid: GridSpec, cols: np.ndarray):
-    """(modes, lam, x): the axis modes, their summed eigenvalues, U^H e_c for c in cols.
+    """(modes, lam, x): the axis modes, their summed eigenvalues, U^T e_c for c in cols.
 
     L is the Kronecker sum of the per-axis stencils, with eigenvalues lam
     (the broadcast sum of the axis eigenvalues, shape points_per_axis) and
     eigenbasis U, the tensor product of the axis bases.  x holds the unit
-    columns cols transformed along every axis with U^H, shape
+    columns cols transformed along every axis with U^T, shape
     (*points_per_axis, len(cols)); it depends on the grid only.
     """
     pts = grid.points_per_axis
-    modes = [_axis_modes(m, grid.h, grid.boundary) for m in pts]
+    modes = [_axis_modes(m, grid.h) for m in pts]
     lam = sum(np.ix_(*(w for w, _ in modes)))  # broadcast Kronecker sum
     x = np.zeros((grid.nsites, len(cols)))
     x[cols, np.arange(len(cols))] = 1.0
     x = x.reshape(*pts, len(cols))
     for ax, (_, u) in enumerate(modes):
-        x = np.moveaxis(np.tensordot(u.conj().T, x, axes=(1, ax)), 0, ax)
+        # U^T, not U: U is symmetric in exact arithmetic but not bit for bit
+        x = np.moveaxis(np.tensordot(u.T, x, axes=(1, ax)), 0, ax)
     return modes, lam, x
 
 
 def _from_modes(modes, x: np.ndarray) -> np.ndarray:
-    """Transform x back along every axis with U; real part, shape (nsites, ncols)."""
+    """Transform x back along every axis with U; shape (nsites, ncols)."""
     for ax, (_, u) in enumerate(modes):
         x = np.moveaxis(np.tensordot(u, x, axes=(1, ax)), 0, ax)
-    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).real
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
 def _laplacian_function(grid: GridSpec, f, cols: np.ndarray) -> np.ndarray:
     """Columns cols of f(L), L the spatial (fiber-1) Laplacian; shape (nsites, len(cols)).
 
-    f(L) = U f(Lambda) U^H: transform the unit columns along every axis with
-    U^H, scale by f of the summed axis eigenvalues, transform back.  Costs
+    f(L) = U f(Lambda) U^T: transform the unit columns along every axis with
+    U^T, scale by f of the summed axis eigenvalues, transform back.  Costs
     O(nsites * sum(m) * len(cols)).
     """
     modes, lam, x = _unit_columns_in_modes(grid, cols)
@@ -590,18 +551,12 @@ def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
 def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
     """K = V^{1/2} L^{-1} V^{1/2} restricted to the support of V, a dense array.
 
-    Requires a Dirichlet grid (the periodic Laplacian is singular) and a
-    sitewise-PSD potential.  The Green's function G = L^{-1} comes from the
+    Requires a sitewise-PSD potential.  The Green's function G = L^{-1} comes from the
     per-axis eigenpairs on the support columns only, and
     K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab, of order
     |support| * N and real when V is.  K is PSD; its eigenvalues above 1
     count the negative eigenvalues of L - V exactly.
     """
-    if grid.boundary != "dirichlet":
-        raise ValueError(
-            "Birman-Schwinger needs an invertible Laplacian: use a Dirichlet "
-            "grid (the periodic Laplacian has the constant kernel vector)"
-        )
     if V.grid != grid:
         raise ValueError("potential was generated on a different grid")
     V.require_psd()
@@ -751,7 +706,7 @@ def semigroup_sandwich_trace(grid: GridSpec, V: MatrixPotential, alpha: float, t
 
 
 def resolvent_trace(grid: GridSpec, V: MatrixPotential, alpha: float) -> float:
-    """tr[V^{1/2} (L + alpha V)^{-1} V^{1/2}] on a Dirichlet grid.
+    """tr[V^{1/2} (L + alpha V)^{-1} V^{1/2}].
 
     Equals sum_k lambda_k / (1 + alpha lambda_k) over the spectrum of the
     Birman-Schwinger operator K, the resolvent identity that converts
@@ -761,8 +716,6 @@ def resolvent_trace(grid: GridSpec, V: MatrixPotential, alpha: float) -> float:
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if grid.boundary != "dirichlet":
-        raise ValueError("resolvent trace needs a Dirichlet (invertible) Laplacian")
     if V.grid != grid:
         raise ValueError("potential was generated on a different grid")
     V.require_psd()
@@ -823,7 +776,7 @@ def potential_to_json_dict(V: MatrixPotential) -> dict:
             "d": V.grid.d,
             "points": list(V.grid.points_per_axis),
             "h": V.grid.h,
-            "boundary": V.grid.boundary,
+            "boundary": "dirichlet",
         },
         "N": V.N,
         "sites": sites,
@@ -832,11 +785,12 @@ def potential_to_json_dict(V: MatrixPotential) -> dict:
 
 def potential_from_json_dict(data: dict) -> MatrixPotential:
     g = data["grid"]
+    if g["boundary"] != "dirichlet":
+        raise ValueError(f'grid boundary must be "dirichlet", got {g["boundary"]!r}')
     grid = GridSpec(
         d=int(g["d"]),
         points_per_axis=tuple(int(m) for m in g["points"]),
         h=float(g["h"]),
-        boundary=str(g["boundary"]),
     )
     n = int(data["N"])
     values = np.zeros((grid.nsites, n, n), dtype=complex)

@@ -6,13 +6,13 @@ through this module: the validation rules, eigendecompositions, scalar
 functional calculus f(A), and the trace form of Hoelder's inequality used
 by the convexity estimates.
 
-This module owns the two rules every check rests on: a matrix (or a stack
-of them) is Hermitian when max|A - A^H| <= HERMITICITY_RTOL (1 + max|A|)
-(``require_hermitian_stack``), and a Hermitian matrix is PSD when its
-least eigenvalue is >= -PSD_RTOL (1 + spectral radius)
-(``require_psd_spectrum``).  Matrices are plain complex numpy arrays
-throughout.  Validation always rejects non-Hermitian input rather than
-symmetrizing silently.
+This module owns the two rules every check rests on: a matrix is Hermitian
+when max|A - A^H| <= HERMITICITY_RTOL (1 + max|A|), each matrix of a stack
+judged against its own scale (``require_hermitian_stack``), and a
+Hermitian matrix is PSD when its least eigenvalue is
+>= -PSD_RTOL (1 + spectral radius) (``require_psd_spectrum``).  Matrices
+are plain complex numpy arrays throughout.  Validation always rejects
+non-Hermitian input rather than symmetrizing silently.
 
 A tuple of small matrices is the unit of work: ``eig_hermitian_tuple``
 checks each matrix by the Hermitian rule against its own scale and
@@ -44,12 +44,13 @@ HOLDER_SLACK = 1e-10
 _HERMITIAN_BLOCK_ROWS = 64
 
 
-def _defect_and_scale(a: np.ndarray) -> tuple[float, float]:
-    """(max|A - A^H|, 1 + max|A|) of a non-empty matrix or stack.
+def _defect_and_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max|A - A^H|, 1 + max|A|) of each matrix of a non-empty matrix or stack.
 
-    A single matrix of more than _HERMITIAN_BLOCK_ROWS rows is scanned in
-    row blocks, so no temporary is larger than one block; the maxima, and
-    so both values, are the same as the whole-array formula's.
+    Both arrays have shape a.shape[:-2].  A single matrix of more than
+    _HERMITIAN_BLOCK_ROWS rows is scanned in row blocks, so no temporary is
+    larger than one block; the maxima, and so both values, are the same as
+    the whole-matrix formula's.
     """
     if a.ndim == 2 and a.shape[0] > _HERMITIAN_BLOCK_ROWS:
         starts = range(0, a.shape[0], _HERMITIAN_BLOCK_ROWS)
@@ -58,23 +59,29 @@ def _defect_and_scale(a: np.ndarray) -> tuple[float, float]:
         defect = np.max([np.max(np.abs(row - col.conj())) for row, col in blocks])
         top = np.max([np.max(np.abs(row)) for row, _ in blocks])
     else:
-        defect = np.max(np.abs(a - a.swapaxes(-1, -2).conj()))
-        top = np.max(np.abs(a))
-    return float(defect), 1.0 + float(top)
+        defect = np.max(np.abs(a - a.swapaxes(-1, -2).conj()), axis=(-2, -1))
+        top = np.max(np.abs(a), axis=(-2, -1))
+    return np.asarray(defect), 1.0 + np.asarray(top)
 
 
 def require_hermitian_stack(a: np.ndarray, what: str) -> None:
     """Reject max|A - A^H| > HERMITICITY_RTOL (1 + max|A|), for a matrix or a stack.
 
-    The maxima run over the whole stack, so one scale serves every matrix.
+    Each matrix of a (count, n, n) stack is judged against its own scale
+    1 + max|A_i|; when count > 1 the error names the first offending matrix
+    by its position.
     """
     if a.size == 0:
         return
-    defect, scale = _defect_and_scale(a)
-    if defect > HERMITICITY_RTOL * scale:
+    defect, scale = (np.ravel(x) for x in _defect_and_scale(a))
+    bad = np.flatnonzero(defect > HERMITICITY_RTOL * scale)
+    if bad.size:
+        i = int(bad[0])
+        if defect.size > 1:
+            what = f"{what} {i} of {defect.size}"
         raise NonHermitianError(
-            f"{what} is not Hermitian: defect {defect:.3e} exceeds "
-            f"{HERMITICITY_RTOL:.1e} * (1 + max|entry|) = {HERMITICITY_RTOL * scale:.3e}"
+            f"{what} is not Hermitian: defect {defect[i]:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.1e} * (1 + max|entry|) = {HERMITICITY_RTOL * scale[i]:.3e}"
         )
 
 
@@ -82,9 +89,8 @@ def _require_hermitian_tuple(matrices) -> np.ndarray:
     """The matrices as one complex (count, n, n) stack, each checked alone.
 
     Every matrix must be square, non-empty and at most MAX_MATRIX_DIM wide,
-    and Hermitian by require_hermitian_stack's rule applied to it alone, so
-    each is judged against its own 1 + max|A_i|.  When there is more than
-    one matrix, an error names the offending one by its position.  Large
+    and Hermitian by require_hermitian_stack, which judges each against its
+    own 1 + max|A_i| and names the offending one by its position.  Large
     operators live in the lattice module and never pass through here.
     """
     try:
@@ -99,33 +105,15 @@ def _require_hermitian_tuple(matrices) -> np.ndarray:
         raise ValueError("need at least one matrix")
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise NonHermitianError(f"expected a square matrix, got shape {a.shape[1:]}")
-    count, n = a.shape[:2]
+    n = a.shape[1]
     if n == 0:
         raise NonHermitianError("empty matrix")
     if n > MAX_MATRIX_DIM:
         raise NonHermitianError(
             f"matrix dimension {n} exceeds the cap {MAX_MATRIX_DIM}"
         )
-    defect = np.max(np.abs(a - a.swapaxes(1, 2).conj()), axis=(1, 2))
-    scale = 1.0 + np.max(np.abs(a), axis=(1, 2))
-    bad = np.flatnonzero(defect > HERMITICITY_RTOL * scale)
-    if bad.size:
-        i = int(bad[0])
-        what = "matrix" if count == 1 else f"matrix {i} of {count}"
-        raise NonHermitianError(
-            f"{what} is not Hermitian: defect {defect[i]:.3e} exceeds "
-            f"{HERMITICITY_RTOL:.1e} * (1 + max|entry|) = {HERMITICITY_RTOL * scale[i]:.3e}"
-        )
+    require_hermitian_stack(a, "matrix")
     return a
-
-
-def require_hermitian(entries) -> np.ndarray:
-    """Return one matrix as a complex ndarray, rejecting non-Hermitian data.
-
-    The count-1 case of _require_hermitian_tuple: square, non-empty, at
-    most MAX_MATRIX_DIM wide and within require_hermitian_stack's rule.
-    """
-    return _require_hermitian_tuple([entries])[0]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from clrlab.lattice import (
     MatrixPotential,
     birman_schwinger,
     bs_bound,
-    build_laplacian,
     clr_rhs,
     count_negative,
     h_and_k_spectra,
@@ -44,8 +43,19 @@ from clrlab.transforms import classical_constant, corollary_constant, f_a_transf
 import scipy.sparse as sp
 
 
-def grid1d(m=8, h=0.5, boundary="dirichlet"):
-    return GridSpec(d=1, points_per_axis=(m,), h=h, boundary=boundary)
+def grid1d(m=8, h=0.5):
+    return GridSpec(d=1, points_per_axis=(m,), h=h)
+
+
+def laplacian(grid, fiber=1):
+    """The stencil Laplacian kron I_fiber: the Hamiltonian of a zero potential."""
+    zero = np.zeros((grid.nsites, fiber, fiber))
+    return hamiltonian(grid, MatrixPotential(grid=grid, N=fiber, values=zero))
+
+
+def dirichlet_ids(prefix, count):
+    """Parameter ids pts0-dirichlet, pts1-dirichlet, ...: the box boundary is named."""
+    return [f"{prefix}{i}-dirichlet" for i in range(count)]
 
 
 def dense_count(op):
@@ -69,17 +79,15 @@ def test_grid_validation():
         GridSpec(d=2, points_per_axis=(3,), h=0.5)
     with pytest.raises(ValueError):
         GridSpec(d=1, points_per_axis=(3,), h=0.0)
-    with pytest.raises(ValueError):
-        GridSpec(d=1, points_per_axis=(3,), h=0.5, boundary="neumann")
 
 
 def test_grid_extent_and_coords():
     g = GridSpec(d=1, points_per_axis=(3,), h=0.25)
     assert g.extent == (1.0,)
     assert np.allclose(g.site_coords().ravel(), [0.25, 0.5, 0.75])
-    gp = GridSpec(d=1, points_per_axis=(4,), h=0.25, boundary="periodic")
-    assert gp.extent == (1.0,)
-    assert np.allclose(gp.site_coords().ravel(), [0.0, 0.25, 0.5, 0.75])
+    g2 = GridSpec(d=2, points_per_axis=(3, 1), h=0.5)
+    assert g2.extent == (2.0, 1.0)
+    assert np.array_equal(g2.site_coords(), [[0.5, 0.5], [1.0, 0.5], [1.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -87,75 +95,61 @@ def test_grid_extent_and_coords():
 
 def test_laplacian_1d_three_point_spectrum():
     g = GridSpec(d=1, points_per_axis=(3,), h=1.0)
-    w = np.linalg.eigvalsh(build_laplacian(g).toarray())
+    w = np.linalg.eigvalsh(laplacian(g).toarray())
     want = np.array([2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
     assert np.allclose(w, want, atol=1e-12)
 
 
-def test_laplacian_periodic_constant_kernel():
-    g = GridSpec(d=1, points_per_axis=(6,), h=0.3, boundary="periodic")
-    lap = build_laplacian(g).toarray()
-    assert np.max(np.abs(lap @ np.ones(6))) < 1e-12
-    assert np.linalg.eigvalsh(lap)[0] > -1e-12
-
-
 def test_laplacian_2d_tensor_sum_spectrum():
     g2 = GridSpec(d=2, points_per_axis=(4, 4), h=0.5)
-    w2 = np.linalg.eigvalsh(build_laplacian(g2).toarray())
+    w2 = np.linalg.eigvalsh(laplacian(g2).toarray())
     g1 = GridSpec(d=1, points_per_axis=(4,), h=0.5)
-    w1 = np.linalg.eigvalsh(build_laplacian(g1).toarray())
+    w1 = np.linalg.eigvalsh(laplacian(g1).toarray())
     want = np.sort((w1[:, None] + w1[None, :]).ravel())
     assert np.allclose(w2, want, atol=1e-10)
 
 
 def test_laplacian_fiber_kron():
     g = grid1d(5)
-    base = build_laplacian(g, fiber=1).toarray()
-    lifted = build_laplacian(g, fiber=3).toarray()
+    base = laplacian(g, fiber=1).toarray()
+    lifted = laplacian(g, fiber=3).toarray()
     assert np.allclose(lifted, np.kron(base, np.eye(3)), atol=1e-14)
 
 
 def test_laplacian_dirichlet_floor():
     for m, h in ((5, 1.0), (9, 0.5), (12, 0.25)):
         g = grid1d(m, h)
-        w = np.linalg.eigvalsh(build_laplacian(g).toarray())
+        w = np.linalg.eigvalsh(laplacian(g).toarray())
         floor = 4.0 / h**2 * math.sin(math.pi / (2.0 * (m + 1))) ** 2
         assert abs(w[0] - floor) < 1e-10 * max(1.0, floor)
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("m", [1, 2, 3, 8])
-def test_laplacian_1d_matches_shift_formula(m, boundary):
+@pytest.mark.parametrize("m", [1, 2, 3, 8], ids=lambda m: f"{m}-dirichlet")
+def test_laplacian_1d_matches_shift_formula(m):
     h = 0.5
     shift = np.eye(m, k=1)
-    if boundary == "periodic":
-        shift[m - 1, 0] += 1.0
     want = (2.0 * np.eye(m) - shift - shift.T) / h**2
-    got = build_laplacian(grid1d(m, h, boundary)).toarray()
+    got = laplacian(grid1d(m, h)).toarray()
     assert np.array_equal(got, want)
-    if boundary == "periodic" and m == 1:
-        assert not np.any(got)
-    if boundary == "periodic" and m == 2:
-        assert got[0, 1] == got[1, 0] == -2.0 / h**2
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("m", [1, 2, 3, 8])
-def test_axis_modes_diagonalize_1d_stencil(m, boundary):
+@pytest.mark.parametrize("m", [1, 2, 3, 8], ids=lambda m: f"{m}-dirichlet")
+def test_axis_modes_diagonalize_1d_stencil(m):
     h = 0.3
-    lam, u = _axis_modes(m, h, boundary)
-    assert np.allclose(u.conj().T @ u, np.eye(m), atol=1e-14)
-    want = build_laplacian(grid1d(m, h, boundary)).toarray()
-    assert np.allclose((u * lam) @ u.conj().T, want, atol=1e-12 / h**2)
+    lam, u = _axis_modes(m, h)
+    assert u.dtype == lam.dtype == np.float64  # DST-I: real modes
+    assert np.allclose(u.T @ u, np.eye(m), atol=1e-14)
+    want = laplacian(grid1d(m, h)).toarray()
+    assert np.allclose((u * lam) @ u.T, want, atol=1e-12 / h**2)
 
 
 # ---------------------------------------------------------------------------
 # counting
 
 def test_count_negative_free_laplacian():
-    for boundary in ("dirichlet", "periodic"):
-        g = GridSpec(d=1, points_per_axis=(7,), h=0.4, boundary=boundary)
-        assert count_negative(build_laplacian(g)) == 0
+    for pts in ((7,), (5, 4), (3, 3, 3)):
+        g = GridSpec(d=len(pts), points_per_axis=pts, h=0.4)
+        assert count_negative(laplacian(g)) == 0
 
 
 def test_count_negative_explicit_diagonal():
@@ -246,16 +240,6 @@ def test_structured_count_matches_dense_2d_unequal_axes(pts, N):
     assert _assert_structured_matches_dense(hamiltonian(g, v)) > 0
 
 
-@pytest.mark.parametrize("pts", [(6, 6, 6), (20, 11)])
-def test_structured_count_periodic_runs_as_one_slab(pts):
-    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.3, boundary="periodic")
-    v = generate_potential((31, *pts), g, 1, "random-psd-field", 60.0)
-    ham = hamiltonian(g, v)
-    assert g.nsites > 128
-    assert list(_slab_bounds(ham.matrix)) == [0, g.nsites]  # wrap-around band
-    assert _assert_structured_matches_dense(ham) > 0
-
-
 def _banded_op(n, band, dtype):
     rng = np.random.default_rng(band)
     a = rng.standard_normal((n, n))
@@ -287,11 +271,11 @@ def test_structured_count_orders_zero_and_one():
 
 def test_slab_bounds_follow_the_bandwidth():
     g = GridSpec(d=3, points_per_axis=(15, 15, 15), h=0.1)
-    bounds = _slab_bounds(build_laplacian(g).matrix)
+    bounds = _slab_bounds(laplacian(g).matrix)
     assert np.all(np.diff(bounds) == 225)  # one axis-0 slab each
-    lifted = _slab_bounds(build_laplacian(g, fiber=2).matrix)
+    lifted = _slab_bounds(laplacian(g, fiber=2).matrix)
     assert np.all(np.diff(lifted) == 450)
-    assert list(_slab_bounds(build_laplacian(grid1d(100)).matrix)) == [0, 100]
+    assert list(_slab_bounds(laplacian(grid1d(100)).matrix)) == [0, 100]
 
 
 def test_structured_count_never_densifies(monkeypatch):
@@ -378,7 +362,7 @@ def _plane_invariant_hamiltonian(m, N, seed, amplitude):
     vp = generate_potential(seed, plane, N, "random-psd-field", amplitude)
     g = GridSpec(d=3, points_per_axis=(m, m, m), h=h)
     ham = hamiltonian(g, MatrixPotential(grid=g, N=N, values=np.tile(vp.values, (m, 1, 1))))
-    mu = np.linalg.eigvalsh(build_laplacian(grid1d(m, h)).toarray())
+    mu = np.linalg.eigvalsh(laplacian(grid1d(m, h)).toarray())
     nu = np.linalg.eigvalsh(hamiltonian(plane, vp).toarray())
     want = int(np.sum(np.add.outer(mu, nu) < -ZERO_BAND_RTOL * ham.scale()))
     return ham, want
@@ -608,7 +592,7 @@ def test_birman_schwinger_single_site_oracle():
     diag[3] = 2.5
     k = birman_schwinger(g, scalar_potential(g, diag))
     assert k.shape == (1, 1)
-    linv = np.linalg.inv(build_laplacian(g).toarray())
+    linv = np.linalg.inv(laplacian(g).toarray())
     assert abs(k[0, 0].real - 2.5 * linv[3, 3]) < 1e-12
 
 
@@ -634,7 +618,7 @@ def _dense_bs_oracle(grid, v):
     w = np.zeros((v.dim, support.size * n), dtype=complex)
     for col, site in enumerate(support):
         w[site * n:(site + 1) * n, col * n:(col + 1) * n] = roots[site]
-    lap = build_laplacian(grid, fiber=n).toarray()
+    lap = laplacian(grid, fiber=n).toarray()
     return w.conj().T @ np.linalg.solve(lap, w)
 
 
@@ -707,12 +691,6 @@ def test_birman_schwinger_makes_no_second_dense_array():
         tracemalloc.stop()
     # K itself plus order-nsites^2 workspace; an n x n temporary would double it
     assert peak < 1.5 * k.nbytes
-
-
-def test_birman_schwinger_requires_dirichlet():
-    g = GridSpec(d=1, points_per_axis=(6,), h=0.5, boundary="periodic")
-    with pytest.raises(ValueError, match="Dirichlet"):
-        birman_schwinger(g, scalar_potential(g, np.ones(6)))
 
 
 def test_birman_schwinger_requires_psd():
@@ -864,15 +842,14 @@ def test_trotter_small_time_recovers_potential_trace():
     assert abs(got - want) < 1e-6 * (1.0 + abs(want))
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("pts", [(7,), (4, 5), (3, 3, 3)])
+@pytest.mark.parametrize("pts", [(7,), (4, 5), (3, 3, 3)], ids=dirichlet_ids("pts", 3))
 @pytest.mark.parametrize("N", [1, 2])
-def test_trotter_trace_matches_expm_oracle(pts, N, boundary):
-    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.6, boundary=boundary)
+def test_trotter_trace_matches_expm_oracle(pts, N):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.6)
     v = generate_potential((31, N, g.nsites), g, N, "random-psd-field", 2.0)
     alpha, t, n = 1.3, 0.9, 3
     s = t / n
-    heat = scipy.linalg.expm(-s * build_laplacian(g, fiber=N).toarray())
+    heat = scipy.linalg.expm(-s * laplacian(g, fiber=N).toarray())
     pot = scipy.linalg.block_diag(*[scipy.linalg.expm(-s * alpha * b) for b in v.values])
     power = np.linalg.matrix_power(heat @ pot, n)
     want = float(np.trace(v.block() @ power).real)
@@ -880,10 +857,10 @@ def test_trotter_trace_matches_expm_oracle(pts, N, boundary):
     assert abs(got - want) < 1e-12 * (1.0 + abs(want))
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("pts", [(1,), (2,), (5,), (2, 3), (1, 2, 2), (3, 3, 3)])
-def test_trotter_sandwich_matches_per_call_formula_bit_for_bit(pts, boundary):
-    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.6, boundary=boundary)
+@pytest.mark.parametrize("pts", [(1,), (2,), (5,), (2, 3), (1, 2, 2), (3, 3, 3)],
+                         ids=dirichlet_ids("pts", 6))
+def test_trotter_sandwich_matches_per_call_formula_bit_for_bit(pts):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.6)
     for N in (1, 2, 3):
         v = generate_potential((41, N, g.nsites), g, N, "random-psd-field", 2.0)
         trace = trotter_sandwich(v, 1.3)
@@ -1041,6 +1018,19 @@ def test_matrix_potential_validation():
         MatrixPotential(grid=g, N=17, values=np.zeros((3, 17, 17)))
 
 
+def test_matrix_potential_judges_each_site_by_its_own_scale():
+    # site 1's defect 1e-8 breaks its own tolerance (about 3e-12) but not
+    # the 1e6 site's (about 1e-6), which a scale shared by the stack would use
+    g = grid1d(3)
+    vals = np.zeros((3, 2, 2), dtype=complex)
+    vals[0] = 1e6 * np.eye(2)
+    vals[1] = [[1.0, 0.5], [0.5 + 1e-8, 2.0]]
+    with pytest.raises(NonHermitianError, match="potential site 1 of 3 is not Hermitian"):
+        MatrixPotential(grid=g, N=2, values=vals)
+    vals[1, 1, 0] = 0.5
+    MatrixPotential(grid=g, N=2, values=vals)
+
+
 def test_hamiltonian_real_for_real_potentials():
     g = grid1d(9, 0.5)
     v1 = generate_potential(5, g, 1, "random-psd-field", 3.0)
@@ -1052,11 +1042,11 @@ def test_hamiltonian_real_for_real_potentials():
     assert hamiltonian(g, v2).matrix.dtype == np.complex128
 
 
-def _kron_stencil_1d(m, h, boundary):
-    # (2 I - S - S^T) / h^2 with S the (cyclic) forward shift i -> i + 1
+def _kron_stencil_1d(m, h):
+    # (2 I - S - S^T) / h^2 with S the forward shift i -> i + 1
     i = np.arange(m)
-    src = i if boundary == "periodic" else i[:-1]
-    dst = (src + 1) % m
+    src = i[:-1]
+    dst = src + 1
     vals = np.concatenate([np.full(m, 2.0), np.full(2 * src.size, -1.0)]) / h**2
     rows = np.concatenate([i, src, dst])
     cols = np.concatenate([i, dst, src])
@@ -1069,7 +1059,7 @@ def kron_sum_hamiltonian(grid, V, sign):
     lap = None
     for ax, m in enumerate(pts):
         term = sp.kron(sp.kron(sp.eye(math.prod(pts[:ax])),
-                               _kron_stencil_1d(m, grid.h, grid.boundary)),
+                               _kron_stencil_1d(m, grid.h)),
                        sp.eye(math.prod(pts[ax + 1:]))).tocsr()
         lap = term if lap is None else lap + term
     vals = V.values if np.any(V.values.imag) else V.values.real
@@ -1077,10 +1067,10 @@ def kron_sum_hamiltonian(grid, V, sign):
     return lifted, (lifted + sign * sp.block_diag(list(vals), format="csr")).tocsr()
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("pts", [(1,), (2,), (3,), (8,), (1, 2), (2, 1, 3), (4, 5, 2)])
-def test_stencil_assembly_matches_kron_sum_bit_for_bit(pts, boundary):
-    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.37, boundary=boundary)
+@pytest.mark.parametrize("pts", [(1,), (2,), (3,), (8,), (1, 2), (2, 1, 3), (4, 5, 2)],
+                         ids=dirichlet_ids("pts", 7))
+def test_stencil_assembly_matches_kron_sum_bit_for_bit(pts):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.37)
     for nf in (1, 2, 3):
         for style in POTENTIAL_STYLES:
             v = generate_potential(6, g, nf, style, 3.0)
@@ -1092,7 +1082,7 @@ def test_stencil_assembly_matches_kron_sum_bit_for_bit(pts, boundary):
                 assert np.array_equal(got.matrix.indices, want.indices)
                 assert got.matrix.data.tobytes() == want.data.tobytes()
                 assert got.scale() == float(np.max(np.abs(want).sum(axis=1)))
-        bare = build_laplacian(g, fiber=nf)
+        bare = laplacian(g, fiber=nf)
         assert np.all(bare.matrix.data != 0)
         assert np.array_equal(bare.toarray(), lap.toarray())
         assert bare.scale() == float(np.max(np.abs(lap).sum(axis=1)))
@@ -1181,6 +1171,26 @@ def test_matrix_potential_moment_and_sqrt():
         v.require_psd()
 
 
+def test_sqrt_sites_and_birman_schwinger_accept_what_require_psd_accepts():
+    # a site eigenvalue of -5e-11 passes the PSD rule (-1e-10 * (1 + 2)) and
+    # is clipped to 0 as rounding dust by the square root
+    g = grid1d(3)
+    vals = np.zeros((3, 1, 1), dtype=complex)
+    vals[:, 0, 0] = [2.0, -5e-11, 1.0]
+    v = MatrixPotential(grid=g, N=1, values=vals)
+    v.require_psd()
+    roots = v.sqrt_sites()
+    assert np.array_equal(roots[:, 0, 0], np.sqrt([2.0, 0.0, 1.0]))
+    k = birman_schwinger(g, v)
+    assert k.shape == (3, 3)
+    below = vals.copy()
+    below[1] = -4e-10  # beyond the rule: rejected by all three
+    w = MatrixPotential(grid=g, N=1, values=below)
+    for check in (w.require_psd, w.sqrt_sites, lambda: birman_schwinger(g, w)):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            check()
+
+
 def test_potential_json_roundtrip():
     g = GridSpec(d=2, points_per_axis=(3, 2), h=0.4)
     v = generate_potential(31, g, 2, "gaussian-bumps", 2.0)
@@ -1201,6 +1211,16 @@ def test_potential_json_omitted_sites_are_zero():
     }
     v = potential_from_json_dict(data)
     assert np.allclose(v.values[:, 0, 0], [0.0, 0.0, 3.0, 0.0])
+
+
+def test_potential_json_rejects_other_boundaries():
+    data = {
+        "grid": {"d": 1, "points": [4], "h": 0.5, "boundary": "periodic"},
+        "N": 1,
+        "sites": [{"index": [2], "matrix": [[3.0, 0.0]]}],
+    }
+    with pytest.raises(ValueError, match="dirichlet"):
+        potential_from_json_dict(data)
 
 
 def test_potential_json_save_load(tmp_path):
@@ -1231,7 +1251,7 @@ def _loop_json_oracle(V):
         sites.append({"index": [int(i) for i in index], "matrix": entries})
     return {
         "grid": {"d": V.grid.d, "points": list(V.grid.points_per_axis),
-                 "h": V.grid.h, "boundary": V.grid.boundary},
+                 "h": V.grid.h, "boundary": "dirichlet"},
         "N": V.N,
         "sites": sites,
     }
@@ -1278,7 +1298,7 @@ def test_dense_budget_env_override(monkeypatch):
     # dense spectrum (riesz_mean's) with the full order; CLRLAB_DENSE_BUDGET
     # moves the cap
     big = GridSpec(d=3, points_per_axis=(17, 17, 17), h=0.1)
-    assert build_laplacian(big).dim == 4913
+    assert laplacian(big).dim == 4913
     values = 300.0 * np.exp(-np.sum((big.site_coords() - 0.9) ** 2, axis=1) / 0.1)
     h_big = hamiltonian(big, scalar_potential(big, values))
     assert h_big.dim == 4913

@@ -17,7 +17,6 @@ from clrlab.matcore import (
     eig_hermitian,
     eig_hermitian_tuple,
     holder_trace_product,
-    require_hermitian,
     require_hermitian_stack,
 )
 
@@ -40,19 +39,25 @@ def projector(dec, k):
 def test_hermitian_matrix_rejects_non_hermitian():
     bad = np.array([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(NonHermitianError):
-        require_hermitian(bad)
+        require_hermitian_stack(bad, "matrix")
+    with pytest.raises(NonHermitianError):
+        eig_hermitian(bad)
     # explicit symmetrization is left to the caller
-    fixed = require_hermitian(0.5 * (bad + bad.T))
-    assert np.allclose(fixed, fixed.conj().T)
+    fixed = 0.5 * (bad + bad.T)
+    require_hermitian_stack(fixed, "matrix")
+    assert np.array_equal(eig_hermitian(fixed).eigenvalues, np.linalg.eigvalsh(fixed))
 
 
 def test_hermitian_matrix_tolerance_scales_with_entries():
     a = np.array([[1e8, 1.0], [1.0 + 1e-5, 2e8]])
     # defect 1e-5 vs tolerance 1e-12*(1+2e8) ~ 2e-4: accepted
-    require_hermitian(a)
+    require_hermitian_stack(a, "matrix")
+    eig_hermitian(a)
     b = np.array([[1.0, 1.0], [1.0 + 1e-5, 2.0]])
     with pytest.raises(NonHermitianError):
-        require_hermitian(b)
+        require_hermitian_stack(b, "matrix")
+    with pytest.raises(NonHermitianError):
+        eig_hermitian(b)
 
 
 def test_eig_identity():
@@ -140,7 +145,8 @@ def test_tuple_check_judges_each_matrix_by_its_own_scale():
     small = random_hermitian(rng, 3)
     small[0, 1] += 1e-9
     ms = [big, small, random_hermitian(rng, 3)]
-    require_hermitian_stack(np.array(ms), "stack")
+    with pytest.raises(NonHermitianError, match="stack 1 of 3 is not Hermitian"):
+        require_hermitian_stack(np.array(ms), "stack")
     with pytest.raises(NonHermitianError, match="matrix 1 of 3 is not Hermitian"):
         eig_hermitian_tuple(ms)
     with pytest.raises(NonHermitianError, match="^matrix is not Hermitian"):
@@ -289,12 +295,12 @@ def test_defect_and_scale_match_the_whole_array_formula(shape):
     rng = np.random.default_rng(sum(shape))
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a = 0.5 * (a + a.swapaxes(-1, -2).conj()) + 1e-9 * rng.standard_normal(shape)
-    want = (float(np.max(np.abs(a - a.swapaxes(-1, -2).conj()))),
-            1.0 + float(np.max(np.abs(a))))
-    assert _defect_and_scale(a) == want
-    assert _defect_and_scale(a.real) == (
-        float(np.max(np.abs(a.real - a.real.swapaxes(-1, -2)))),
-        1.0 + float(np.max(np.abs(a.real))))
+    for b in (a, a.real):
+        # one (defect, scale) pair per matrix, from the formula on each whole matrix
+        defect, scale = _defect_and_scale(b)
+        assert defect.shape == scale.shape == shape[:-2]
+        assert np.array_equal(defect, np.max(np.abs(b - b.swapaxes(-1, -2).conj()), axis=(-2, -1)))
+        assert np.array_equal(scale, 1.0 + np.max(np.abs(b), axis=(-2, -1)))
 
 
 def test_blocked_hermiticity_rule_boundary():
