@@ -5,7 +5,8 @@ runs one experiment and exits 0 when every hard gate passed, 1 when a hard
 gate failed, and 2 on configuration or usage errors.  ``clrlab constants
 --dmax D`` additionally prints the constant table as CSV on stdout, and
 ``clrlab potential gen`` writes a potential JSON file without running any
-experiment.
+experiment; a flag out of its range (``--points 0``, ``--h -1``, ``--N 0``,
+a negative or infinite ``--amplitude``) is a usage error and exits 2.
 """
 
 from __future__ import annotations
@@ -108,10 +109,13 @@ def _run(args: argparse.Namespace) -> int:
 def _gen_potential(args: argparse.Namespace) -> int:
     if not (1 <= len(args.points) <= 3):
         raise ConfigError("--points takes 1 to 3 values")
-    grid = GridSpec(d=len(args.points), points_per_axis=tuple(args.points),
-                    h=args.h)
-    v = generate_potential(args.seed, grid, args.N, args.style,
-                           amplitude=args.amplitude)
+    try:
+        grid = GridSpec(d=len(args.points), points_per_axis=tuple(args.points),
+                        h=args.h)
+        v = generate_potential(args.seed, grid, args.N, args.style,
+                               amplitude=args.amplitude)
+    except ValueError as exc:  # a flag out of its range is a usage error
+        raise ConfigError(str(exc)) from exc
     save_potential(v, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

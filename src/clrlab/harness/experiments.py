@@ -404,6 +404,11 @@ def _bs_instance(cfg: ExperimentConfig, trial: int):
     raise ClrlabError(f"could not draw a non-degenerate instance for trial {trial}")
 
 
+# The f_a parameters of the bs-bound records, and the same as a column.
+BS_A_VALUES = (0.7, 1.13, 2.0)
+_BS_A_COLUMN = np.array(BS_A_VALUES)[:, np.newaxis]
+
+
 def _run_bs(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
     records = []
     for i in range(cfg.trials):
@@ -418,8 +423,9 @@ def _run_bs(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
             "dim": v.dim, "count": count_inertia, "count_dense": count_dense,
             "k_count": k_above_one, "margin": 0.0 if match else -1.0,
         })
-        for a in (0.7, 1.13, 2.0):
-            bound = bs_bound(lambda lam: f_a_transform(a, lam), lam_k)
+        # one F_a evaluation gives every a's bound: a row per a
+        bounds = bs_bound(lambda lam: f_a_transform(_BS_A_COLUMN, lam), lam_k)
+        for a, bound in zip(BS_A_VALUES, bounds.tolist()):
             records.append({
                 "kind": "bs-bound", "gate": "hard", "trial": i, "seed": s,
                 "dim": v.dim, "a": a, "bound": bound, "count": count_inertia,

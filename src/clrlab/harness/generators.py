@@ -149,13 +149,15 @@ def generate_potential(
     averaging pass.
     scalar-embed: a scalar (N=1) bump field times the identity, so counts
     are exactly N times the scalar counts.
+    The amplitude must be finite and >= 0; an infinite one would give NaN
+    sites.
     """
     n = int(N)
     if n < 1 or n > MAX_MATRIX_DIM:
         raise ValueError(f"N must be in [1, {MAX_MATRIX_DIM}], got {n}")
     amplitude = float(amplitude)
-    if not amplitude >= 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
+    if not 0.0 <= amplitude < np.inf:
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     if style not in POTENTIAL_STYLES:
         raise ValueError(f"style must be one of {POTENTIAL_STYLES}, got {style!r}")
 

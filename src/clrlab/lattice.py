@@ -12,7 +12,9 @@ inertia of the block-tridiagonal Schur complements (the one counting path:
 each slab is factored once, the next Schur block comes from the inverse of
 those factors, the dense H is never formed, and a singular Schur block
 raises instead of falling back to a dense count), the Birman-Schwinger operator
-K = V^{1/2} L^{-1} V^{1/2} with its spectrum and counting bound, the dense
+K = V^{1/2} L^{-1} V^{1/2} with its spectrum and counting bound (one call of
+F gives F(1) and every F(lambda_k), and a family of F, one row each, gives
+one bound per row), the dense
 spectra of H and K taken side by side (h_and_k_spectra), heat-semigroup and
 Trotter-product traces, the resolvent trace, and Riemann-sum right-hand
 sides of the counting and Riesz-mean bounds.
@@ -165,8 +167,9 @@ class MatrixPotential:
     def sqrt_sites(self) -> np.ndarray:
         """Sitewise PSD square root, shape (nsites, N, N).
 
-        The site eigenvalues must pass the PSD rule (require_psd); those it
-        allows below 0 are rounding dust and are clipped to 0.
+        The site eigenvalues come from the same eigh as the eigenvectors and
+        must pass the PSD rule (require_psd_spectrum); those it allows below
+        0 are rounding dust and are clipped to 0.
         """
         w, u = np.linalg.eigh(self.values)
         require_psd_spectrum(w, "a potential site")
@@ -224,7 +227,11 @@ def _hermitian_defect(m: scipy.sparse.csr_matrix) -> float:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse Hermitian operator held as a CSR matrix."""
+    """Sparse Hermitian operator held as a CSR matrix.
+
+    Its stored entries must be finite and pass the Hermitian rule; the
+    infinity norm (scale) is summed from the same stored magnitudes.
+    """
 
     matrix: scipy.sparse.spmatrix
     _scale: float = field(init=False, repr=False, compare=False)
@@ -238,12 +245,18 @@ class DiscreteOperator:
             m = m.real  # real LAPACK paths are several times faster
         if m.shape[0] != m.shape[1]:
             raise NonHermitianError(f"operator must be square, got {m.shape}")
+        mags = np.abs(m.data)
+        scale = 1.0 + (float(np.max(mags)) if m.nnz else 0.0)
+        if not math.isfinite(scale):
+            raise NonHermitianError("operator has a non-finite entry")
         worst = _hermitian_defect(m)
-        scale = 1.0 + (float(np.max(np.abs(m.data))) if m.nnz else 0.0)
         if worst > HERMITICITY_RTOL * scale:
             raise NonHermitianError(f"operator is not Hermitian: defect {worst:.3e}")
         object.__setattr__(self, "matrix", m)
-        norm = 0.0 if m.nnz == 0 else float(np.max(np.abs(m).sum(axis=1)))
+        # max row sum of |entries|: scipy's np.abs(m).sum(axis=1) is this same
+        # reduceat over the non-empty rows, so the value is the same bit for bit
+        filled = np.flatnonzero(np.diff(m.indptr))
+        norm = float(np.max(np.add.reduceat(mags, m.indptr[filled]))) if m.nnz else 0.0
         object.__setattr__(self, "_scale", norm)
 
     @property
@@ -551,21 +564,22 @@ def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
 def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
     """K = V^{1/2} L^{-1} V^{1/2} restricted to the support of V, a dense array.
 
-    Requires a sitewise-PSD potential.  The Green's function G = L^{-1} comes from the
-    per-axis eigenpairs on the support columns only, and
-    K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab, of order
+    Requires a sitewise-PSD potential, checked on the one site spectrum
+    that the square roots come from (sqrt_sites).  The Green's function
+    G = L^{-1} comes from the per-axis eigenpairs on the support columns
+    only, and K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab, of order
     |support| * N and real when V is.  K is PSD; its eigenvalues above 1
     count the negative eigenvalues of L - V exactly.
     """
     if V.grid != grid:
         raise ValueError("potential was generated on a different grid")
-    V.require_psd()
+    roots = V.sqrt_sites()
     _check_dense(V.dim, "Birman-Schwinger assembly")
 
     support = V.support()
     n = support.size * V.N
     green = _laplacian_function(grid, np.reciprocal, support)[support]
-    roots = V.sqrt_sites()[support]
+    roots = roots[support]
     if not np.any(V.values.imag):
         roots = roots.real  # real LAPACK paths are several times faster
     # one GEMM: k[(x,a),(y,c)] = (V(x)^{1/2} V(y)^{1/2})_ac, then scaled by G(x,y)
@@ -624,25 +638,36 @@ def h_and_k_spectra(H: DiscreteOperator, K: np.ndarray) -> tuple[np.ndarray, np.
     return _dense_spectrum(H, "Hamiltonian spectrum"), _k_values(K)
 
 
-def bs_bound(F, lam: np.ndarray) -> float:
+def bs_bound(F, lam: np.ndarray):
     """Counting bound F(1)^{-1} sum_k F(lambda_k) over the spectrum lam of K.
 
-    lam is the 1-D array k_spectrum(K), and F is evaluated once on all of
-    it.  For F non-negative, non-decreasing on [0, inf) with F(1) > 0 this
+    lam is the 1-D array k_spectrum(K).  F is called once, on lam with 1.0
+    appended, so F(1) and every F(lambda_k) come from one evaluation.  For F
+    non-negative, non-decreasing on [0, inf) with F(1) > 0 the bound
     dominates the number of eigenvalues of K at or above 1, hence the
     number of negative eigenvalues of L - V.
+
+    F may return one row per member of a family (f_a_transform with a
+    column of a values, say), shape (r, lam.size + 1); the bound is then an
+    array of r bounds, and F(1) > 0 and finite, non-negative values are
+    required of each row.  A 1-D return is the one-row case and gives a
+    float.
     """
     lam = np.asarray(lam)
     if lam.ndim != 1:
         raise ValueError(f"lam must be the 1-D spectrum of K, got shape {lam.shape}")
-    f1 = float(F(1.0))
-    if not f1 > 0.0:
-        raise ValueError(f"F(1) must be positive, got {f1}")
-    vals = np.asarray(F(lam), dtype=float)
-    if (vals.shape != lam.shape or not np.all(np.isfinite(vals))
-            or np.any(vals < -1e-12 * (1.0 + np.max(np.abs(vals), initial=0.0)))):
+    vals = np.asarray(F(np.append(lam, 1.0)), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != lam.size + 1:
+        raise ValueError(f"F must return one value per eigenvalue and F(1), got shape "
+                         f"{vals.shape} for {lam.size} eigenvalues")
+    f1, vals = vals[..., -1], vals[..., :-1]
+    if not (f1 > 0.0).all():
+        raise ValueError(f"F(1) must be positive, got {f1[~(f1 > 0.0)][0]}")
+    floor = -1e-12 * (1.0 + np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0))
+    if not (np.isfinite(vals).all() and (vals >= floor).all()):
         raise ValueError("F must be finite and non-negative on the spectrum of K")
-    return float(np.sum(np.maximum(vals, 0.0)) / f1)
+    bound = np.sum(np.maximum(vals, 0.0), axis=-1) / f1
+    return float(bound) if bound.ndim == 0 else bound
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +684,18 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     Everything that does not depend on t or n is done here, once: the
     checks (alpha > 0, V sitewise PSD, the dense budget), the axis modes
     with the unit columns transformed into them, and the eigenpairs of
-    every site block.  The returned trace(t, n) does the rest, so one
-    sandwich serves a whole t-quadrature.
+    every site block, one eigh whose eigenvalues the PSD rule checks.  The
+    returned trace(t, n) does the rest, so one sandwich serves a whole
+    t-quadrature.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    V.require_psd()
+    w, u = np.linalg.eigh(V.values)
+    require_psd_spectrum(w, "a potential site")
     _check_dense(V.dim, "Trotter product")
     grid = V.grid
     modes, lam, unit = _unit_columns_in_modes(grid, np.arange(grid.nsites))
-    w, u = np.linalg.eigh(V.values)
 
     def trace(t: float, n: int) -> float:
         t = float(t)

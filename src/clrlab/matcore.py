@@ -7,8 +7,8 @@ functional calculus f(A), and the trace form of Hoelder's inequality used
 by the convexity estimates.
 
 This module owns the two rules every check rests on: a matrix is Hermitian
-when max|A - A^H| <= HERMITICITY_RTOL (1 + max|A|), each matrix of a stack
-judged against its own scale (``require_hermitian_stack``), and a
+when max|A| is finite and max|A - A^H| <= HERMITICITY_RTOL (1 + max|A|), each
+matrix of a stack judged against its own scale (``require_hermitian_stack``), and a
 Hermitian matrix is PSD when its least eigenvalue is
 >= -PSD_RTOL (1 + spectral radius) (``require_psd_spectrum``).  Matrices
 are plain complex numpy arrays throughout.  Validation always rejects
@@ -44,24 +44,39 @@ HOLDER_SLACK = 1e-10
 _HERMITIAN_BLOCK_ROWS = 64
 
 
-def _defect_and_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nth(what: str, i: int, count: int) -> str:
+    """what, naming matrix i by its position when there are several."""
+    return f"{what} {i} of {count}" if count > 1 else what
+
+
+def _defect_and_scale(a: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """(max|A - A^H|, 1 + max|A|) of each matrix of a non-empty matrix or stack.
 
-    Both arrays have shape a.shape[:-2].  A single matrix of more than
-    _HERMITIAN_BLOCK_ROWS rows is scanned in row blocks, so no temporary is
-    larger than one block; the maxima, and so both values, are the same as
-    the whole-matrix formula's.
+    Both arrays have shape a.shape[:-2].  The scales come first: a matrix
+    whose max|A| is not finite (a NaN or infinite entry) raises
+    NonHermitianError, named by what and its position, before any A - A^H
+    is formed.  A single matrix of more than _HERMITIAN_BLOCK_ROWS rows is
+    scanned in row blocks, so no temporary is larger than one block; the
+    maxima, and so both values, are the same as the whole-matrix formula's.
     """
-    if a.ndim == 2 and a.shape[0] > _HERMITIAN_BLOCK_ROWS:
+    blocked = a.ndim == 2 and a.shape[0] > _HERMITIAN_BLOCK_ROWS
+    if blocked:
         starts = range(0, a.shape[0], _HERMITIAN_BLOCK_ROWS)
-        blocks = [(a[i:i + _HERMITIAN_BLOCK_ROWS],
-                   a[:, i:i + _HERMITIAN_BLOCK_ROWS].T) for i in starts]
-        defect = np.max([np.max(np.abs(row - col.conj())) for row, col in blocks])
-        top = np.max([np.max(np.abs(row)) for row, _ in blocks])
+        top = np.max([np.max(np.abs(a[i:i + _HERMITIAN_BLOCK_ROWS])) for i in starts])
+    else:
+        top = np.max(np.abs(a), axis=(-2, -1))
+    scale = 1.0 + np.asarray(top)
+    bad = np.flatnonzero(~np.isfinite(scale))
+    if bad.size:
+        raise NonHermitianError(
+            f"{_nth(what, int(bad[0]), scale.size)} has a non-finite entry")
+    if blocked:
+        defect = np.max([np.max(np.abs(a[i:i + _HERMITIAN_BLOCK_ROWS]
+                                       - a[:, i:i + _HERMITIAN_BLOCK_ROWS].T.conj()))
+                         for i in starts])
     else:
         defect = np.max(np.abs(a - a.swapaxes(-1, -2).conj()), axis=(-2, -1))
-        top = np.max(np.abs(a), axis=(-2, -1))
-    return np.asarray(defect), 1.0 + np.asarray(top)
+    return np.asarray(defect), scale
 
 
 def require_hermitian_stack(a: np.ndarray, what: str) -> None:
@@ -69,18 +84,17 @@ def require_hermitian_stack(a: np.ndarray, what: str) -> None:
 
     Each matrix of a (count, n, n) stack is judged against its own scale
     1 + max|A_i|; when count > 1 the error names the first offending matrix
-    by its position.
+    by its position.  A matrix with a NaN or infinite entry is rejected too,
+    since a NaN defect would pass the comparison.
     """
     if a.size == 0:
         return
-    defect, scale = (np.ravel(x) for x in _defect_and_scale(a))
+    defect, scale = (np.ravel(x) for x in _defect_and_scale(a, what))
     bad = np.flatnonzero(defect > HERMITICITY_RTOL * scale)
     if bad.size:
         i = int(bad[0])
-        if defect.size > 1:
-            what = f"{what} {i} of {defect.size}"
         raise NonHermitianError(
-            f"{what} is not Hermitian: defect {defect[i]:.3e} exceeds "
+            f"{_nth(what, i, defect.size)} is not Hermitian: defect {defect[i]:.3e} exceeds "
             f"{HERMITICITY_RTOL:.1e} * (1 + max|entry|) = {HERMITICITY_RTOL * scale[i]:.3e}"
         )
 

@@ -10,7 +10,7 @@ and the corollary integral int_0^inf f(s) s^{-d/2-1} ds, both by adaptive
 quadrature; the exponential integral E_1 (scipy's exp1, with e^a E_1(a)
 continued by its asymptotic series where exp1 underflows); the rational
 family f_a(mu) = mu^2/(mu+a) with its closed-form transform, elementwise
-in lambda,
+in lambda and in a (an array of parameters gives one row per a in one call),
 
     F_a(lambda) = lambda - a e^{a/lambda} E_1(a/lambda);
 
@@ -242,8 +242,8 @@ def _e2_scaled(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def f_a_transform(a: float, lam):
-    """Closed form of the Laplace-type transform of f_a, elementwise in lambda:
+def f_a_transform(a, lam):
+    """Closed form of the Laplace-type transform of f_a, elementwise in a and lambda:
 
         F_a(lambda) = lambda - a e^{a/lambda} E_1(a/lambda),  F_a(0) = 0.
 
@@ -252,20 +252,30 @@ def f_a_transform(a: float, lam):
     lambda e^z E_2(z), which keeps its relative accuracy as lambda/a -> 0,
     it is 0 where z would overflow (lambda <= a 2^-1023, where the value
     rounds to 0), and it is lambda where z would underflow to 0 (lambda >
-    a 2^1074, where the value rounds to lambda).  A negative, infinite or
-    NaN lambda raises ValueError.  Returns a float for a scalar lambda.
+    a 2^1074, where the value rounds to lambda).  A non-positive or NaN a,
+    and a negative, infinite or NaN lambda, raise ValueError.
+
+    a may be an array that broadcasts against lambda: an (r, 1) column of
+    parameters and a 1-D lambda give one row F_a(lambda) per a in a single
+    call.  Each element goes through the scalar path's operations, so the
+    values equal the per-a calls bit for bit.  Returns a float when a and
+    lambda are both scalars.
     """
-    a = float(a)
-    if not a > 0.0:
-        raise ValueError(f"a must be positive, got {a}")
+    a = np.asarray(a, dtype=float)
+    if not (a > 0.0).all():
+        raise ValueError(f"a must be positive, got {a[~(a > 0.0)][0]}")
     x = np.asarray(lam, dtype=float)
     ok = (x >= 0.0) & (x < np.inf)
     if not ok.all():
         raise ValueError(f"lambda must be finite and >= 0, got {x[~ok][0]}")
-    pos = x > a * _F_A_TINY
+    with np.errstate(under="ignore"):  # a 2^-1023 may underflow; that is intended
+        pos = x > a * _F_A_TINY
     safe = np.where(pos, x, 1.0)
-    if a < _F_A_CLAMP_A:
-        safe = np.minimum(safe, a / _F_A_MIN_Z)
+    tiny_a = a < _F_A_CLAMP_A
+    if tiny_a.any():
+        # a / _F_A_MIN_Z for the tiny a only; it overflows for the others
+        cap = np.divide(a, _F_A_MIN_Z, out=np.full(a.shape, np.inf), where=tiny_a)
+        safe = np.minimum(safe, cap)
     z = a / safe
     near = np.minimum(z, _F_A_SWITCH)
     # e1_scaled(near) without its checks and its series, which starts at 600
@@ -274,7 +284,7 @@ def f_a_transform(a: float, lam):
     if far.any():
         out = np.where(far, safe * _e2_scaled(np.maximum(z, _F_A_SWITCH)), out)
     out = np.where(pos, out, 0.0)
-    return float(out) if np.ndim(lam) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ def test_generate_potential_linear_in_amplitude():
         assert np.allclose(v5.values, 5.0 * v1.values, atol=1e-12)
 
 
+def test_generate_potential_needs_a_finite_amplitude():
+    # an infinite amplitude used to give NaN sites, which support() dropped
+    g = GridSpec(d=1, points_per_axis=(4,), h=0.5)
+    for style in POTENTIAL_STYLES:
+        for bad in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="amplitude must be finite and >= 0"):
+                generate_potential(3, g, 2, style, bad)
+
+
 def test_gaussian_bumps_sample_fixed_continuum_field():
     # same seed, same box: the coarse grid's sites must see the same field
     # values as the matching sites of the refined grid
@@ -533,3 +542,16 @@ def test_cli_potential_gen_roundtrip(tmp_path):
     from clrlab.lattice import potential_from_json_dict
 
     assert potential_digest(potential_from_json_dict(data)) == potential_digest(want)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--points", "0"), ("--h", "-1"), ("--N", "0"), ("--amplitude", "-1"),
+    ("--amplitude", "inf"),
+])
+def test_cli_potential_gen_out_of_range_flags_exit_two(tmp_path, capsys, flag, value):
+    out = tmp_path / "pot.json"
+    flags = {"--style": "gaussian-bumps", "--points": "4", "--out": str(out), flag: value}
+    argv = ["potential", "gen"] + [x for item in flags.items() for x in item]
+    assert cli_main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("clrlab: config error: ")

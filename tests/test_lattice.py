@@ -69,6 +69,17 @@ def scalar_potential(grid, diag):
     return MatrixPotential(grid=grid, N=1, values=vals)
 
 
+def count_site_spectra(monkeypatch):
+    """Log the name of every np.linalg eigh and eigvalsh call; return the log."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def logged(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, logged)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # grids
 
@@ -512,6 +523,48 @@ def test_discrete_operator_leaves_the_callers_matrix_alone():
     assert op.scale() == 4.0 and count_negative(op) == 1
 
 
+def test_discrete_operator_scale_is_scipys_row_sum_bit_for_bit():
+    # |H|_inf from the stored entries equals max(np.abs(m).sum(axis=1)) bit for
+    # bit, with empty rows, stored zeros and complex entries
+    rng = np.random.default_rng(41)
+    n = 120
+    for kind in ("real", "complex"):
+        a = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.2)
+        if kind == "complex":
+            a = a + 1j * rng.standard_normal((n, n)) * (a != 0)
+        a = a + a.conj().T
+        a[[3, 17, 30]] = 0.0
+        a[:, [3, 17, 30]] = 0.0
+        coo = sp.coo_matrix(a)
+        zeros = np.array([3, 5, 17])  # stored zeros on the diagonal; row 30 stays empty
+        m = sp.csr_matrix((np.concatenate([coo.data, np.zeros(3)]),
+                           (np.concatenate([coo.row, zeros]), np.concatenate([coo.col, zeros]))),
+                          shape=(n, n))
+        op = DiscreteOperator(m)
+        stored = op.matrix
+        assert np.iscomplexobj(stored) == (kind == "complex")
+        assert np.count_nonzero(stored.data == 0) >= 2 and np.diff(stored.indptr)[30] == 0
+        want = np.max(np.abs(stored).sum(axis=1))
+        assert np.float64(op.scale()).tobytes() == np.float64(want).tobytes()
+        assert want == np.max(np.abs(m).sum(axis=1))
+    assert DiscreteOperator(sp.csr_matrix((4, 4))).scale() == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_entries_are_rejected_cleanly(bad):
+    # a NaN defect passes "defect > tol", and inf - inf warns: both are caught
+    # before A - A^H is formed
+    with pytest.raises(NonHermitianError, match="operator has a non-finite entry"):
+        DiscreteOperator(sp.csr_matrix(np.array([[1.0, bad], [bad, 1.0]])))
+    vals = np.zeros((3, 2, 2), dtype=complex)
+    vals[:] = np.eye(2)
+    vals[1, 0, 1] = vals[1, 1, 0] = bad
+    with pytest.raises(NonHermitianError, match="potential site 1 of 3 has a non-finite entry"):
+        MatrixPotential(grid=grid1d(3), N=2, values=vals)
+    with pytest.raises(NonHermitianError, match="potential site has a non-finite entry"):
+        MatrixPotential(grid=grid1d(1), N=2, values=vals[1:2])
+
+
 def test_singular_block_with_coupling_raises(monkeypatch):
     # a tridiagonal entry couples the first slab to the second, so its exact
     # zero pivot (the shifted -zero_tol on row 5) sits in a block to invert
@@ -739,7 +792,7 @@ def test_bs_bound_evaluates_f_once_on_the_spectrum(size):
         return f_a_transform(1.13, x)
 
     got = bs_bound(f, lam)
-    assert calls == [(), (size,)]
+    assert calls == [(size + 1,)]  # lam with 1.0 appended: F(1) from the same call
     want = sum(f_a_transform(1.13, float(x)) for x in lam) / f_a_transform(1.13, 1.0)
     assert abs(got - want) <= 1e-14 * (1.0 + want)
 
@@ -869,6 +922,116 @@ def test_trotter_sandwich_matches_per_call_formula_bit_for_bit(pts):
                 assert trace(t, n) == _trotter_trace_oracle(g, v, 1.3, t, n), (N, t, n)
 
 
+def _parent_bs_bound(F, lam):
+    """bs_bound as it was with one F_a per call: F(1) and F(lam) taken apart."""
+    f1 = float(F(1.0))
+    if not f1 > 0.0:
+        raise ValueError(f"F(1) must be positive, got {f1}")
+    vals = np.asarray(F(lam), dtype=float)
+    if (vals.shape != lam.shape or not np.all(np.isfinite(vals))
+            or np.any(vals < -1e-12 * (1.0 + np.max(np.abs(vals), initial=0.0)))):
+        raise ValueError("F must be finite and non-negative on the spectrum of K")
+    return float(np.sum(np.maximum(vals, 0.0)) / f1)
+
+
+def test_stacked_bs_bound_equals_the_one_row_form():
+    from clrlab.harness.experiments import BS_A_VALUES
+
+    column = np.array(BS_A_VALUES)[:, None]
+    cases = [(GridSpec(d=3, points_per_axis=(3, 3, 3), h=0.5), 2, 40.0),
+             (grid1d(11, 0.6), 3, 8.0), (grid1d(9, 0.5), 1, 0.5)]
+    for seed, (g, n, amp) in enumerate(cases):
+        for style in ("random-psd-field", "gaussian-bumps"):
+            lam = k_spectrum(birman_schwinger(g, generate_potential(seed, g, n, style, amp)))
+            rows = bs_bound(lambda x: f_a_transform(column, x), lam)
+            assert isinstance(rows, np.ndarray) and rows.shape == (3,)
+            for a, got in zip(BS_A_VALUES, rows.tolist()):
+                one = bs_bound(lambda x: f_a_transform(a, x), lam)
+                assert isinstance(one, float)
+                assert got == one == _parent_bs_bound(lambda x: f_a_transform(a, x), lam)
+    empty = bs_bound(lambda x: f_a_transform(column, x), np.zeros(0))
+    assert empty.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_stacked_bs_bound_checks_each_row():
+    lam = np.array([0.1, 0.5, 2.0])
+
+    def rows(*fs):
+        return lambda x: np.array([f(x) for f in fs])
+
+    def ident(x):
+        return x
+
+    with pytest.raises(ValueError, match=r"F\(1\) must be positive, got 0.0"):
+        bs_bound(rows(ident, lambda x: x - 1.0), lam)
+    for bad in (lambda x: x - 0.5, lambda x: np.where(x < 1.0, np.nan, x),
+                lambda x: np.where(x < 1.0, np.inf, x)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            bs_bound(rows(ident, bad), lam)
+    # the rounding floor -1e-12 (1 + max|row|) is each row's own
+    big = rows(lambda x: np.where(x == 0.1, -1e-7, 1e6 * x), ident)
+    assert bs_bound(big, lam).tolist() == [2.5, 2.6]
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        bs_bound(rows(lambda x: 1e6 * x, lambda x: np.where(x == 0.1, -1e-7, x)), lam)
+    for shape in (lambda x: x[:-1], lambda x: np.ones((2, 2, x.size))):
+        with pytest.raises(ValueError, match="one value per eigenvalue"):
+            bs_bound(shape, lam)
+
+
+def test_one_f_a_transform_call_per_bs_trial(monkeypatch):
+    from clrlab.harness import experiments
+
+    calls = []
+    fa = experiments.f_a_transform
+    monkeypatch.setattr(experiments, "f_a_transform",
+                        lambda a, lam: calls.append(np.shape(a)) or fa(a, lam))
+    rep = run_experiment(ExperimentConfig(experiment="bs-equivalence", trials=8))
+    assert calls == [(3, 1)] * 8
+    assert [r["a"] for r in rep.records if r["kind"] == "bs-bound"] == [0.7, 1.13, 2.0] * 8
+
+
+def test_one_site_decomposition_per_birman_schwinger_and_trotter_sandwich(monkeypatch):
+    g = GridSpec(d=3, points_per_axis=(3, 3, 3), h=0.5)
+    v = generate_potential(3, g, 2, "gaussian-bumps", 5.0)
+    calls = count_site_spectra(monkeypatch)
+    birman_schwinger(g, v)
+    assert calls == ["eigh"]
+    calls.clear()
+    trotter_sandwich(v, 1.0)
+    assert calls == ["eigh"]
+
+
+def test_bs_and_trotter_records_same_with_the_per_a_loop_and_extra_psd_checks(monkeypatch):
+    from clrlab.harness import experiments
+
+    cfgs = [ExperimentConfig(experiment="bs-equivalence", trials=12),
+            ExperimentConfig(experiment="trotter", trials=3)]
+
+    def canon(rep):
+        return json.dumps({"records": rep.records, "summary": rep.summary}, sort_keys=True)
+
+    fast = [canon(run_experiment(cfg)) for cfg in cfgs]
+
+    def per_a_loop(F, lam):
+        return np.array([_parent_bs_bound(lambda x, a=a: f_a_transform(a, x), lam)
+                         for a in experiments.BS_A_VALUES])
+
+    bs, sandwich = experiments.birman_schwinger, experiments.trotter_sandwich
+
+    def bs_checked(grid, V):
+        V.require_psd()
+        return bs(grid, V)
+
+    def sandwich_checked(V, alpha):
+        V.require_psd()
+        return sandwich(V, alpha)
+
+    monkeypatch.setattr(experiments, "bs_bound", per_a_loop)
+    monkeypatch.setattr(experiments, "birman_schwinger", bs_checked)
+    monkeypatch.setattr(experiments, "trotter_sandwich", sandwich_checked)
+    assert [canon(run_experiment(cfg)) for cfg in cfgs] == fast
+
+
 def test_trotter_domain_and_budget(monkeypatch):
     g = grid1d(6, 0.5)
     v = scalar_potential(g, np.ones(6))
@@ -884,15 +1047,12 @@ def test_trotter_domain_and_budget(monkeypatch):
     )
     with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
         trotter_sandwich(vbig, alpha=1.0)
-    # ... once: evaluating it re-checks nothing about V ...
-    calls = []
-    psd = MatrixPotential.require_psd
-    monkeypatch.setattr(MatrixPotential, "require_psd",
-                        lambda self: calls.append(1) or psd(self))
+    # ... once: one site decomposition, and evaluating it re-checks nothing about V ...
+    calls = count_site_spectra(monkeypatch)
     trace = trotter_sandwich(v, alpha=1.0)
     for t in (0.1, 1.0, 10.0):
         trace(t, 4)
-    assert len(calls) == 1
+    assert calls == ["eigh"]
     # ... and the arguments of each evaluation when it is called
     for t in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="time"):

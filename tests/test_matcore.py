@@ -60,6 +60,23 @@ def test_hermitian_matrix_tolerance_scales_with_entries():
         eig_hermitian(b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_fail_the_hermitian_rule(bad):
+    # a NaN defect would pass "defect > tol" and inf - inf would warn: the
+    # scale 1 + max|A| is checked for finiteness before A - A^H is formed
+    a = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(NonHermitianError, match="^m has a non-finite entry"):
+        require_hermitian_stack(a, "m")
+    with pytest.raises(NonHermitianError, match="^matrix 1 of 2 has a non-finite entry"):
+        eig_hermitian_tuple([np.eye(2), a])
+    with pytest.raises(NonHermitianError, match="^matrix has a non-finite entry"):
+        eig_hermitian(a)
+    big = np.eye(200, dtype=complex)  # the row-blocked path
+    big[150, 2] = big[2, 150] = bad
+    with pytest.raises(NonHermitianError, match="^big has a non-finite entry"):
+        require_hermitian_stack(big, "big")
+
+
 def test_eig_identity():
     dec = eig_hermitian(np.eye(3))
     # np.shape sizes a decomposition like its matrix

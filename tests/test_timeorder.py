@@ -4,7 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clrlab.errors import AdmissibilityError, BudgetError, NotPositiveSemidefiniteError
+from clrlab.errors import (
+    AdmissibilityError,
+    BudgetError,
+    NonHermitianError,
+    NotPositiveSemidefiniteError,
+)
 from clrlab.matcore import (
     EigenDecomposition,
     apply_spectral,
@@ -516,3 +521,10 @@ def test_probe_commuting_inputs_nonnegative():
             ws.append(0.5 * (m + m.conj().T))
         gap = convex_probe(float(rng.uniform(0.3, 2.0)), ws)
         assert gap >= -1e-9
+
+
+def test_jensen_gap_rejects_a_nan_matrix():
+    # the NaN used to pass the Hermitian rule and give a NaN gap
+    a = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(NonHermitianError, match="matrix 0 of 2 has a non-finite entry"):
+        jensen_gap(ScalarFunctionClass.monomial(2), [a, np.eye(2)])

@@ -265,6 +265,37 @@ def test_f_a_transform_is_lam_without_warning_where_a_over_lam_underflows():
         assert f_a_transform(a, x) == x - a * (np.exp(z) * scipy.special.exp1(z))
 
 
+def test_f_a_transform_array_a_equals_the_per_a_scalar_loop():
+    # one row per a, byte for byte the scalar calls: lam on both sides of
+    # z = a/lam = 10, lam <= a 2^-1023 (the value is 0), lam near a 2^1074
+    # (the value is lam; only a below 2^-50 meets it) and a below that clamp
+    a = np.array([0.7, 1.13, 2.0, 2.0**-60, 1e-300])
+    edge = 1e-300 / 2.0**-1074
+    lam = [0.0, 5e-324, 1e-310, 0.7 * 2.0**-1023, 1.13 * 2.0**-1023, 1e-300, 1e-9,
+           0.3, 1.0, 7.5, 1e6, np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf),
+           1e300, 1.7e308]
+    for ai in a:
+        for z10 in (ai / 10.0, np.nextafter(ai / 10.0, 0.0), np.nextafter(ai / 10.0, 1.0)):
+            lam.append(z10)
+    lam = np.array(lam)
+    got = f_a_transform(a[:, None], lam)
+    want = np.array([[f_a_transform(float(ai), float(x)) for x in lam] for ai in a])
+    assert got.shape == (a.size, lam.size)
+    assert got.tobytes() == want.tobytes()
+    # the clamped row is lam beyond a 2^1074, the other rows 0 below a 2^-1023
+    assert np.array_equal(got[4, lam > edge], lam[lam > edge])
+    assert np.all(got[:3, lam <= 0.7 * 2.0**-1023] == 0.0)
+    # a 1-D a against a scalar lambda, and a 0-d pair as a float
+    assert f_a_transform(a, 1.0).tobytes() == want[:, lam.tolist().index(1.0)].tobytes()
+    assert isinstance(f_a_transform(np.float64(1.13), 1.0), float)
+
+
+def test_f_a_transform_rejects_a_bad_a_in_the_stack():
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"a must be positive, got {bad}"):
+            f_a_transform(np.array([[1.13], [bad]]), np.array([0.5, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # corollary constant
 
