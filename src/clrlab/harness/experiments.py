@@ -286,7 +286,7 @@ def _trotter_instance(cfg: ExperimentConfig, index: int):
     amp = float(rng.uniform(1.0, 8.0))
     v = generate_potential(s, grid, nf, "random-psd-field", amplitude=amp)
     alpha = float(rng.choice([0.5, 1.0, 2.0]))
-    return s, grid, v, alpha
+    return s, v, alpha
 
 
 def _barrier_instance(cfg: ExperimentConfig, index: int):
@@ -313,7 +313,7 @@ def _barrier_instance(cfg: ExperimentConfig, index: int):
         block = q @ block @ q.conj().T
     vals[start:start + width] = block
     v = MatrixPotential(grid=grid, N=nf, values=vals)
-    return s, grid, v, alpha, t
+    return s, v, alpha, t
 
 
 def _run_trotter(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
@@ -322,9 +322,9 @@ def _run_trotter(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
     records = []
 
     for i in range(cfg.trials):
-        s, grid, v, alpha = _trotter_instance(cfg, i)
-        r_direct = resolvent_trace(grid, v, alpha)
-        lam = k_spectrum(birman_schwinger(grid, v))
+        s, v, alpha = _trotter_instance(cfg, i)
+        r_direct = resolvent_trace(v, alpha)
+        lam = k_spectrum(birman_schwinger(v))
         r_spectral = float(np.sum(lam / (1.0 + alpha * lam)))
         rel = abs(r_direct - r_spectral) / max(abs(r_spectral), 1e-30)
         records.append({
@@ -334,8 +334,8 @@ def _run_trotter(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
         })
 
     for i in range(3):
-        s, grid, v, alpha, t = _barrier_instance(cfg, 10_000 + i)
-        exact = semigroup_sandwich_trace(grid, v, alpha, t)
+        s, v, alpha, t = _barrier_instance(cfg, 10_000 + i)
+        exact = semigroup_sandwich_trace(v, alpha, t)
         trace = trotter_sandwich(v, alpha)
         ns = np.array([4, 8, 16, 32, 64, 128, 256], dtype=float)
         errs = np.array([abs(trace(t, int(n)) - exact) for n in ns])
@@ -347,8 +347,8 @@ def _run_trotter(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
         })
 
     for i in range(10):
-        s, grid, v, alpha = _trotter_instance(cfg, 20_000 + i)
-        r_direct = resolvent_trace(grid, v, alpha)
+        s, v, alpha = _trotter_instance(cfg, 20_000 + i)
+        r_direct = resolvent_trace(v, alpha)
         trace = trotter_sandwich(v, alpha)
         val, _ = scipy.integrate.quad(lambda t: trace(t, 256), 0.0, np.inf,
                                       epsabs=1e-10, epsrel=1e-7, limit=200)
@@ -392,15 +392,15 @@ def _bs_instance(cfg: ExperimentConfig, trial: int):
         amp = float(rng.uniform(0.3, 3.0)) * _lambda_floor(grid) * 3.0
         v = generate_potential(s, grid, nf, style, amplitude=amp)
 
-        h_op = hamiltonian(grid, v, sign=-1.0)
-        w_h, lam_k = h_and_k_spectra(h_op, birman_schwinger(grid, v))
+        h_op = hamiltonian(V=v)
+        w_h, lam_k = h_and_k_spectra(h_op, birman_schwinger(v))
         band = 10.0 * ZERO_BAND_RTOL * h_op.scale()
         if w_h.size and float(np.min(np.abs(w_h))) <= band:
             continue
         if lam_k.size and float(np.min(np.abs(lam_k - 1.0))) <= 1e-9 * (
                 1.0 + float(lam_k.max())):
             continue
-        return s, grid, v, h_op, w_h, lam_k
+        return s, v, h_op, w_h, lam_k
     raise ClrlabError(f"could not draw a non-degenerate instance for trial {trial}")
 
 
@@ -412,7 +412,7 @@ _BS_A_COLUMN = np.array(BS_A_VALUES)[:, np.newaxis]
 def _run_bs(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
     records = []
     for i in range(cfg.trials):
-        s, grid, v, h_op, w_h, lam_k = _bs_instance(cfg, i)
+        s, v, h_op, w_h, lam_k = _bs_instance(cfg, i)
         zero_tol = ZERO_BAND_RTOL * h_op.scale()
         count_inertia = count_negative(h_op)
         count_dense = int(np.sum(w_h < -zero_tol))
@@ -452,7 +452,7 @@ def _run_survey(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
             grid = GridSpec(d=3, points_per_axis=(m, m, m), h=1.0 / (m + 1))
             v = generate_potential(s, grid, 1, "gaussian-bumps",
                                    amplitude=amplitude)
-            count = count_negative(hamiltonian(grid, v, sign=-1.0))
+            count = count_negative(hamiltonian(V=v))
             rhs = clr_rhs(v, r_bound(0.0))
             ratio = count / rhs if rhs > 0 else math.inf
             eps = max(0.0, ratio - 1.0)
@@ -489,7 +489,7 @@ def _run_lt(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
         nf = int(rng.integers(1, 3))
         amp = float(rng.uniform(1.0, 3.0)) * _lambda_floor(grid) * 30.0
         v = generate_potential(s, grid, nf, "gaussian-bumps", amplitude=amp)
-        h_op = hamiltonian(grid, v, sign=-1.0)
+        h_op = hamiltonian(V=v)
         for gamma in (0.5, 1.0, 2.0):
             lhs = riesz_mean(h_op, gamma)
             rhs = lt_rhs(gamma, grid.d, v.moment(gamma + grid.d / 2.0))

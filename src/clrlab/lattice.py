@@ -19,6 +19,8 @@ spectra of H and K taken side by side (h_and_k_spectra), heat-semigroup and
 Trotter-product traces, the resolvent trace, and Riemann-sum right-hand
 sides of the counting and Riesz-mean bounds.
 
+Routines on a potential take V alone and read its box from V.grid.
+
 Counting statements at fixed grid size are exact finite-dimensional
 theorems and are tested as hard gates; comparisons that stand in for
 continuum statements (the survey ratios) are monitoring data only.
@@ -200,19 +202,15 @@ class MatrixPotential:
 
 
 def _hermitian_defect(m: scipy.sparse.csr_matrix) -> float:
-    """max |(m - m^H)_ij| of a square CSR matrix, without forming m^H.
+    """max |(m - m^H)_ij| of a square canonical CSR matrix, without forming m^H.
 
-    On a canonical matrix (duplicates summed, indices sorted) the keys
-    row * n + col are sorted, and each stored entry finds its transpose
-    partner by binary search; an entry without a stored partner is its own
-    defect.  Entries of m^H with no partner in m are the conjugates of such
-    entries, so the maximum is the same.  DiscreteOperator hands over its
-    canonical copy; any other m is canonicalized in a copy, so the caller's
-    matrix is untouched.
+    m must be canonical (duplicates summed, indices sorted), as
+    DiscreteOperator's copy is.  Then the keys row * n + col are sorted,
+    and each stored entry finds its transpose partner by binary search; an
+    entry without a stored partner is its own defect.  Entries of m^H with
+    no partner in m are the conjugates of such entries, so the maximum is
+    the same.
     """
-    if not m.has_canonical_format:
-        m = m.copy()
-        m.sum_duplicates()
     if m.nnz == 0:
         return 0.0
     n = m.shape[0]
@@ -395,11 +393,13 @@ def _laplacian_function(grid: GridSpec, f, cols: np.ndarray) -> np.ndarray:
     return _from_modes(modes, x * f(lam)[..., np.newaxis])
 
 
-def hamiltonian(grid: GridSpec, V: MatrixPotential, sign: float = -1.0) -> DiscreteOperator:
-    """L + sign * V as a sparse operator (sign = -1 gives -Delta - V)."""
-    if V.grid != grid:
-        raise ValueError("potential was generated on a different grid")
-    return DiscreteOperator(_stencil_matrix(grid, float(sign) * V._entries()))
+def hamiltonian(V: MatrixPotential, sign: float = -1.0) -> DiscreteOperator:
+    """L + sign * V on V.grid as a sparse operator (sign = -1 gives -Delta - V).
+
+    Every call inside the package passes V by keyword: bench/tracing.py's
+    hamiltonian hook reads V by name or as positional argument 1.
+    """
+    return DiscreteOperator(_stencil_matrix(V.grid, float(sign) * V._entries()))
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +464,9 @@ def _schur_negative_count(
     otherwise it is one dense product on those rows.  The factorization,
     the inverse and the product (symm / hemm) read lower triangles only, so
     only those are formed.  Raises LinAlgError when a Schur block that has
-    a successor is exactly singular.
+    a successor is exactly singular.  The matrix is a DiscreteOperator's,
+    so its entries are finite.
     """
-    if not np.all(np.isfinite(matrix.data)):
-        raise ValueError("operator has non-finite entries")
     kind = "he" if np.iscomplexobj(matrix) else "sy"
     trf, tri, trf_lwork = scipy.linalg.get_lapack_funcs(
         (kind + "trf", kind + "tri", kind + "trf_lwork"), (matrix.data,))
@@ -561,24 +560,24 @@ def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # Birman-Schwinger.
 
-def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
-    """K = V^{1/2} L^{-1} V^{1/2} restricted to the support of V, a dense array.
+def birman_schwinger(V: MatrixPotential) -> np.ndarray:
+    """K = V^{1/2} L^{-1} V^{1/2} on V.grid, restricted to the support of V, dense.
 
     Requires a sitewise-PSD potential, checked on the one site spectrum
     that the square roots come from (sqrt_sites).  The Green's function
     G = L^{-1} comes from the per-axis eigenpairs on the support columns
     only, and K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab, of order
     |support| * N and real when V is.  K is PSD; its eigenvalues above 1
-    count the negative eigenvalues of L - V exactly.
+    count the negative eigenvalues of L - V exactly.  K is Hermitian by
+    construction; every spectrum of it (k_spectrum, h_and_k_spectra)
+    checks that again.
     """
-    if V.grid != grid:
-        raise ValueError("potential was generated on a different grid")
     roots = V.sqrt_sites()
     _check_dense(V.dim, "Birman-Schwinger assembly")
 
     support = V.support()
     n = support.size * V.N
-    green = _laplacian_function(grid, np.reciprocal, support)[support]
+    green = _laplacian_function(V.grid, np.reciprocal, support)[support]
     roots = roots[support]
     if not np.any(V.values.imag):
         roots = roots.real  # real LAPACK paths are several times faster
@@ -586,7 +585,6 @@ def birman_schwinger(grid: GridSpec, V: MatrixPotential) -> np.ndarray:
     k = roots.reshape(n, V.N) @ roots.transpose(1, 0, 2).reshape(V.N, n)
     blocks = k.reshape(support.size, V.N, support.size, V.N)
     blocks *= green[:, None, :, None]
-    require_hermitian_stack(k, "Birman-Schwinger operator")
     return k
 
 
@@ -673,6 +671,14 @@ def bs_bound(F, lam: np.ndarray):
 # ---------------------------------------------------------------------------
 # Trotter products, semigroup and resolvent traces.
 
+def _positive_finite(x, what: str) -> float:
+    """x as a float, which must be positive and finite."""
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"{what} must be positive and finite, got {x}")
+    return x
+
+
 def trotter_sandwich(V: MatrixPotential, alpha: float):
     """trace(t, n) = tr of the Trotter sandwich V^{1/2} (e^{-tL/n} e^{-t alpha V/n})^n V^{1/2}.
 
@@ -682,15 +688,13 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     is real because the trace lets V^{1/2} close the cycle.
 
     Everything that does not depend on t or n is done here, once: the
-    checks (alpha > 0, V sitewise PSD, the dense budget), the axis modes
-    with the unit columns transformed into them, and the eigenpairs of
-    every site block, one eigh whose eigenvalues the PSD rule checks.  The
-    returned trace(t, n) does the rest, so one sandwich serves a whole
-    t-quadrature.
+    checks (alpha positive and finite, V sitewise PSD, the dense budget),
+    the axis modes with the unit columns transformed into them, and the
+    eigenpairs of every site block, one eigh whose eigenvalues the PSD rule
+    checks.  The returned trace(t, n) does the rest, so one sandwich serves
+    a whole t-quadrature.
     """
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _positive_finite(alpha, "alpha")
     w, u = np.linalg.eigh(V.values)
     require_psd_spectrum(w, "a potential site")
     _check_dense(V.dim, "Trotter product")
@@ -698,9 +702,7 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     modes, lam, unit = _unit_columns_in_modes(grid, np.arange(grid.nsites))
 
     def trace(t: float, n: int) -> float:
-        t = float(t)
-        if not (t > 0.0 and math.isfinite(t)):
-            raise ValueError(f"time must be positive and finite, got {t}")
+        t = _positive_finite(t, "time")
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         s = t / n
@@ -715,39 +717,31 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     return trace
 
 
-def semigroup_sandwich_trace(grid: GridSpec, V: MatrixPotential, alpha: float, t: float) -> float:
-    """Exact tr[V^{1/2} e^{-t(L + alpha V)} V^{1/2}], the Trotter limit."""
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+def semigroup_sandwich_trace(V: MatrixPotential, alpha: float, t: float) -> float:
+    """Exact tr[V^{1/2} e^{-t(L + alpha V)} V^{1/2}] on V.grid, the Trotter limit."""
+    alpha = _positive_finite(alpha, "alpha")
+    t = _positive_finite(t, "time")
     V.require_psd()
     _check_dense(V.dim, "semigroup trace")
-    h_op = hamiltonian(grid, V, sign=alpha)
+    h_op = hamiltonian(V=V, sign=alpha)
     w, q = np.linalg.eigh(h_op.toarray())
     diag_v = np.einsum("ij,jk,ki->i", q.conj().T, V.block(), q).real
     return float(np.sum(diag_v * np.exp(-t * w)))
 
 
-def resolvent_trace(grid: GridSpec, V: MatrixPotential, alpha: float) -> float:
-    """tr[V^{1/2} (L + alpha V)^{-1} V^{1/2}].
+def resolvent_trace(V: MatrixPotential, alpha: float) -> float:
+    """tr[V^{1/2} (L + alpha V)^{-1} V^{1/2}] on V.grid.
 
     Equals sum_k lambda_k / (1 + alpha lambda_k) over the spectrum of the
     Birman-Schwinger operator K, the resolvent identity that converts
     time integrals of Trotter traces into counting information.  By
     cyclicity it is tr[(L + alpha V)^{-1} V], one dense solve.
     """
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if V.grid != grid:
-        raise ValueError("potential was generated on a different grid")
+    alpha = _positive_finite(alpha, "alpha")
     V.require_psd()
     _check_dense(V.dim, "resolvent trace")
 
-    h_dense = hamiltonian(grid, V, sign=alpha).toarray()
+    h_dense = hamiltonian(V=V, sign=alpha).toarray()
     try:
         x = np.linalg.solve(h_dense, V.block())
     except np.linalg.LinAlgError as exc:
@@ -769,21 +763,17 @@ def clr_rhs(V: MatrixPotential, R: float) -> float:
     return R * classical_constant(0.0, d) * V.moment(d / 2.0)
 
 
-def heat_diagonal_step(grid: GridSpec, V: MatrixPotential, f, t: float) -> float:
-    """(4 pi t)^{-d/2} h^d sum_x tr f(t V(x)), the heat-diagonal majorant.
+def heat_diagonal_step(V: MatrixPotential, f, t: float) -> float:
+    """(4 pi t)^{-d/2} h^d sum_x tr f(t V(x)) on V.grid, the heat-diagonal majorant.
 
     Integrating this in dt/t reproduces, per positive eigenvalue v of the
     potential, the scaling identity v^{d/2} * corollary_constant(f, d).
     """
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    if V.grid != grid:
-        raise ValueError("potential was generated on a different grid")
+    t = _positive_finite(t, "time")
     w = V.require_psd()
     vals = np.asarray(f(t * np.maximum(w, 0.0)), dtype=float)
-    d = grid.d
-    return float((4.0 * math.pi * t) ** (-d / 2.0) * grid.h**d * np.sum(vals))
+    d, h = V.grid.d, V.grid.h
+    return float((4.0 * math.pi * t) ** (-d / 2.0) * h**d * np.sum(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_criterion_08_corollary_and_heat_diagonal():
 
     cc = corollary_constant(lambda s: math.exp(-s) * math.expm1(-s) ** 2, 3)
     want = (4.0 * math.pi) ** -1.5 * cc * v.moment(1.5)
-    got, _ = quad(lambda u: heat_diagonal_step(grid, v, f, math.exp(u)),
+    got, _ = quad(lambda u: heat_diagonal_step(v, f, math.exp(u)),
                   -40.0, 40.0, limit=400)
     rel = abs(got - want) / abs(want)
     checks.append((rel <= 1e-6, f"heat-diagonal scaling relerr {rel:.3e}"))

@@ -56,8 +56,8 @@ def test_scalar_embed_doubles_counts():
     assert np.allclose(
         v2.values, v1.values[:, 0, 0][:, None, None] * np.eye(2), atol=1e-14
     )
-    c1 = count_negative(hamiltonian(g, v1))
-    c2 = count_negative(hamiltonian(g, v2))
+    c1 = count_negative(hamiltonian(v1))
+    c2 = count_negative(hamiltonian(v2))
     assert c1 > 0 and c2 == 2 * c1
 
 

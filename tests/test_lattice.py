@@ -37,7 +37,7 @@ from clrlab.lattice import (
     trotter_sandwich,
 )
 from clrlab.lattice import _axis_modes, _hermitian_defect, _pivot_negative_count, _slab_bounds
-from clrlab.matcore import HERMITICITY_RTOL, require_psd_spectrum
+from clrlab.matcore import HERMITICITY_RTOL, require_hermitian_stack, require_psd_spectrum
 from clrlab.transforms import classical_constant, corollary_constant, f_a_transform
 
 import scipy.sparse as sp
@@ -50,7 +50,7 @@ def grid1d(m=8, h=0.5):
 def laplacian(grid, fiber=1):
     """The stencil Laplacian kron I_fiber: the Hamiltonian of a zero potential."""
     zero = np.zeros((grid.nsites, fiber, fiber))
-    return hamiltonian(grid, MatrixPotential(grid=grid, N=fiber, values=zero))
+    return hamiltonian(MatrixPotential(grid=grid, N=fiber, values=zero))
 
 
 def dirichlet_ids(prefix, count):
@@ -213,7 +213,7 @@ def test_count_negative_inertia_matches_dense():
         g = GridSpec(d=d, points_per_axis=pts, h=h)
         for trial in range(trials):
             v = generate_potential((d, trial), g, nf, "random-psd-field", amp)
-            ham = hamiltonian(g, v)
+            ham = hamiltonian(v)
             ci = count_negative(ham)
             assert ci == dense_count(ham)
             seen += ci
@@ -238,7 +238,7 @@ def test_structured_count_matches_dense_3d(m, N, kind):
         v = generate_potential((m, N, trial), g, N, "random-psd-field", amp)
         vals = v.values.real if kind == "real" else v.values
         assert np.any(vals.imag) == (kind == "complex")
-        ham = hamiltonian(g, MatrixPotential(grid=g, N=N, values=vals))
+        ham = hamiltonian(MatrixPotential(grid=g, N=N, values=vals))
         assert ham.matrix.dtype == (np.complex128 if kind == "complex" else np.float64)
         seen += _assert_structured_matches_dense(ham)
     assert seen > 0
@@ -248,7 +248,7 @@ def test_structured_count_matches_dense_3d(m, N, kind):
 def test_structured_count_matches_dense_2d_unequal_axes(pts, N):
     g = GridSpec(d=2, points_per_axis=pts, h=0.2)
     v = generate_potential((pts, N), g, N, "random-psd-field", 150.0)
-    assert _assert_structured_matches_dense(hamiltonian(g, v)) > 0
+    assert _assert_structured_matches_dense(hamiltonian(v)) > 0
 
 
 def _banded_op(n, band, dtype):
@@ -291,7 +291,7 @@ def test_slab_bounds_follow_the_bandwidth():
 
 def test_structured_count_never_densifies(monkeypatch):
     g = GridSpec(d=3, points_per_axis=(9, 9, 9), h=0.1)
-    ham = hamiltonian(g, generate_potential(4, g, 1, "gaussian-bumps", 600.0))
+    ham = hamiltonian(generate_potential(4, g, 1, "gaussian-bumps", 600.0))
     want = dense_count(ham)
 
     def refused(*args, **kwargs):
@@ -372,9 +372,9 @@ def _plane_invariant_hamiltonian(m, N, seed, amplitude):
     plane = GridSpec(d=2, points_per_axis=(m, m), h=h)
     vp = generate_potential(seed, plane, N, "random-psd-field", amplitude)
     g = GridSpec(d=3, points_per_axis=(m, m, m), h=h)
-    ham = hamiltonian(g, MatrixPotential(grid=g, N=N, values=np.tile(vp.values, (m, 1, 1))))
+    ham = hamiltonian(MatrixPotential(grid=g, N=N, values=np.tile(vp.values, (m, 1, 1))))
     mu = np.linalg.eigvalsh(laplacian(grid1d(m, h)).toarray())
-    nu = np.linalg.eigvalsh(hamiltonian(plane, vp).toarray())
+    nu = np.linalg.eigvalsh(hamiltonian(vp).toarray())
     want = int(np.sum(np.add.outer(mu, nu) < -ZERO_BAND_RTOL * ham.scale()))
     return ham, want
 
@@ -421,7 +421,7 @@ def test_inverse_update_gather_leaves_no_stale_upper_triangle():
     # one 16-row plane per slab, coupled by -h^-2 = -1e8: each gather scales
     # by h^-4, so an upper triangle carried from slab to slab overflows
     g = GridSpec(d=3, points_per_axis=(24, 4, 4), h=1e-4)
-    op = hamiltonian(g, generate_potential(5, g, 1, "gaussian-bumps", 3e9))
+    op = hamiltonian(generate_potential(5, g, 1, "gaussian-bumps", 3e9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         count = lattice._schur_negative_count(
@@ -433,7 +433,7 @@ def test_inverse_update_multiplies_when_columns_share_rows(monkeypatch):
     # 343 rows in 5 slabs that cut through the 49-row planes, so a coupling
     # column takes entries from up to three rows
     g = GridSpec(d=3, points_per_axis=(7, 7, 7), h=0.125)
-    op = hamiltonian(g, generate_potential(8, g, 1, "random-psd-field", 3000.0))
+    op = hamiltonian(generate_potential(8, g, 1, "random-psd-field", 3000.0))
     assert len(_slab_bounds(op.matrix)) == 6
     want = dense_count(op)
     assert _solve_schur_oracle(op) == want > 0
@@ -600,7 +600,7 @@ def test_failed_inverse_raises(monkeypatch, dtype):
 def test_riesz_mean_matches_eig_oracle():
     g = grid1d(10, 0.5)
     v = generate_potential(7, g, 1, "random-psd-field", 6.0)
-    ham = hamiltonian(g, v)
+    ham = hamiltonian(v)
     w = np.linalg.eigvalsh(ham.toarray())
     neg = w[w < -1e-10 * ham.scale()]
     for gamma in (0.5, 1.0, 2.0):
@@ -623,8 +623,8 @@ def test_count_monotone_under_psd_addition():
         vplus = MatrixPotential(
             grid=g, N=1, values=v.values + bump[:, None, None]
         )
-        before = count_negative(hamiltonian(g, v))
-        after = count_negative(hamiltonian(g, vplus))
+        before = count_negative(hamiltonian(v))
+        after = count_negative(hamiltonian(vplus))
         assert after >= before
 
 
@@ -633,7 +633,7 @@ def test_count_monotone_under_psd_addition():
 
 def test_birman_schwinger_zero_potential():
     g = grid1d(6)
-    k = birman_schwinger(g, scalar_potential(g, np.zeros(6)))
+    k = birman_schwinger(scalar_potential(g, np.zeros(6)))
     assert k.shape == (0, 0)
     assert k_spectrum(k).shape == (0,)
     assert bs_bound(lambda x: x, k_spectrum(k)) == 0.0
@@ -643,7 +643,7 @@ def test_birman_schwinger_single_site_oracle():
     g = grid1d(7, 0.5)
     diag = np.zeros(7)
     diag[3] = 2.5
-    k = birman_schwinger(g, scalar_potential(g, diag))
+    k = birman_schwinger(scalar_potential(g, diag))
     assert k.shape == (1, 1)
     linv = np.linalg.inv(laplacian(g).toarray())
     assert abs(k[0, 0].real - 2.5 * linv[3, 3]) < 1e-12
@@ -654,8 +654,8 @@ def test_birman_schwinger_counts_match_hamiltonian():
     checked = 0
     for trial in range(30):
         v = generate_potential((11, trial), g, 1, "random-psd-field", 6.0)
-        ham = hamiltonian(g, v)
-        lam = np.linalg.eigvalsh(birman_schwinger(g, v))
+        ham = hamiltonian(v)
+        lam = np.linalg.eigvalsh(birman_schwinger(v))
         if np.any(np.abs(lam - 1.0) < 1e-8):
             continue  # eigenvalue pinned at the threshold: degenerate draw
         assert int(np.sum(lam > 1.0)) == count_negative(ham)
@@ -681,7 +681,7 @@ def _check_bs_against_dense(pts, N, real):
     vals = v.values.real.copy() if real else v.values.copy()
     vals[::3] = 0.0  # sites outside the support
     v = MatrixPotential(grid=g, N=N, values=vals)
-    k = birman_schwinger(g, v)
+    k = birman_schwinger(v)
     want = _dense_bs_oracle(g, v)
     assert v.support().size < g.nsites
     assert k.shape == want.shape == (v.support().size * N,) * 2
@@ -723,12 +723,25 @@ def test_birman_schwinger_gemm_matches_einsum(pts, N, real):
     vals = v.values.real.copy() if real else v.values.copy()
     vals[1::2] = 0.0  # sites outside the support
     v = MatrixPotential(grid=g, N=N, values=vals)
-    k = birman_schwinger(g, v)
+    k = birman_schwinger(v)
     want = _einsum_bs_oracle(g, v)
     # K is real exactly when the potential is
     assert k.dtype == want.dtype == (np.complex128 if np.any(v.values.imag) else np.float64)
     assert k.shape == want.shape == (v.support().size * N,) * 2
     assert np.max(np.abs(k - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("pts", [(9,), (4, 3), (3, 3, 3)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_birman_schwinger_is_hermitian_by_construction(pts, N, real):
+    # K is built without a Hermitian check of its own; its spectra check it
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.5)
+    for seed, style in enumerate(POTENTIAL_STYLES):
+        v = generate_potential((91, seed, N, g.nsites), g, N, style, 4.0)
+        if real:
+            v = MatrixPotential(grid=g, N=N, values=v.values.real)
+        require_hermitian_stack(birman_schwinger(v), "K")
 
 
 def test_birman_schwinger_makes_no_second_dense_array():
@@ -738,7 +751,7 @@ def test_birman_schwinger_makes_no_second_dense_array():
     v = generate_potential(3, g, 2, "random-psd-field", 5.0)
     tracemalloc.start()
     try:
-        k = birman_schwinger(g, v)
+        k = birman_schwinger(v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -750,13 +763,13 @@ def test_birman_schwinger_requires_psd():
     g = grid1d(5)
     diag = np.array([1.0, -0.5, 0.0, 0.0, 0.0])
     with pytest.raises(NotPositiveSemidefiniteError):
-        birman_schwinger(g, scalar_potential(g, diag))
+        birman_schwinger(scalar_potential(g, diag))
 
 
 def test_bs_bound_linear_f_is_trace():
     g = grid1d(9, 0.5)
     v = generate_potential(5, g, 1, "random-psd-field", 5.0)
-    k = birman_schwinger(g, v)
+    k = birman_schwinger(v)
     lam = np.linalg.eigvalsh(k)
     got = bs_bound(lambda x: x, k_spectrum(k))
     assert abs(got - float(np.sum(np.maximum(lam, 0.0)))) < 1e-10 * (1.0 + got)
@@ -766,8 +779,8 @@ def test_bs_bound_dominates_count():
     g = grid1d(10, 0.5)
     for trial in range(15):
         v = generate_potential((99, trial), g, 1, "random-psd-field", 6.0)
-        lam = k_spectrum(birman_schwinger(g, v))
-        count = count_negative(hamiltonian(g, v))
+        lam = k_spectrum(birman_schwinger(v))
+        count = count_negative(hamiltonian(v))
         for a in (0.7, 1.13, 2.0):
             bound = bs_bound(lambda x, aa=a: f_a_transform(aa, x), lam)
             assert bound >= count - 1e-9
@@ -776,8 +789,8 @@ def test_bs_bound_dominates_count():
 def test_bs_bound_small_potential():
     g = grid1d(8, 0.5)
     v = scalar_potential(g, 0.01 * np.ones(8))
-    k = birman_schwinger(g, v)
-    assert count_negative(hamiltonian(g, v)) == 0
+    k = birman_schwinger(v)
+    assert count_negative(hamiltonian(v)) == 0
     assert np.linalg.eigvalsh(k).max() < 1.0
     assert bs_bound(lambda lam: f_a_transform(1.13, lam), k_spectrum(k)) >= 0.0
 
@@ -835,7 +848,7 @@ def test_k_spectrum_rejects_non_hermitian_k():
 def test_bs_bound_rejects_bad_f():
     g = grid1d(6, 0.5)
     v = scalar_potential(g, np.ones(6))
-    k = birman_schwinger(g, v)
+    k = birman_schwinger(v)
     lam = k_spectrum(k)
     with pytest.raises(ValueError):
         bs_bound(lambda x: x - 1.0, lam)  # F(1) = 0
@@ -867,7 +880,7 @@ def test_trotter_commuting_potential_exact_at_every_n():
     g = grid1d(6, 0.5)
     c = 1.7
     v = scalar_potential(g, c * np.ones(6))
-    exact = semigroup_sandwich_trace(g, v, alpha=1.3, t=0.8)
+    exact = semigroup_sandwich_trace(v, alpha=1.3, t=0.8)
     trace = trotter_sandwich(v, alpha=1.3)
     for n in (1, 2, 7):
         got = trace(0.8, n)
@@ -879,7 +892,7 @@ def test_trotter_second_order_for_generic_instances():
     # so halving the step cuts the error by about 4 once n is large
     g = grid1d(8, 0.5)
     v = generate_potential(21, g, 2, "random-psd-field", 3.0)
-    exact = semigroup_sandwich_trace(g, v, alpha=1.0, t=1.0)
+    exact = semigroup_sandwich_trace(v, alpha=1.0, t=1.0)
     trace = trotter_sandwich(v, 1.0)
     errs = [abs(trace(1.0, n) - exact) for n in (16, 32, 64, 128)]
     assert errs[0] > errs[1] > errs[2] > errs[3] > 0.0
@@ -942,7 +955,7 @@ def test_stacked_bs_bound_equals_the_one_row_form():
              (grid1d(11, 0.6), 3, 8.0), (grid1d(9, 0.5), 1, 0.5)]
     for seed, (g, n, amp) in enumerate(cases):
         for style in ("random-psd-field", "gaussian-bumps"):
-            lam = k_spectrum(birman_schwinger(g, generate_potential(seed, g, n, style, amp)))
+            lam = k_spectrum(birman_schwinger(generate_potential(seed, g, n, style, amp)))
             rows = bs_bound(lambda x: f_a_transform(column, x), lam)
             assert isinstance(rows, np.ndarray) and rows.shape == (3,)
             for a, got in zip(BS_A_VALUES, rows.tolist()):
@@ -994,7 +1007,7 @@ def test_one_site_decomposition_per_birman_schwinger_and_trotter_sandwich(monkey
     g = GridSpec(d=3, points_per_axis=(3, 3, 3), h=0.5)
     v = generate_potential(3, g, 2, "gaussian-bumps", 5.0)
     calls = count_site_spectra(monkeypatch)
-    birman_schwinger(g, v)
+    birman_schwinger(v)
     assert calls == ["eigh"]
     calls.clear()
     trotter_sandwich(v, 1.0)
@@ -1018,9 +1031,9 @@ def test_bs_and_trotter_records_same_with_the_per_a_loop_and_extra_psd_checks(mo
 
     bs, sandwich = experiments.birman_schwinger, experiments.trotter_sandwich
 
-    def bs_checked(grid, V):
+    def bs_checked(V):
         V.require_psd()
-        return bs(grid, V)
+        return bs(V)
 
     def sandwich_checked(V, alpha):
         V.require_psd()
@@ -1035,10 +1048,8 @@ def test_bs_and_trotter_records_same_with_the_per_a_loop_and_extra_psd_checks(mo
 def test_trotter_domain_and_budget(monkeypatch):
     g = grid1d(6, 0.5)
     v = scalar_potential(g, np.ones(6))
-    # the instance is checked when the sandwich is built ...
-    for alpha in (0.0, -1.0):
-        with pytest.raises(ValueError, match="alpha"):
-            trotter_sandwich(v, alpha=alpha)
+    # the instance is checked when the sandwich is built (alpha: see
+    # test_alpha_and_time_must_be_positive_and_finite) ...
     with pytest.raises(NotPositiveSemidefiniteError):
         trotter_sandwich(scalar_potential(g, [1.0, -0.5, 0.0, 0.0, 0.0, 0.0]), 1.0)
     big = GridSpec(d=1, points_per_axis=(5000,), h=0.1)
@@ -1054,12 +1065,30 @@ def test_trotter_domain_and_budget(monkeypatch):
         trace(t, 4)
     assert calls == ["eigh"]
     # ... and the arguments of each evaluation when it is called
-    for t in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="time"):
-            trace(t, 4)
     for n in (0, -2, 2.0, 2.5, "2"):
         with pytest.raises(ValueError, match="n must"):
             trace(1.0, n)
+
+
+# Every positive scalar argument of the trace routines, as (routine, argument,
+# call with that argument set to x on a potential V).
+_POSITIVE_FINITE_ARGUMENTS = [
+    ("trotter_sandwich", "alpha", lambda v, x: trotter_sandwich(v, x)),
+    ("trotter_sandwich", "time", lambda v, x: trotter_sandwich(v, 1.0)(x, 4)),
+    ("semigroup_sandwich_trace", "alpha", lambda v, x: semigroup_sandwich_trace(v, x, 1.0)),
+    ("semigroup_sandwich_trace", "time", lambda v, x: semigroup_sandwich_trace(v, 1.0, x)),
+    ("resolvent_trace", "alpha", lambda v, x: resolvent_trace(v, x)),
+    ("heat_diagonal_step", "time", lambda v, x: heat_diagonal_step(v, np.exp, x)),
+]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("routine, what, call", _POSITIVE_FINITE_ARGUMENTS,
+                         ids=[f"{r}-{w}" for r, w, _ in _POSITIVE_FINITE_ARGUMENTS])
+def test_alpha_and_time_must_be_positive_and_finite(routine, what, call, bad):
+    v = scalar_potential(grid1d(6, 0.5), np.ones(6))
+    with pytest.raises(ValueError, match=f"^{what} must be positive and finite, got {bad}$"):
+        call(v, bad)
 
 
 def test_trotter_experiment_same_records_with_the_per_call_oracle(monkeypatch):
@@ -1083,22 +1112,22 @@ def test_semigroup_sandwich_vs_expm_oracle():
     for seed in (1, 2, 3):
         v = generate_potential(seed, g, 2, "random-psd-field", 3.0)
         alpha, t = 1.5, 0.7
-        h_dense = hamiltonian(g, v, sign=alpha).toarray()
+        h_dense = hamiltonian(v, sign=alpha).toarray()
         vb = v.block()
         want = float(np.trace(vb @ scipy.linalg.expm(-t * h_dense)).real)
-        got = semigroup_sandwich_trace(g, v, alpha, t)
+        got = semigroup_sandwich_trace(v, alpha, t)
         assert abs(got - want) < 1e-8 * (1.0 + abs(want))
 
 
 def test_resolvent_trace_zero_potential():
     g = grid1d(6, 0.5)
-    assert resolvent_trace(g, scalar_potential(g, np.zeros(6)), 1.0) == 0.0
+    assert resolvent_trace(scalar_potential(g, np.zeros(6)), 1.0) == 0.0
 
 
 def test_resolvent_trace_monotone_in_alpha():
     g = grid1d(9, 0.5)
     v = generate_potential(12, g, 1, "random-psd-field", 4.0)
-    vals = [resolvent_trace(g, v, alpha) for alpha in (1.0, 10.0, 100.0)]
+    vals = [resolvent_trace(v, alpha) for alpha in (1.0, 10.0, 100.0)]
     assert vals[0] > vals[1] > vals[2] > 0.0
 
 
@@ -1106,10 +1135,10 @@ def test_resolvent_identity_against_bs_spectrum():
     g = grid1d(10, 0.5)
     for trial in range(10):
         v = generate_potential((55, trial), g, 1, "random-psd-field", 4.0)
-        lam = np.linalg.eigvalsh(birman_schwinger(g, v))
+        lam = np.linalg.eigvalsh(birman_schwinger(v))
         for alpha in (0.5, 1.0, 2.0):
             want = float(np.sum(lam / (1.0 + alpha * lam)))
-            got = resolvent_trace(g, v, alpha)
+            got = resolvent_trace(v, alpha)
             assert abs(got - want) < 1e-8 * (1.0 + abs(want))
 
 
@@ -1119,7 +1148,7 @@ def test_resolvent_identity_against_bs_spectrum():
 def test_heat_diagonal_step_zero_potential():
     g = grid1d(5, 0.5)
     v = scalar_potential(g, np.zeros(5))
-    assert heat_diagonal_step(g, v, lambda s: s * np.exp(-s), 0.5) == 0.0
+    assert heat_diagonal_step(v, lambda s: s * np.exp(-s), 0.5) == 0.0
 
 
 def test_heat_diagonal_step_formula():
@@ -1131,7 +1160,7 @@ def test_heat_diagonal_step_formula():
     want = (4.0 * math.pi * t) ** -0.5 * 0.5 * sum(
         tv * math.exp(-tv) for tv in t * diag
     )
-    assert abs(heat_diagonal_step(g, v, f, t) - want) < 1e-12 * (1.0 + want)
+    assert abs(heat_diagonal_step(v, f, t) - want) < 1e-12 * (1.0 + want)
 
 
 def test_heat_diagonal_time_integral_identity():
@@ -1147,7 +1176,7 @@ def test_heat_diagonal_time_integral_identity():
     cc = corollary_constant(lambda s: math.exp(-s) * math.expm1(-s) ** 2, 3)
     want = (4.0 * math.pi) ** -1.5 * cc * v.moment(1.5)
     got, err = quad(
-        lambda u: heat_diagonal_step(g, v, f, math.exp(u)), -40.0, 40.0, limit=400
+        lambda u: heat_diagonal_step(v, f, math.exp(u)), -40.0, 40.0, limit=400
     )
     assert err < 1e-7 * (1.0 + abs(got))
     assert abs(got - want) < 1e-6 * (1.0 + abs(want))
@@ -1196,10 +1225,10 @@ def test_hamiltonian_real_for_real_potentials():
     v1 = generate_potential(5, g, 1, "random-psd-field", 3.0)
     assert v1.values.dtype == np.complex128
     assert v1.block().dtype == np.float64
-    assert hamiltonian(g, v1).matrix.dtype == np.float64
+    assert hamiltonian(v1).matrix.dtype == np.float64
     v2 = generate_potential(5, g, 2, "random-psd-field", 3.0)
     assert np.any(v2.values.imag)
-    assert hamiltonian(g, v2).matrix.dtype == np.complex128
+    assert hamiltonian(v2).matrix.dtype == np.complex128
 
 
 def _kron_stencil_1d(m, h):
@@ -1236,7 +1265,7 @@ def test_stencil_assembly_matches_kron_sum_bit_for_bit(pts):
             v = generate_potential(6, g, nf, style, 3.0)
             for sign in (-1.0, 0.7):
                 lap, want = kron_sum_hamiltonian(g, v, sign)
-                got = hamiltonian(g, v, sign=sign)
+                got = hamiltonian(v, sign=sign)
                 assert got.matrix.dtype == want.dtype
                 assert np.array_equal(got.matrix.indptr, want.indptr)
                 assert np.array_equal(got.matrix.indices, want.indices)
@@ -1253,7 +1282,7 @@ def test_hamiltonian_is_laplacian_plus_signed_block():
     for nf, sign in ((1, -1.0), (2, 0.5)):
         v = generate_potential(6, g, nf, "random-psd-field", 3.0)
         _, want = kron_sum_hamiltonian(g, v, sign)
-        got = hamiltonian(g, v, sign=sign).matrix
+        got = hamiltonian(v, sign=sign).matrix
         assert np.array_equal(got.toarray(), want.toarray())
 
 
@@ -1293,14 +1322,15 @@ def test_hermitian_defect_matches_explicit_difference():
     for trial in range(400):
         n = int(rng.integers(1, 9))
         m = _random_sparse(rng, n, complex_=trial % 2 == 1, duplicates=trial % 4 >= 2)
-        before = (m.indptr.copy(), m.indices.copy(), m.data.copy())
         defect = m - m.getH()
         want = float(np.max(np.abs(defect.data))) if defect.nnz else 0.0
-        assert _hermitian_defect(m) == want
-        for old, new in zip(before, (m.indptr, m.indices, m.data)):
+        canonical = m.copy()  # the stated precondition: duplicates summed, indices sorted
+        canonical.sum_duplicates()
+        before = (canonical.indptr.copy(), canonical.indices.copy(), canonical.data.copy())
+        assert _hermitian_defect(canonical) == want
+        for old, new in zip(before, (canonical.indptr, canonical.indices, canonical.data)):
             assert np.array_equal(old, new)
-    hermitian = hamiltonian(grid1d(6), generate_potential(3, grid1d(6), 2,
-                                                          "random-psd-field", 2.0))
+    hermitian = hamiltonian(generate_potential(3, grid1d(6), 2, "random-psd-field", 2.0))
     assert _hermitian_defect(hermitian.matrix) == 0.0
 
 
@@ -1341,12 +1371,12 @@ def test_sqrt_sites_and_birman_schwinger_accept_what_require_psd_accepts():
     v.require_psd()
     roots = v.sqrt_sites()
     assert np.array_equal(roots[:, 0, 0], np.sqrt([2.0, 0.0, 1.0]))
-    k = birman_schwinger(g, v)
+    k = birman_schwinger(v)
     assert k.shape == (3, 3)
     below = vals.copy()
     below[1] = -4e-10  # beyond the rule: rejected by all three
     w = MatrixPotential(grid=g, N=1, values=below)
-    for check in (w.require_psd, w.sqrt_sites, lambda: birman_schwinger(g, w)):
+    for check in (w.require_psd, w.sqrt_sites, lambda: birman_schwinger(w)):
         with pytest.raises(NotPositiveSemidefiniteError):
             check()
 
@@ -1460,7 +1490,7 @@ def test_dense_budget_env_override(monkeypatch):
     big = GridSpec(d=3, points_per_axis=(17, 17, 17), h=0.1)
     assert laplacian(big).dim == 4913
     values = 300.0 * np.exp(-np.sum((big.site_coords() - 0.9) ** 2, axis=1) / 0.1)
-    h_big = hamiltonian(big, scalar_potential(big, values))
+    h_big = hamiltonian(scalar_potential(big, values))
     assert h_big.dim == 4913
     count = count_negative(h_big)
     # independent oracle: shift-invert Lanczos below the spectrum (L >= 0)
@@ -1473,9 +1503,9 @@ def test_dense_budget_env_override(monkeypatch):
         riesz_mean(h_big, 1.0)
     monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "8")
     with pytest.raises(BudgetError, match="CLRLAB_DENSE_BUDGET"):
-        count_negative(hamiltonian(grid1d(9), scalar_potential(grid1d(9), np.ones(9))))
+        count_negative(hamiltonian(scalar_potential(grid1d(9), np.ones(9))))
     g8 = grid1d(8, 0.5)
-    assert count_negative(hamiltonian(g8, scalar_potential(g8, 100.0 * np.ones(8)))) == 8
+    assert count_negative(hamiltonian(scalar_potential(g8, 100.0 * np.ones(8)))) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -1484,7 +1514,7 @@ def test_dense_budget_env_override(monkeypatch):
 def _random_hamiltonian(pts, N, seed=5):
     grid = GridSpec(d=len(pts), points_per_axis=pts, h=0.5)
     v = generate_potential(seed, grid, N, "random-psd-field", amplitude=40.0)
-    return grid, v, hamiltonian(grid, v)
+    return v, hamiltonian(v)
 
 
 @pytest.mark.parametrize("pts, N, dtype", [
@@ -1494,7 +1524,7 @@ def _random_hamiltonian(pts, N, seed=5):
     ((7, 7, 7), 1, np.float64),     # 343
 ])
 def test_dense_spectrum_matches_numpy_bit_for_bit(pts, N, dtype):
-    _, _, op = _random_hamiltonian(pts, N)
+    _, op = _random_hamiltonian(pts, N)
     assert op.matrix.dtype == dtype
     before = [a.copy() for a in (op.matrix.data, op.matrix.indices, op.matrix.indptr)]
     want = np.linalg.eigvalsh(op.toarray())
@@ -1519,8 +1549,8 @@ def _force_overlap(monkeypatch, on):
 
 @pytest.mark.parametrize("N", [1, 2])
 def test_h_and_k_spectra_same_with_and_without_overlap(monkeypatch, N):
-    grid, v, op = _random_hamiltonian((7, 7, 7), N)
-    k = birman_schwinger(grid, v)
+    v, op = _random_hamiltonian((7, 7, 7), N)
+    k = birman_schwinger(v)
     results = []
     for on in (True, False):
         pools = _force_overlap(monkeypatch, on)
@@ -1544,8 +1574,8 @@ def test_bs_equivalence_records_same_with_and_without_overlap(monkeypatch):
 
 
 def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
-    grid, v, op = _random_hamiltonian((7, 7, 7), 1)
-    k = birman_schwinger(grid, v)
+    v, op = _random_hamiltonian((7, 7, 7), 1)
+    k = birman_schwinger(v)
     _force_overlap(monkeypatch, True)
     threads = threading.active_count()
 
@@ -1569,14 +1599,14 @@ def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
 
 
 def test_h_and_k_spectra_sequential_unless_blas_is_serial(monkeypatch):
-    grid, v, op = _random_hamiltonian((7, 7, 7), 1)
+    v, op = _random_hamiltonian((7, 7, 7), 1)
     monkeypatch.setattr(lattice, "_SERIAL_BLAS", lattice._serial_blas({}))
 
     def no_thread(*args, **kwargs):
         raise AssertionError("no worker thread without a serial BLAS")
 
     monkeypatch.setattr(lattice, "ThreadPoolExecutor", no_thread)
-    w, lam = h_and_k_spectra(op, birman_schwinger(grid, v))
+    w, lam = h_and_k_spectra(op, birman_schwinger(v))
     assert np.array_equal(w, np.linalg.eigvalsh(op.toarray()))
 
 
@@ -1590,7 +1620,7 @@ def test_serial_blas_rule():
 
 def test_h_and_k_spectra_charges_the_budget_for_h(monkeypatch):
     g9 = grid1d(9)
-    op = hamiltonian(g9, scalar_potential(g9, np.ones(9)))
+    op = hamiltonian(scalar_potential(g9, np.ones(9)))
     monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "8")
     with pytest.raises(BudgetError, match="Hamiltonian spectrum.*CLRLAB_DENSE_BUDGET"):
         h_and_k_spectra(op, np.eye(1))
