@@ -7,7 +7,9 @@ its records, CSV columns and summary extras.
 
 Every experiment draws its instances from per-trial derived seeds, emits
 one record per checked statement, and reduces the records into a summary
-whose pass/fail is derivable from the records alone.  Hard gates are
+whose pass/fail is derivable from the records alone.  Independent trials
+run through _map_trials, which may fork them over the usable CPUs; the
+records are the same either way.  Hard gates are
 exact finite-dimensional statements; records with gate == "monitor"
 carry continuum-comparison data and never affect the exit status.
 """
@@ -15,12 +17,18 @@ carry continuum-comparison data and never affect the exit status.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import os
+import pickle
+import signal
+import sys
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
 
+from ..config import parallel_cpus
 from ..errors import ClrlabError
 from ..lattice import (
     ZERO_BAND_RTOL,
@@ -98,6 +106,102 @@ def _summary(records: list, extra: dict | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# trial maps
+
+# True while a share of a forked trial map runs, in the parent and in the
+# children: a map nested in it runs serially.
+_IN_SHARE = False
+
+
+def _forkable() -> bool:
+    """Whether a trial map may fork here: on Linux, outside the share of a
+    forked map, and with no other Python thread alive (a fork copies the
+    calling thread only, so a lock that another thread held would stay
+    held)."""
+    return (sys.platform.startswith("linux") and not _IN_SHARE
+            and threading.active_count() == 1)
+
+
+def _share(fn, cfg, indices, positions) -> tuple:
+    """fn(cfg, indices[p]) for p in positions, in order, up to the first
+    exception: (results, None) or (results, (position, exception))."""
+    results = []
+    for p in positions:
+        try:
+            results.append(fn(cfg, indices[p]))
+        except Exception as exc:
+            return results, (p, exc)
+    return results, None
+
+
+def _run_child_share(fn, cfg, indices, positions, write_end) -> None:
+    """A forked share: compute it, pickle it into the pipe and leave by
+    os._exit, so no inherited stdio buffer is flushed and no exit hook runs."""
+    status = 1
+    try:
+        payload = pickle.dumps(_share(fn, cfg, indices, positions))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_trials(fn, cfg: ExperimentConfig, indices: Sequence) -> list:
+    """[fn(cfg, i) for i in indices], the independent calls spread over CPUs.
+
+    With W = min(parallel_cpus(), len(indices)) >= 2 and _forkable(), W - 1
+    children are forked, each with a pipe: share k takes the positions k,
+    k + W, ..., this process computes share 0, and every share stops at its
+    first exception.  The results are merged by position, and the exception
+    of the lowest failing position is raised, as the serial loop would
+    raise it.  A child that dies raises ClrlabError naming its exit status;
+    every child is reaped before this returns or raises.  Otherwise the
+    calls run here, one after the other.  The results are the same either
+    way.
+    """
+    global _IN_SHARE
+    workers = min(parallel_cpus(), len(indices))
+    if workers < 2 or not _forkable():
+        return [fn(cfg, i) for i in indices]
+    children = []  # (pid, read end of its pipe)
+    payloads, statuses = [], []
+    _IN_SHARE = True
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _run_child_share(fn, cfg, indices, range(k, len(indices), workers),
+                                 write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        shares = [_share(fn, cfg, indices, range(0, len(indices), workers))]
+        for _, read_end in children:
+            with os.fdopen(read_end, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        _IN_SHARE = False
+        for pid, read_end in children:
+            os.close(read_end)
+            if len(payloads) < len(children):  # leaving by an exception
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for code in statuses:
+        if code != 0:
+            raise ClrlabError(f"a forked share of trials died with exit status {code}")
+    shares += [pickle.loads(payload) for payload in payloads]
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    merged = [None] * len(indices)
+    for k, (results, _) in enumerate(shares):
+        merged[k::workers] = results
+    return merged
+
+
+# ---------------------------------------------------------------------------
 # constants
 
 def _run_constants(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
@@ -152,26 +256,28 @@ def _run_constants(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
 # ---------------------------------------------------------------------------
 # jensen
 
-def _run_jensen(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+def _jensen_trial(cfg: ExperimentConfig, i: int) -> dict:
     tol = cfg.tolerances["jensen_gap"]
-    records = []
-    for i in range(cfg.trials):
-        s = derive_seed(cfg.seed, i)
-        rng = rng_from(s)
-        n = int(rng.integers(1, cfg.n_max + 1))
-        nf = int(rng.integers(1, cfg.N_max + 1))
-        f = random_admissible_function(rng)
-        ws = random_psd_tuple(rng, n, nf, 0.1, 1.2)
-        averaged, ordered = _jensen_sides(f, eig_hermitian_tuple(ws))
-        gap = averaged - ordered
-        scale = 1.0 + abs(averaged)
-        records.append({
-            "kind": "jensen-gap", "gate": "hard", "trial": i, "seed": s,
-            "n": n, "N": nf,
-            "digest": inputs_digest(np.array(f.poly_coeffs),
-                                    np.array(f.exp_atoms), *ws),
-            "gap": gap, "scale": scale, "margin": gap + tol * scale,
-        })
+    s = derive_seed(cfg.seed, i)
+    rng = rng_from(s)
+    n = int(rng.integers(1, cfg.n_max + 1))
+    nf = int(rng.integers(1, cfg.N_max + 1))
+    f = random_admissible_function(rng)
+    ws = random_psd_tuple(rng, n, nf, 0.1, 1.2)
+    averaged, ordered = _jensen_sides(f, eig_hermitian_tuple(ws))
+    gap = averaged - ordered
+    scale = 1.0 + abs(averaged)
+    return {
+        "kind": "jensen-gap", "gate": "hard", "trial": i, "seed": s,
+        "n": n, "N": nf,
+        "digest": inputs_digest(np.array(f.poly_coeffs),
+                                np.array(f.exp_atoms), *ws),
+        "gap": gap, "scale": scale, "margin": gap + tol * scale,
+    }
+
+
+def _run_jensen(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    records = _map_trials(_jensen_trial, cfg, range(cfg.trials))
     gaps = np.array([r["gap"] for r in records])
     extra = {"min_gap": float(gaps.min()),
              "min_gap_seed": records[int(np.argmin(gaps))]["seed"]}
@@ -182,32 +288,31 @@ def _run_jensen(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
 # ---------------------------------------------------------------------------
 # holder
 
-def _run_holder(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+def _holder_trial(cfg: ExperimentConfig, i: int) -> dict:
     tol = cfg.tolerances["holder_slack"]
-    records = []
-    for i in range(cfg.trials):
-        s = derive_seed(cfg.seed, i)
-        rng = rng_from(s)
-        n = int(rng.integers(1, cfg.n_max + 1))
-        nf = int(rng.integers(1, cfg.N_max + 1))
-        k = int(rng.integers(1, 6))
-        powers = rng.multinomial(k, np.full(n, 1.0 / n)).tolist()
-        ws = random_psd_tuple(rng, n, nf, 0.2, 1.5)
-        try:
-            lhs, rhs = holder_trace_product(ws, powers)
-            margin = rhs + tol * (1.0 + abs(rhs)) - lhs
-        except ArithmeticError as exc:
-            lhs = rhs = float("nan")
-            margin = -1.0
-            records.append({
-                "kind": "holder-violation", "gate": "hard", "trial": i,
-                "seed": s, "error": str(exc), "margin": margin,
-            })
-            continue
-        records.append({
-            "kind": "holder", "gate": "hard", "trial": i, "seed": s,
-            "n": n, "N": nf, "k": k, "lhs": lhs, "rhs": rhs, "margin": margin,
-        })
+    s = derive_seed(cfg.seed, i)
+    rng = rng_from(s)
+    n = int(rng.integers(1, cfg.n_max + 1))
+    nf = int(rng.integers(1, cfg.N_max + 1))
+    k = int(rng.integers(1, 6))
+    powers = rng.multinomial(k, np.full(n, 1.0 / n)).tolist()
+    ws = random_psd_tuple(rng, n, nf, 0.2, 1.5)
+    try:
+        lhs, rhs = holder_trace_product(ws, powers)
+        margin = rhs + tol * (1.0 + abs(rhs)) - lhs
+    except ArithmeticError as exc:
+        return {
+            "kind": "holder-violation", "gate": "hard", "trial": i,
+            "seed": s, "error": str(exc), "margin": -1.0,
+        }
+    return {
+        "kind": "holder", "gate": "hard", "trial": i, "seed": s,
+        "n": n, "N": nf, "k": k, "lhs": lhs, "rhs": rhs, "margin": margin,
+    }
+
+
+def _run_holder(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    records = _map_trials(_holder_trial, cfg, range(cfg.trials))
     cols = ["kind", "trial", "seed", "n", "N", "k", "lhs", "rhs", "margin"]
     return records, cols, None
 
@@ -219,53 +324,55 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _run_timeorder(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+def _timeorder_trial(cfg: ExperimentConfig, i: int) -> dict:
     tol_closed = cfg.tolerances["closed_form"]
     tol_commute = cfg.tolerances["commuting_collapse"]
-    records = []
-    for i in range(cfg.trials):
-        s = derive_seed(cfg.seed, i)
-        rng = rng_from(s)
-        n = int(rng.integers(2, cfg.n_max + 1))
-        nf = int(rng.integers(1, cfg.N_max + 1))
-        decs = eig_hermitian_tuple(random_psd_tuple(rng, n, nf, 0.3, 1.0))
+    s = derive_seed(cfg.seed, i)
+    rng = rng_from(s)
+    n = int(rng.integers(2, cfg.n_max + 1))
+    nf = int(rng.integers(1, cfg.N_max + 1))
+    decs = eig_hermitian_tuple(random_psd_tuple(rng, n, nf, 0.3, 1.0))
 
-        # One ordered series gives all three closed forms: k! C_k(0) for
-        # T mu^k, C_0(alpha) for T e^{alpha mu} and C_1(alpha) for
-        # T mu e^{alpha mu}.  Each is checked against its own enumeration.
-        k = _require_power(int(rng.integers(2, 7)))
-        alpha = float(rng.uniform(-2.0, 2.0))
-        series = _ordered_series(decs, [0.0, alpha], k)
-        forms = {
-            "monomial": (math.factorial(k) * series[0, k],
-                         ScalarFunctionClass.monomial(k)),
-            "exponential": (series[1, 0], ScalarFunctionClass.exponential(alpha)),
-            "mu-exp": (series[1, 1], lambda mu: mu * np.exp(alpha * mu)),
-        }
-        checks = {}
-        for name, (closed, f) in forms.items():
-            enumerated = time_ordered_apply(f, decs)
-            checks[name] = (tol_closed * (1.0 + _max_abs(closed))
-                            - _max_abs(closed - enumerated))
+    # One ordered series gives all three closed forms: k! C_k(0) for
+    # T mu^k, C_0(alpha) for T e^{alpha mu} and C_1(alpha) for
+    # T mu e^{alpha mu}.  Each is checked against its own enumeration.
+    k = _require_power(int(rng.integers(2, 7)))
+    alpha = float(rng.uniform(-2.0, 2.0))
+    series = _ordered_series(decs, [0.0, alpha], k)
+    forms = {
+        "monomial": (math.factorial(k) * series[0, k],
+                     ScalarFunctionClass.monomial(k)),
+        "exponential": (series[1, 0], ScalarFunctionClass.exponential(alpha)),
+        "mu-exp": (series[1, 1], lambda mu: mu * np.exp(alpha * mu)),
+    }
+    checks = {}
+    for name, (closed, f) in forms.items():
+        enumerated = time_ordered_apply(f, decs)
+        checks[name] = (tol_closed * (1.0 + _max_abs(closed))
+                        - _max_abs(closed - enumerated))
 
-        # Commuting family: shared eigenbasis, random non-negative spectra.
-        g = rng.standard_normal((nf, nf)) + 1j * rng.standard_normal((nf, nf))
-        q, _ = np.linalg.qr(g)
-        coms = []
-        for _ in range(n):
-            lam = rng.uniform(0.0, 1.0, nf)
-            m = (q * lam) @ q.conj().T
-            coms.append(0.5 * (m + m.conj().T))
-        f = random_admissible_function(rng)
-        a = time_ordered_apply(f, coms)
-        b = apply_spectral(f, sum(coms))
-        checks["commuting"] = tol_commute * (1.0 + _max_abs(a)) - _max_abs(a - b)
+    # Commuting family: shared eigenbasis, random non-negative spectra.
+    g = rng.standard_normal((nf, nf)) + 1j * rng.standard_normal((nf, nf))
+    q, _ = np.linalg.qr(g)
+    coms = []
+    for _ in range(n):
+        lam = rng.uniform(0.0, 1.0, nf)
+        m = (q * lam) @ q.conj().T
+        coms.append(0.5 * (m + m.conj().T))
+    f = random_admissible_function(rng)
+    a = time_ordered_apply(f, coms)
+    b = apply_spectral(f, sum(coms))
+    checks["commuting"] = tol_commute * (1.0 + _max_abs(a)) - _max_abs(a - b)
 
-        worst = min(checks, key=checks.get)
-        records.append({
-            "kind": "timeorder", "gate": "hard", "trial": i, "seed": s,
-            "n": n, "N": nf, "worst_check": worst, "margin": checks[worst],
-        })
+    worst = min(checks, key=checks.get)
+    return {
+        "kind": "timeorder", "gate": "hard", "trial": i, "seed": s,
+        "n": n, "N": nf, "worst_check": worst, "margin": checks[worst],
+    }
+
+
+def _run_timeorder(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    records = _map_trials(_timeorder_trial, cfg, range(cfg.trials))
     cols = ["kind", "trial", "seed", "n", "N", "worst_check", "margin"]
     return records, cols, None
 
@@ -316,49 +423,53 @@ def _barrier_instance(cfg: ExperimentConfig, index: int):
     return s, v, alpha, t
 
 
+def _resolvent_record(cfg: ExperimentConfig, i: int) -> dict:
+    s, v, alpha = _trotter_instance(cfg, i)
+    r_direct = resolvent_trace(v, alpha)
+    lam = k_spectrum(birman_schwinger(v))
+    r_spectral = float(np.sum(lam / (1.0 + alpha * lam)))
+    rel = abs(r_direct - r_spectral) / max(abs(r_spectral), 1e-30)
+    return {
+        "kind": "resolvent-identity", "gate": "hard", "trial": i,
+        "seed": s, "dim": v.dim, "alpha": alpha, "value": r_direct,
+        "reference": r_spectral, "margin": cfg.tolerances["resolvent_rel"] - rel,
+    }
+
+
+def _slope_record(cfg: ExperimentConfig, i: int) -> dict:
+    s, v, alpha, t = _barrier_instance(cfg, 10_000 + i)
+    exact = semigroup_sandwich_trace(v, alpha, t)
+    trace = trotter_sandwich(v, alpha)
+    ns = np.array([4, 8, 16, 32, 64, 128, 256], dtype=float)
+    errs = np.array([abs(trace(t, int(n)) - exact) for n in ns])
+    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
+    return {
+        "kind": "trotter-slope", "gate": "hard", "trial": i, "seed": s,
+        "dim": v.dim, "alpha": alpha, "value": slope,
+        "margin": min(slope + 1.3, -0.7 - slope),
+    }
+
+
+def _quadrature_record(cfg: ExperimentConfig, i: int) -> dict:
+    s, v, alpha = _trotter_instance(cfg, 20_000 + i)
+    r_direct = resolvent_trace(v, alpha)
+    trace = trotter_sandwich(v, alpha)
+    val, _ = scipy.integrate.quad(lambda t: trace(t, 256), 0.0, np.inf,
+                                  epsabs=1e-10, epsrel=1e-7, limit=200)
+    rel = abs(val - r_direct) / max(abs(r_direct), 1e-30)
+    return {
+        "kind": "t-quadrature", "gate": "hard", "trial": i, "seed": s,
+        "dim": v.dim, "alpha": alpha, "value": val,
+        "reference": r_direct, "margin": cfg.tolerances["t_quadrature_rel"] - rel,
+    }
+
+
 def _run_trotter(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
-    tol_res = cfg.tolerances["resolvent_rel"]
-    tol_quad = cfg.tolerances["t_quadrature_rel"]
-    records = []
-
-    for i in range(cfg.trials):
-        s, v, alpha = _trotter_instance(cfg, i)
-        r_direct = resolvent_trace(v, alpha)
-        lam = k_spectrum(birman_schwinger(v))
-        r_spectral = float(np.sum(lam / (1.0 + alpha * lam)))
-        rel = abs(r_direct - r_spectral) / max(abs(r_spectral), 1e-30)
-        records.append({
-            "kind": "resolvent-identity", "gate": "hard", "trial": i,
-            "seed": s, "dim": v.dim, "alpha": alpha, "value": r_direct,
-            "reference": r_spectral, "margin": tol_res - rel,
-        })
-
-    for i in range(3):
-        s, v, alpha, t = _barrier_instance(cfg, 10_000 + i)
-        exact = semigroup_sandwich_trace(v, alpha, t)
-        trace = trotter_sandwich(v, alpha)
-        ns = np.array([4, 8, 16, 32, 64, 128, 256], dtype=float)
-        errs = np.array([abs(trace(t, int(n)) - exact) for n in ns])
-        slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
-        records.append({
-            "kind": "trotter-slope", "gate": "hard", "trial": i, "seed": s,
-            "dim": v.dim, "alpha": alpha, "value": slope,
-            "margin": min(slope + 1.3, -0.7 - slope),
-        })
-
-    for i in range(10):
-        s, v, alpha = _trotter_instance(cfg, 20_000 + i)
-        r_direct = resolvent_trace(v, alpha)
-        trace = trotter_sandwich(v, alpha)
-        val, _ = scipy.integrate.quad(lambda t: trace(t, 256), 0.0, np.inf,
-                                      epsabs=1e-10, epsrel=1e-7, limit=200)
-        rel = abs(val - r_direct) / max(abs(r_direct), 1e-30)
-        records.append({
-            "kind": "t-quadrature", "gate": "hard", "trial": i, "seed": s,
-            "dim": v.dim, "alpha": alpha, "value": val,
-            "reference": r_direct, "margin": tol_quad - rel,
-        })
-
+    # one map over every instance: (record function, its trial index)
+    tasks = ([(_resolvent_record, i) for i in range(cfg.trials)]
+             + [(_slope_record, i) for i in range(3)]
+             + [(_quadrature_record, i) for i in range(10)])
+    records = _map_trials(lambda cfg, task: task[0](cfg, task[1]), cfg, tasks)
     cols = ["kind", "trial", "seed", "dim", "alpha", "value", "reference", "margin"]
     return records, cols, None
 
@@ -409,28 +520,31 @@ BS_A_VALUES = (0.7, 1.13, 2.0)
 _BS_A_COLUMN = np.array(BS_A_VALUES)[:, np.newaxis]
 
 
-def _run_bs(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
-    records = []
-    for i in range(cfg.trials):
-        s, v, h_op, w_h, lam_k = _bs_instance(cfg, i)
-        zero_tol = ZERO_BAND_RTOL * h_op.scale()
-        count_inertia = count_negative(h_op)
-        count_dense = int(np.sum(w_h < -zero_tol))
-        k_above_one = int(np.sum(lam_k > 1.0))
-        match = (count_inertia == count_dense == k_above_one)
+def _bs_trial(cfg: ExperimentConfig, i: int) -> list:
+    s, v, h_op, w_h, lam_k = _bs_instance(cfg, i)
+    zero_tol = ZERO_BAND_RTOL * h_op.scale()
+    count_inertia = count_negative(h_op)
+    count_dense = int(np.sum(w_h < -zero_tol))
+    k_above_one = int(np.sum(lam_k > 1.0))
+    match = (count_inertia == count_dense == k_above_one)
+    records = [{
+        "kind": "count-equivalence", "gate": "hard", "trial": i, "seed": s,
+        "dim": v.dim, "count": count_inertia, "count_dense": count_dense,
+        "k_count": k_above_one, "margin": 0.0 if match else -1.0,
+    }]
+    # one F_a evaluation gives every a's bound: a row per a
+    bounds = bs_bound(lambda lam: f_a_transform(_BS_A_COLUMN, lam), lam_k)
+    for a, bound in zip(BS_A_VALUES, bounds.tolist()):
         records.append({
-            "kind": "count-equivalence", "gate": "hard", "trial": i, "seed": s,
-            "dim": v.dim, "count": count_inertia, "count_dense": count_dense,
-            "k_count": k_above_one, "margin": 0.0 if match else -1.0,
+            "kind": "bs-bound", "gate": "hard", "trial": i, "seed": s,
+            "dim": v.dim, "a": a, "bound": bound, "count": count_inertia,
+            "margin": bound - count_inertia + 1e-9,
         })
-        # one F_a evaluation gives every a's bound: a row per a
-        bounds = bs_bound(lambda lam: f_a_transform(_BS_A_COLUMN, lam), lam_k)
-        for a, bound in zip(BS_A_VALUES, bounds.tolist()):
-            records.append({
-                "kind": "bs-bound", "gate": "hard", "trial": i, "seed": s,
-                "dim": v.dim, "a": a, "bound": bound, "count": count_inertia,
-                "margin": bound - count_inertia + 1e-9,
-            })
+    return records
+
+
+def _run_bs(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    records = [r for rs in _map_trials(_bs_trial, cfg, range(cfg.trials)) for r in rs]
     counts = [r["count"] for r in records if r["kind"] == "count-equivalence"]
     extra = {"max_count": int(max(counts)), "mean_count": float(np.mean(counts))}
     cols = ["kind", "trial", "seed", "dim", "count", "count_dense", "k_count",
@@ -441,35 +555,40 @@ def _run_bs(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
 # ---------------------------------------------------------------------------
 # clr-survey
 
-def _run_survey(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+def _survey_ensemble(cfg: ExperimentConfig, e: int) -> list:
+    """One ensemble's survey records over the refinements, then its trend."""
     amplitude = float(cfg.options["amplitude"])
     records = []
-    trend_ok_all = True
-    for e in range(cfg.trials):
-        s = derive_seed(cfg.seed, e)
-        eps_chain = []
-        for m in cfg.options["refinements"]:
-            grid = GridSpec(d=3, points_per_axis=(m, m, m), h=1.0 / (m + 1))
-            v = generate_potential(s, grid, 1, "gaussian-bumps",
-                                   amplitude=amplitude)
-            count = count_negative(hamiltonian(V=v))
-            rhs = clr_rhs(v, r_bound(0.0))
-            ratio = count / rhs if rhs > 0 else math.inf
-            eps = max(0.0, ratio - 1.0)
-            eps_chain.append(eps)
-            records.append({
-                "kind": "survey", "gate": "monitor", "ensemble": e, "seed": s,
-                "m": m, "h": grid.h, "count": count, "rhs": rhs,
-                "ratio": ratio, "eps": eps,
-                "digest": potential_digest(v),
-            })
-        trend_ok = all(eps_chain[j + 1] <= eps_chain[j] + 1e-12
-                       for j in range(len(eps_chain) - 1))
-        trend_ok_all = trend_ok_all and trend_ok
+    s = derive_seed(cfg.seed, e)
+    eps_chain = []
+    for m in cfg.options["refinements"]:
+        grid = GridSpec(d=3, points_per_axis=(m, m, m), h=1.0 / (m + 1))
+        v = generate_potential(s, grid, 1, "gaussian-bumps",
+                               amplitude=amplitude)
+        count = count_negative(hamiltonian(V=v))
+        rhs = clr_rhs(v, r_bound(0.0))
+        ratio = count / rhs if rhs > 0 else math.inf
+        eps = max(0.0, ratio - 1.0)
+        eps_chain.append(eps)
         records.append({
-            "kind": "trend", "gate": "monitor", "ensemble": e, "seed": s,
-            "trend_ok": trend_ok, "eps_chain": eps_chain,
+            "kind": "survey", "gate": "monitor", "ensemble": e, "seed": s,
+            "m": m, "h": grid.h, "count": count, "rhs": rhs,
+            "ratio": ratio, "eps": eps,
+            "digest": potential_digest(v),
         })
+    trend_ok = all(eps_chain[j + 1] <= eps_chain[j] + 1e-12
+                   for j in range(len(eps_chain) - 1))
+    records.append({
+        "kind": "trend", "gate": "monitor", "ensemble": e, "seed": s,
+        "trend_ok": trend_ok, "eps_chain": eps_chain,
+    })
+    return records
+
+
+def _run_survey(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    records = [r for rs in _map_trials(_survey_ensemble, cfg, range(cfg.trials))
+               for r in rs]
+    trend_ok_all = all(r["trend_ok"] for r in records if r["kind"] == "trend")
     ratios = [r["ratio"] for r in records if r["kind"] == "survey"]
     extra = {"trend_ok": trend_ok_all, "max_ratio": float(max(ratios))}
     cols = ["kind", "ensemble", "seed", "m", "h", "count", "rhs", "ratio", "eps"]
@@ -479,25 +598,29 @@ def _run_survey(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
 # ---------------------------------------------------------------------------
 # lt-moments
 
-def _run_lt(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+def _lt_trial(cfg: ExperimentConfig, i: int) -> list:
     records = []
-    for i in range(cfg.trials):
-        s = derive_seed(cfg.seed, i)
-        rng = rng_from(s)
-        grid = GridSpec(d=len(cfg.grid_points), points_per_axis=cfg.grid_points,
-                        h=float(rng.uniform(0.4, 0.6)))
-        nf = int(rng.integers(1, 3))
-        amp = float(rng.uniform(1.0, 3.0)) * _lambda_floor(grid) * 30.0
-        v = generate_potential(s, grid, nf, "gaussian-bumps", amplitude=amp)
-        h_op = hamiltonian(V=v)
-        for gamma in (0.5, 1.0, 2.0):
-            lhs = riesz_mean(h_op, gamma)
-            rhs = lt_rhs(gamma, grid.d, v.moment(gamma + grid.d / 2.0))
-            records.append({
-                "kind": "lt-moment", "gate": "monitor", "trial": i, "seed": s,
-                "gamma": gamma, "riesz": lhs, "rhs": rhs,
-                "ratio": lhs / rhs if rhs > 0 else math.inf,
-            })
+    s = derive_seed(cfg.seed, i)
+    rng = rng_from(s)
+    grid = GridSpec(d=len(cfg.grid_points), points_per_axis=cfg.grid_points,
+                    h=float(rng.uniform(0.4, 0.6)))
+    nf = int(rng.integers(1, 3))
+    amp = float(rng.uniform(1.0, 3.0)) * _lambda_floor(grid) * 30.0
+    v = generate_potential(s, grid, nf, "gaussian-bumps", amplitude=amp)
+    h_op = hamiltonian(V=v)
+    for gamma in (0.5, 1.0, 2.0):
+        lhs = riesz_mean(h_op, gamma)
+        rhs = lt_rhs(gamma, grid.d, v.moment(gamma + grid.d / 2.0))
+        records.append({
+            "kind": "lt-moment", "gate": "monitor", "trial": i, "seed": s,
+            "gamma": gamma, "riesz": lhs, "rhs": rhs,
+            "ratio": lhs / rhs if rhs > 0 else math.inf,
+        })
+    return records
+
+
+def _run_lt(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
+    records = [r for rs in _map_trials(_lt_trial, cfg, range(cfg.trials)) for r in rs]
     ratios = [r["ratio"] for r in records]
     extra = {"max_ratio": float(max(ratios))}
     cols = ["kind", "trial", "seed", "gamma", "riesz", "rhs", "ratio"]
@@ -507,23 +630,26 @@ def _run_lt(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
 # ---------------------------------------------------------------------------
 # remark-probe
 
+def _probe_trial(cfg: ExperimentConfig, i: int) -> tuple[dict, float]:
+    """One hinge-gap record and the scale 1 + |averaged side| of its gap."""
+    s = derive_seed(cfg.seed, i)
+    rng = rng_from(s)
+    n = int(rng.integers(2, min(cfg.n_max, 3) + 1))
+    nf = int(rng.integers(2, min(cfg.N_max, 3) + 1))
+    kink = float(rng.uniform(0.2, 2.0))
+    averaged, ordered = _hinge_sides(
+        kink, eig_hermitian_tuple(random_psd_tuple(rng, n, nf, 0.3, 1.5)))
+    gap = averaged - ordered
+    return {
+        "kind": "hinge-gap", "gate": "monitor", "trial": i, "seed": s,
+        "n": n, "N": nf, "kink": kink, "gap": gap,
+    }, 1.0 + abs(averaged)
+
+
 def _run_probe(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
-    records = []
-    scales = []
-    for i in range(cfg.trials):
-        s = derive_seed(cfg.seed, i)
-        rng = rng_from(s)
-        n = int(rng.integers(2, min(cfg.n_max, 3) + 1))
-        nf = int(rng.integers(2, min(cfg.N_max, 3) + 1))
-        kink = float(rng.uniform(0.2, 2.0))
-        averaged, ordered = _hinge_sides(
-            kink, eig_hermitian_tuple(random_psd_tuple(rng, n, nf, 0.3, 1.5)))
-        gap = averaged - ordered
-        scales.append(1.0 + abs(averaged))
-        records.append({
-            "kind": "hinge-gap", "gate": "monitor", "trial": i, "seed": s,
-            "n": n, "N": nf, "kink": kink, "gap": gap,
-        })
+    trials = _map_trials(_probe_trial, cfg, range(cfg.trials))
+    records = [record for record, _ in trials]
+    scales = [scale for _, scale in trials]
     gaps = np.array([r["gap"] for r in records])
     imin = int(np.argmin(gaps))
     extra = {

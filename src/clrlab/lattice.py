@@ -31,14 +31,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
 
-from .config import MAX_MATRIX_DIM, dense_budget
+from .config import MAX_MATRIX_DIM, dense_budget, parallel_cpus
 from .errors import BudgetError, NonHermitianError
 from .matcore import (
     HERMITICITY_RTOL,
@@ -58,27 +57,6 @@ _MIN_SLAB = 64
 # of numpy's two) and may run beside another; below it scipy's wrapper costs
 # more than the copy it saves.
 _IN_PLACE_ORDER = 256
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _serial_blas(environ) -> bool:
-    """Whether the environment pins BLAS to one thread.
-
-    True when at least one of the BLAS thread variables is set and every one
-    that is set equals "1"; an unpinned BLAS may use every core already.
-    """
-    values = [environ[k].strip() for k in _BLAS_THREAD_VARS if k in environ]
-    return bool(values) and all(v == "1" for v in values)
-
-
-_SERIAL_BLAS = _serial_blas(os.environ)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +523,11 @@ def count_negative(op: DiscreteOperator) -> int:
 
 
 def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
-    """sum |e|^gamma over eigenvalues e < -zero_tol of the operator."""
-    gamma = float(gamma)
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    """sum |e|^gamma over eigenvalues e < -zero_tol of the operator.
+
+    gamma must be positive and finite, or ValueError is raised.
+    """
+    gamma = _positive_finite(gamma, "gamma")
     if op.dim == 0:
         return 0.0
     zero_tol = ZERO_BAND_RTOL * op.scale()
@@ -619,16 +598,16 @@ def h_and_k_spectra(H: DiscreteOperator, K: np.ndarray) -> tuple[np.ndarray, np.
     """(dense spectrum of H, k_spectrum(K)), the two taken side by side.
 
     K's checks and both dense-budget charges come first.  When H's order
-    is at least _IN_PLACE_ORDER, two CPUs are usable and BLAS is pinned to
-    one thread, H's spectrum is taken in place on a worker thread while
-    this thread runs K's eigvalsh: numpy releases the GIL inside LAPACK,
-    scipy's wrapper does not, so the worker must run the scipy call.
-    Otherwise the two run one after the other.  The values are the same
-    either way.
+    is at least _IN_PLACE_ORDER and parallel_cpus() is at least 2 (two
+    usable CPUs, BLAS pinned to one thread), H's spectrum is taken in
+    place on a worker thread while this thread runs K's eigvalsh: numpy
+    releases the GIL inside LAPACK, scipy's wrapper does not, so the
+    worker must run the scipy call.  Otherwise the two run one after the
+    other.  The values are the same either way.
     """
     _check_dense(H.dim, "Hamiltonian spectrum")
     K = _checked_k(K)
-    if H.dim >= _IN_PLACE_ORDER and _SERIAL_BLAS and _usable_cpus() >= 2:
+    if H.dim >= _IN_PLACE_ORDER and parallel_cpus() >= 2:
         with ThreadPoolExecutor(1) as pool:
             h_values = pool.submit(_in_place_spectrum, H)
             k_values = _k_values(K)

@@ -3,7 +3,7 @@ import pytest
 
 
 @pytest.fixture
-def decomposition_counts(monkeypatch):
+def decomposition_counts(monkeypatch, serial_trials):
     """Count the matrices matcore validates and decomposes, and its eigh calls.
 
     ``validated`` and ``decomposed`` count matrices, the sum of the stack
@@ -28,3 +28,16 @@ def decomposition_counts(monkeypatch):
     monkeypatch.setattr(matcore, "_require_hermitian_tuple", counted_check)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     return counts
+
+
+@pytest.fixture
+def serial_trials(monkeypatch):
+    """Keep every experiment's trials in this process.
+
+    With a pinned BLAS and two usable CPUs the trial maps fork, and the
+    calls a forked share makes never reach counters or tracers installed
+    here; tests that count calls across a run take this fixture.
+    """
+    from clrlab.harness import experiments
+
+    monkeypatch.setattr(experiments, "_forkable", lambda: False)

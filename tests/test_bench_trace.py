@@ -22,7 +22,8 @@ def _tracing():
     return module
 
 
-def test_traced_experiments_fill_the_lattice_metrics():
+def test_traced_experiments_fill_the_lattice_metrics(serial_trials):
+    # serial_trials: a forked share's spans never reach this process's tracer
     tracing = _tracing()
     tracer = tracing.Tracer()
     cfgs = [ExperimentConfig(experiment="bs-equivalence", trials=8),

@@ -314,7 +314,7 @@ def test_jensen_run_takes_one_spectrum_per_matrix(monkeypatch, decomposition_cou
     assert eigvalsh_calls == {"draw": 100, "other": 0}
 
 
-def test_jensen_run_evaluates_the_averaged_side_once(monkeypatch):
+def test_jensen_run_evaluates_the_averaged_side_once(monkeypatch, serial_trials):
     import clrlab.harness.experiments as experiments
     import clrlab.timeorder as timeorder
 
@@ -404,7 +404,7 @@ def test_probe_run_takes_one_spectrum_per_matrix(decomposition_counts):
                                     "eigh": 60}
 
 
-def test_probe_run_evaluates_the_averaged_side_once(monkeypatch):
+def test_probe_run_evaluates_the_averaged_side_once(monkeypatch, serial_trials):
     import clrlab.harness.experiments as experiments
     import clrlab.timeorder as timeorder
 

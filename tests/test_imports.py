@@ -79,7 +79,7 @@ def test_first_linalg_import_on_the_spectrum_worker_thread():
     # too, since BLAS threading changes K's spectrum at rounding level.
     code = """
 import threading
-from clrlab import lattice
+from clrlab import config
 
 first_on_main = []
 
@@ -90,8 +90,8 @@ class Spy:
         return None
 
 sys.meta_path.insert(0, Spy())
-lattice._usable_cpus = lambda: CPUS
-assert lattice._SERIAL_BLAS and not loaded()
+config._usable_cpus = lambda: CPUS
+assert config._SERIAL_BLAS and not loaded()
 report = run_experiment(ExperimentConfig(experiment="bs-equivalence", trials=1,
                                          grid_points=(7, 7, 7)))
 print(json.dumps({"first_on_main": first_on_main,

@@ -9,7 +9,7 @@ import scipy.linalg
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
 
-from clrlab import lattice
+from clrlab import config, lattice
 from clrlab.errors import BudgetError, NonHermitianError, NotPositiveSemidefiniteError
 from clrlab.harness import ExperimentConfig, generate_potential, run_experiment
 from clrlab.harness.generators import POTENTIAL_STYLES
@@ -614,6 +614,15 @@ def test_riesz_mean_matches_eig_oracle():
         riesz_mean(ham, 0.0)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0])
+def test_riesz_mean_needs_positive_finite_gamma(gamma):
+    # V = 100 puts eigenvalues below -1, where |e|^inf would be inf
+    ham = hamiltonian(scalar_potential(grid1d(8), np.full(8, 100.0)))
+    assert np.linalg.eigvalsh(ham.toarray()).max() < -1.0
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        riesz_mean(ham, gamma)
+
+
 def test_count_monotone_under_psd_addition():
     g = grid1d(10, 0.5)
     rng = np.random.default_rng(3)
@@ -991,7 +1000,7 @@ def test_stacked_bs_bound_checks_each_row():
             bs_bound(shape, lam)
 
 
-def test_one_f_a_transform_call_per_bs_trial(monkeypatch):
+def test_one_f_a_transform_call_per_bs_trial(monkeypatch, serial_trials):
     from clrlab.harness import experiments
 
     calls = []
@@ -1534,8 +1543,8 @@ def test_dense_spectrum_matches_numpy_bit_for_bit(pts, N, dtype):
 
 
 def _force_overlap(monkeypatch, on):
-    monkeypatch.setattr(lattice, "_SERIAL_BLAS", on)
-    monkeypatch.setattr(lattice, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(config, "_SERIAL_BLAS", on)
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 2)
     pools = []
     executor = lattice.ThreadPoolExecutor
 
@@ -1560,7 +1569,7 @@ def test_h_and_k_spectra_same_with_and_without_overlap(monkeypatch, N):
     assert np.array_equal(w_on, w_off) and np.array_equal(lam_on, lam_off)
 
 
-def test_bs_equivalence_records_same_with_and_without_overlap(monkeypatch):
+def test_bs_equivalence_records_same_with_and_without_overlap(monkeypatch, serial_trials):
     # trials 0-2 draw N = 1, 1, 2: orders 343, 343, 686
     cfg = ExperimentConfig(experiment="bs-equivalence", trials=3, grid_points=(7, 7, 7))
     dumps = []
@@ -1600,7 +1609,7 @@ def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
 
 def test_h_and_k_spectra_sequential_unless_blas_is_serial(monkeypatch):
     v, op = _random_hamiltonian((7, 7, 7), 1)
-    monkeypatch.setattr(lattice, "_SERIAL_BLAS", lattice._serial_blas({}))
+    monkeypatch.setattr(config, "_SERIAL_BLAS", config._serial_blas({}))
 
     def no_thread(*args, **kwargs):
         raise AssertionError("no worker thread without a serial BLAS")
@@ -1611,11 +1620,11 @@ def test_h_and_k_spectra_sequential_unless_blas_is_serial(monkeypatch):
 
 
 def test_serial_blas_rule():
-    assert not lattice._serial_blas({})
-    assert lattice._serial_blas({"OMP_NUM_THREADS": "1"})
-    assert not lattice._serial_blas({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"})
-    assert lattice._serial_blas({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"})
-    assert not lattice._serial_blas({"BLIS_NUM_THREADS": "1"})
+    assert not config._serial_blas({})
+    assert config._serial_blas({"OMP_NUM_THREADS": "1"})
+    assert not config._serial_blas({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"})
+    assert config._serial_blas({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"})
+    assert not config._serial_blas({"BLIS_NUM_THREADS": "1"})
 
 
 def test_h_and_k_spectra_charges_the_budget_for_h(monkeypatch):
