@@ -34,7 +34,6 @@ from ..lattice import (
     ZERO_BAND_RTOL,
     GridSpec,
     MatrixPotential,
-    birman_schwinger,
     bs_bound,
     clr_rhs,
     count_negative,
@@ -426,7 +425,7 @@ def _barrier_instance(cfg: ExperimentConfig, index: int):
 def _resolvent_record(cfg: ExperimentConfig, i: int) -> dict:
     s, v, alpha = _trotter_instance(cfg, i)
     r_direct = resolvent_trace(v, alpha)
-    lam = k_spectrum(birman_schwinger(v))
+    lam = k_spectrum(v)
     r_spectral = float(np.sum(lam / (1.0 + alpha * lam)))
     rel = abs(r_direct - r_spectral) / max(abs(r_spectral), 1e-30)
     return {
@@ -504,7 +503,7 @@ def _bs_instance(cfg: ExperimentConfig, trial: int):
         v = generate_potential(s, grid, nf, style, amplitude=amp)
 
         h_op = hamiltonian(V=v)
-        w_h, lam_k = h_and_k_spectra(h_op, birman_schwinger(v))
+        w_h, lam_k = h_and_k_spectra(h_op, v)
         band = 10.0 * ZERO_BAND_RTOL * h_op.scale()
         if w_h.size and float(np.min(np.abs(w_h))) <= band:
             continue
@@ -679,9 +678,10 @@ class Experiment:
     no trials.  ``tolerances`` maps each gate-slack key to its default and
     ``options`` each option key to its ``Option``.  ``reads`` names which of
     n_max, N_max and grid_points the runner reads, ``least`` the lower
-    bounds it needs on them, and ``grid_points`` the grid it uses when the
-    config names none (None: drawn per trial).  ``ExperimentConfig.validate``
-    rejects every key and field outside this declaration.
+    bounds it needs on them (on grid_points, its number of axes), and
+    ``grid_points`` the grid it uses when the config names none (None:
+    drawn per trial).  ``ExperimentConfig.validate`` rejects every key and
+    field outside this declaration.
     """
 
     run: Callable[[ExperimentConfig], tuple[list, list, dict | None]]
@@ -735,11 +735,12 @@ EXPERIMENTS = {
                 (3, 7, 15), "a non-empty list of positive integers",
                 lambda v: (isinstance(v, (list, tuple)) and len(v) > 0
                            and all(_is_int(m) and m >= 1 for m in v))),
-            "amplitude": Option(600.0, "a finite number >= 0",
-                                lambda v: _is_number(v) and v >= 0),
+            "amplitude": Option(600.0, "a finite number > 0",
+                                lambda v: _is_number(v) and v > 0),
         }),
     "lt-moments": Experiment(
-        _run_lt, trials=3, reads=("grid_points",), grid_points=(5, 5, 5)),
+        _run_lt, trials=3, reads=("grid_points",), least={"grid_points": 3},
+        grid_points=(5, 5, 5)),
     "remark-probe": Experiment(
         _run_probe, trials=5000, reads=("n_max", "N_max"),
         least={"n_max": 2, "N_max": 2}),

@@ -136,9 +136,12 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"{name} does not read {field_name}, so it must stay "
                         f"{default!r}, got {value!r}")
-            elif field_name in spec.least and value < spec.least[field_name]:
-                raise ConfigError(
-                    f"{name} needs {field_name} >= {spec.least[field_name]}, got {value}")
+            elif field_name in spec.least and value is not None:
+                # a bound on grid_points counts its axes
+                size, unit = (len(value), " axes") if field_name == "grid_points" else (value, "")
+                if size < spec.least[field_name]:
+                    raise ConfigError(f"{name} needs {field_name} >= "
+                                      f"{spec.least[field_name]}{unit}, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

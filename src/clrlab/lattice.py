@@ -548,8 +548,8 @@ def birman_schwinger(V: MatrixPotential) -> np.ndarray:
     only, and K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab, of order
     |support| * N and real when V is.  K is PSD; its eigenvalues above 1
     count the negative eigenvalues of L - V exactly.  K is Hermitian by
-    construction; every spectrum of it (k_spectrum, h_and_k_spectra)
-    checks that again.
+    construction, and nothing checks it again; its spectrum is
+    k_spectrum(V).
     """
     roots = V.sqrt_sites()
     _check_dense(V.dim, "Birman-Schwinger assembly")
@@ -567,58 +567,49 @@ def birman_schwinger(V: MatrixPotential) -> np.ndarray:
     return k
 
 
-def _checked_k(K) -> np.ndarray:
-    """K as an array, checked square, within the dense budget and Hermitian."""
-    K = np.asarray(K)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise NonHermitianError(f"K must be square, got shape {K.shape}")
-    _check_dense(K.shape[0], "Birman-Schwinger spectrum")
-    require_hermitian_stack(K, "K")
-    return K
-
-
 def _k_values(K: np.ndarray) -> np.ndarray:
-    """Spectrum of a checked K under the PSD rule, clipped at 0."""
+    """Spectrum of K under the PSD rule, ascending and clipped at 0."""
     if K.shape[0] == 0:
         return np.zeros(0)
     return np.maximum(require_psd_spectrum(np.linalg.eigvalsh(K), "K"), 0.0)
 
 
-def k_spectrum(K: np.ndarray) -> np.ndarray:
-    """Spectrum of a dense Hermitian PSD K, ascending and clipped at 0.
+def k_spectrum(V: MatrixPotential) -> np.ndarray:
+    """Spectrum of K = birman_schwinger(V), ascending and clipped at 0.
 
-    K is the Birman-Schwinger operator or any matrix standing in for it, so
-    it is checked again: square, within the dense budget, Hermitian, and
-    passing the PSD rule, so the clip removes only rounding dust below 0.
+    K is Hermitian by construction, so only its eigenvalues are checked:
+    they must pass the PSD rule, and the clip removes only rounding dust
+    below 0.
     """
-    return _k_values(_checked_k(K))
+    return _k_values(birman_schwinger(V))
 
 
-def h_and_k_spectra(H: DiscreteOperator, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dense spectrum of H, k_spectrum(K)), the two taken side by side.
+def h_and_k_spectra(H: DiscreteOperator, V: MatrixPotential) -> tuple[np.ndarray, np.ndarray]:
+    """(dense spectrum of H, k_spectrum(V)) for H = hamiltonian(V), side by side.
 
-    K's checks and both dense-budget charges come first.  When H's order
-    is at least _IN_PLACE_ORDER and parallel_cpus() is at least 2 (two
-    usable CPUs, BLAS pinned to one thread), H's spectrum is taken in
-    place on a worker thread while this thread runs K's eigvalsh: numpy
-    releases the GIL inside LAPACK, scipy's wrapper does not, so the
-    worker must run the scipy call.  Otherwise the two run one after the
-    other.  The values are the same either way.
+    H's dense-budget charge comes first.  When H's order is at least
+    _IN_PLACE_ORDER and parallel_cpus() is at least 2 (two usable CPUs,
+    BLAS pinned to one thread), K is assembled, then H's spectrum is taken
+    in place on a worker thread while this thread runs K's eigvalsh: numpy
+    releases the GIL inside LAPACK, scipy's wrapper does not, so the worker
+    must run the scipy call and K's assembly must come before it.
+    Otherwise H's spectrum is taken first, then K's.  The values are the
+    same either way.
     """
+    if H.dim < _IN_PLACE_ORDER or parallel_cpus() < 2:
+        return _dense_spectrum(H, "Hamiltonian spectrum"), k_spectrum(V)
     _check_dense(H.dim, "Hamiltonian spectrum")
-    K = _checked_k(K)
-    if H.dim >= _IN_PLACE_ORDER and parallel_cpus() >= 2:
-        with ThreadPoolExecutor(1) as pool:
-            h_values = pool.submit(_in_place_spectrum, H)
-            k_values = _k_values(K)
-            return h_values.result(), k_values
-    return _dense_spectrum(H, "Hamiltonian spectrum"), _k_values(K)
+    K = birman_schwinger(V)
+    with ThreadPoolExecutor(1) as pool:
+        h_values = pool.submit(_in_place_spectrum, H)
+        k_values = _k_values(K)
+        return h_values.result(), k_values
 
 
 def bs_bound(F, lam: np.ndarray):
     """Counting bound F(1)^{-1} sum_k F(lambda_k) over the spectrum lam of K.
 
-    lam is the 1-D array k_spectrum(K).  F is called once, on lam with 1.0
+    lam is the 1-D array k_spectrum(V).  F is called once, on lam with 1.0
     appended, so F(1) and every F(lambda_k) come from one evaluation.  For F
     non-negative, non-decreasing on [0, inf) with F(1) > 0 the bound
     dominates the number of eigenvalues of K at or above 1, hence the

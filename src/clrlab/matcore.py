@@ -40,10 +40,6 @@ PSD_RTOL = 1e-10
 HOLDER_SLACK = 1e-10
 
 
-# Rows per block of the Hermiticity check on one large matrix.
-_HERMITIAN_BLOCK_ROWS = 64
-
-
 def _nth(what: str, i: int, count: int) -> str:
     """what, naming matrix i by its position when there are several."""
     return f"{what} {i} of {count}" if count > 1 else what
@@ -55,27 +51,14 @@ def _defect_and_scale(a: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, 
     Both arrays have shape a.shape[:-2].  The scales come first: a matrix
     whose max|A| is not finite (a NaN or infinite entry) raises
     NonHermitianError, named by what and its position, before any A - A^H
-    is formed.  A single matrix of more than _HERMITIAN_BLOCK_ROWS rows is
-    scanned in row blocks, so no temporary is larger than one block; the
-    maxima, and so both values, are the same as the whole-matrix formula's.
+    is formed.
     """
-    blocked = a.ndim == 2 and a.shape[0] > _HERMITIAN_BLOCK_ROWS
-    if blocked:
-        starts = range(0, a.shape[0], _HERMITIAN_BLOCK_ROWS)
-        top = np.max([np.max(np.abs(a[i:i + _HERMITIAN_BLOCK_ROWS])) for i in starts])
-    else:
-        top = np.max(np.abs(a), axis=(-2, -1))
-    scale = 1.0 + np.asarray(top)
+    scale = 1.0 + np.max(np.abs(a), axis=(-2, -1))
     bad = np.flatnonzero(~np.isfinite(scale))
     if bad.size:
         raise NonHermitianError(
             f"{_nth(what, int(bad[0]), scale.size)} has a non-finite entry")
-    if blocked:
-        defect = np.max([np.max(np.abs(a[i:i + _HERMITIAN_BLOCK_ROWS]
-                                       - a[:, i:i + _HERMITIAN_BLOCK_ROWS].T.conj()))
-                         for i in starts])
-    else:
-        defect = np.max(np.abs(a - a.swapaxes(-1, -2).conj()), axis=(-2, -1))
+    defect = np.max(np.abs(a - a.swapaxes(-1, -2).conj()), axis=(-2, -1))
     return np.asarray(defect), scale
 
 

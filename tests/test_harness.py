@@ -270,10 +270,17 @@ SMOKE = [
 ]
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which strict JSON forbids")
+
+
 @pytest.mark.parametrize("cfg", SMOKE, ids=lambda c: c.experiment)
-def test_experiment_smoke(cfg):
-    rep = run_experiment(cfg)
+def test_experiment_smoke(cfg, tmp_path):
+    rep = run_experiment(dataclasses.replace(cfg, out=str(tmp_path)))
     assert rep.experiment == cfg.experiment
+    # the written report parses as strict JSON: no NaN or Infinity
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert json.loads(text, parse_constant=_reject_constant)["experiment"] == cfg.experiment
     assert rep.records, "experiment produced no records"
     assert rep.passed, rep.summary
     for rec in rep.records:
@@ -353,7 +360,7 @@ def _readme_row(name, spec):
     for field in spec.reads:
         text = f"`{field}`"
         if field in spec.least:
-            text += f" ≥ {spec.least[field]}"
+            text += f" ≥ {spec.least[field]}" + (" axes" if field == "grid_points" else "")
         if field == "grid_points" and spec.grid_points is not None:
             text += f" (default {json.dumps(spec.grid_points)})"
         reads.append(text)
@@ -491,6 +498,8 @@ def test_cli_usage_errors_exit_two(tmp_path):
     ({"n_max": 1}, ["timeorder-consistency"]),
     ({"n_max": 1}, ["remark-probe"]),
     ({"N_max": 1}, ["remark-probe"]),
+    ({"grid_points": [5, 5], "trials": 1}, ["lt-moments"]),  # lt_rhs needs d >= 3
+    ({"options": {"amplitude": 0}}, ["clr-survey"]),  # rhs 0 and an infinite ratio
 ])
 def test_cli_malformed_config_exits_two(tmp_path, capsys, fields, command):
     path = tmp_path / "cfg.json"

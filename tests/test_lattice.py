@@ -641,11 +641,10 @@ def test_count_monotone_under_psd_addition():
 # Birman-Schwinger
 
 def test_birman_schwinger_zero_potential():
-    g = grid1d(6)
-    k = birman_schwinger(scalar_potential(g, np.zeros(6)))
-    assert k.shape == (0, 0)
-    assert k_spectrum(k).shape == (0,)
-    assert bs_bound(lambda x: x, k_spectrum(k)) == 0.0
+    v = scalar_potential(grid1d(6), np.zeros(6))
+    assert birman_schwinger(v).shape == (0, 0)
+    assert k_spectrum(v).shape == (0,)
+    assert bs_bound(lambda x: x, k_spectrum(v)) == 0.0
 
 
 def test_birman_schwinger_single_site_oracle():
@@ -744,13 +743,36 @@ def test_birman_schwinger_gemm_matches_einsum(pts, N, real):
 @pytest.mark.parametrize("pts", [(9,), (4, 3), (3, 3, 3)])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_birman_schwinger_is_hermitian_by_construction(pts, N, real):
-    # K is built without a Hermitian check of its own; its spectra check it
+    # K is built, and its spectrum taken, without a Hermitian check: this pin
+    # and the one below hold the rule
     g = GridSpec(d=len(pts), points_per_axis=pts, h=0.5)
     for seed, style in enumerate(POTENTIAL_STYLES):
         v = generate_potential((91, seed, N, g.nsites), g, N, style, 4.0)
         if real:
             v = MatrixPotential(grid=g, N=N, values=v.values.real)
         require_hermitian_stack(birman_schwinger(v), "K")
+
+
+def test_large_complex_birman_schwinger_is_hermitian_by_construction():
+    # order 432, where the dense spectra run in place and beside each other
+    g = GridSpec(d=3, points_per_axis=(6, 6, 6), h=0.5)
+    v = generate_potential(91, g, 2, "random-psd-field", 4.0)
+    k = birman_schwinger(v)
+    assert k.shape == (432, 432) and k.dtype == np.complex128
+    require_hermitian_stack(k, "K")
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("pts", [(9,), (4, 3), (3, 3, 3)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_k_spectrum_is_the_clipped_spectrum_of_birman_schwinger(pts, N, real):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.5)
+    for seed, style in enumerate(POTENTIAL_STYLES):
+        v = generate_potential((29, seed, N, g.nsites), g, N, style, 4.0)
+        if real:
+            v = MatrixPotential(grid=g, N=N, values=v.values.real)
+        want = np.maximum(np.linalg.eigvalsh(birman_schwinger(v)), 0.0)
+        assert np.array_equal(k_spectrum(v), want)
 
 
 def test_birman_schwinger_makes_no_second_dense_array():
@@ -778,9 +800,8 @@ def test_birman_schwinger_requires_psd():
 def test_bs_bound_linear_f_is_trace():
     g = grid1d(9, 0.5)
     v = generate_potential(5, g, 1, "random-psd-field", 5.0)
-    k = birman_schwinger(v)
-    lam = np.linalg.eigvalsh(k)
-    got = bs_bound(lambda x: x, k_spectrum(k))
+    lam = np.linalg.eigvalsh(birman_schwinger(v))
+    got = bs_bound(lambda x: x, k_spectrum(v))
     assert abs(got - float(np.sum(np.maximum(lam, 0.0)))) < 1e-10 * (1.0 + got)
 
 
@@ -788,7 +809,7 @@ def test_bs_bound_dominates_count():
     g = grid1d(10, 0.5)
     for trial in range(15):
         v = generate_potential((99, trial), g, 1, "random-psd-field", 6.0)
-        lam = k_spectrum(birman_schwinger(v))
+        lam = k_spectrum(v)
         count = count_negative(hamiltonian(v))
         for a in (0.7, 1.13, 2.0):
             bound = bs_bound(lambda x, aa=a: f_a_transform(aa, x), lam)
@@ -801,7 +822,7 @@ def test_bs_bound_small_potential():
     k = birman_schwinger(v)
     assert count_negative(hamiltonian(v)) == 0
     assert np.linalg.eigvalsh(k).max() < 1.0
-    assert bs_bound(lambda lam: f_a_transform(1.13, lam), k_spectrum(k)) >= 0.0
+    assert bs_bound(lambda lam: f_a_transform(1.13, lam), k_spectrum(v)) >= 0.0
 
 
 @pytest.mark.parametrize("size", [0, 1, 50])
@@ -837,7 +858,7 @@ def test_psd_rule_boundary_is_shared():
         checks = [
             lambda: require_psd_spectrum(stack, "stack"),
             v.require_psd,
-            lambda: k_spectrum(rotated([low, 0.5, 2.0])),
+            lambda: lattice._k_values(rotated([low, 0.5, 2.0])),
         ]
         for check in checks:
             if ok:
@@ -847,18 +868,11 @@ def test_psd_rule_boundary_is_shared():
                     check()
 
 
-def test_k_spectrum_rejects_non_hermitian_k():
-    with pytest.raises(NonHermitianError):
-        k_spectrum(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(NonHermitianError):
-        k_spectrum(np.ones((2, 3)))
-
-
 def test_bs_bound_rejects_bad_f():
     g = grid1d(6, 0.5)
     v = scalar_potential(g, np.ones(6))
     k = birman_schwinger(v)
-    lam = k_spectrum(k)
+    lam = k_spectrum(v)
     with pytest.raises(ValueError):
         bs_bound(lambda x: x - 1.0, lam)  # F(1) = 0
     with pytest.raises(ValueError):
@@ -964,7 +978,7 @@ def test_stacked_bs_bound_equals_the_one_row_form():
              (grid1d(11, 0.6), 3, 8.0), (grid1d(9, 0.5), 1, 0.5)]
     for seed, (g, n, amp) in enumerate(cases):
         for style in ("random-psd-field", "gaussian-bumps"):
-            lam = k_spectrum(birman_schwinger(generate_potential(seed, g, n, style, amp)))
+            lam = k_spectrum(generate_potential(seed, g, n, style, amp))
             rows = bs_bound(lambda x: f_a_transform(column, x), lam)
             assert isinstance(rows, np.ndarray) and rows.shape == (3,)
             for a, got in zip(BS_A_VALUES, rows.tolist()):
@@ -1038,7 +1052,7 @@ def test_bs_and_trotter_records_same_with_the_per_a_loop_and_extra_psd_checks(mo
         return np.array([_parent_bs_bound(lambda x, a=a: f_a_transform(a, x), lam)
                          for a in experiments.BS_A_VALUES])
 
-    bs, sandwich = experiments.birman_schwinger, experiments.trotter_sandwich
+    bs, sandwich = lattice.birman_schwinger, experiments.trotter_sandwich
 
     def bs_checked(V):
         V.require_psd()
@@ -1049,7 +1063,7 @@ def test_bs_and_trotter_records_same_with_the_per_a_loop_and_extra_psd_checks(mo
         return sandwich(V, alpha)
 
     monkeypatch.setattr(experiments, "bs_bound", per_a_loop)
-    monkeypatch.setattr(experiments, "birman_schwinger", bs_checked)
+    monkeypatch.setattr(lattice, "birman_schwinger", bs_checked)
     monkeypatch.setattr(experiments, "trotter_sandwich", sandwich_checked)
     assert [canon(run_experiment(cfg)) for cfg in cfgs] == fast
 
@@ -1558,15 +1572,16 @@ def _force_overlap(monkeypatch, on):
 
 @pytest.mark.parametrize("N", [1, 2])
 def test_h_and_k_spectra_same_with_and_without_overlap(monkeypatch, N):
+    # N = 2 draws a complex potential: H and K of order 686
     v, op = _random_hamiltonian((7, 7, 7), N)
-    k = birman_schwinger(v)
     results = []
     for on in (True, False):
         pools = _force_overlap(monkeypatch, on)
-        results.append(h_and_k_spectra(op, k))
+        results.append(h_and_k_spectra(op, v))
         assert len(pools) == int(on)
     (w_on, lam_on), (w_off, lam_off) = results
     assert np.array_equal(w_on, w_off) and np.array_equal(lam_on, lam_off)
+    assert np.array_equal(lam_on, k_spectrum(v))
 
 
 def test_bs_equivalence_records_same_with_and_without_overlap(monkeypatch, serial_trials):
@@ -1584,7 +1599,6 @@ def test_bs_equivalence_records_same_with_and_without_overlap(monkeypatch, seria
 
 def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
     v, op = _random_hamiltonian((7, 7, 7), 1)
-    k = birman_schwinger(v)
     _force_overlap(monkeypatch, True)
     threads = threading.active_count()
 
@@ -1594,7 +1608,7 @@ def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lattice, "_in_place_spectrum", worker_fails)
         with pytest.raises(RuntimeError, match="worker failed"):
-            h_and_k_spectra(op, k)
+            h_and_k_spectra(op, v)
     assert threading.active_count() == threads
 
     def k_fails(a):
@@ -1603,7 +1617,7 @@ def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigvalsh", k_fails)
         with pytest.raises(np.linalg.LinAlgError, match="K failed"):
-            h_and_k_spectra(op, k)
+            h_and_k_spectra(op, v)
     assert threading.active_count() == threads
 
 
@@ -1615,7 +1629,7 @@ def test_h_and_k_spectra_sequential_unless_blas_is_serial(monkeypatch):
         raise AssertionError("no worker thread without a serial BLAS")
 
     monkeypatch.setattr(lattice, "ThreadPoolExecutor", no_thread)
-    w, lam = h_and_k_spectra(op, birman_schwinger(v))
+    w, lam = h_and_k_spectra(op, v)
     assert np.array_equal(w, np.linalg.eigvalsh(op.toarray()))
 
 
@@ -1628,11 +1642,11 @@ def test_serial_blas_rule():
 
 
 def test_h_and_k_spectra_charges_the_budget_for_h(monkeypatch):
-    g9 = grid1d(9)
-    op = hamiltonian(scalar_potential(g9, np.ones(9)))
+    v = scalar_potential(grid1d(9), np.ones(9))
+    op = hamiltonian(v)
     monkeypatch.setenv("CLRLAB_DENSE_BUDGET", "8")
     with pytest.raises(BudgetError, match="Hamiltonian spectrum.*CLRLAB_DENSE_BUDGET"):
-        h_and_k_spectra(op, np.eye(1))
+        h_and_k_spectra(op, v)
 
 
 def test_bs_equivalence_charges_the_budget_before_densifying(monkeypatch):
