@@ -15,7 +15,9 @@ raises instead of falling back to a dense count), the Birman-Schwinger operator
 K = V^{1/2} L^{-1} V^{1/2} with its spectrum and counting bound (one call of
 F gives F(1) and every F(lambda_k), and a family of F, one row each, gives
 one bound per row), the dense
-spectra of H and K taken side by side (h_and_k_spectra), heat-semigroup and
+spectra of H and K taken side by side (h_and_k_spectra; every dense
+spectrum is numpy's below a threshold order and LAPACK's two-stage
+eigensolver's from it, _spectrum), heat-semigroup and
 Trotter-product traces, the resolvent trace, and Riemann-sum right-hand
 sides of the counting and Riesz-mean bounds.
 
@@ -28,9 +30,13 @@ continuum statements (the survey ratios) are monitoring data only.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -53,10 +59,20 @@ ZERO_BAND_RTOL = 1e-10
 # no longer repay, so small operators are factored whole; from 64 rows every
 # plane of a 3-D box with m >= 8 is a slab of its own.
 _MIN_SLAB = 64
-# Order from which a dense spectrum is taken in place (one dense copy instead
-# of numpy's two) and may run beside another; below it scipy's wrapper costs
-# more than the copy it saves.
-_IN_PLACE_ORDER = 256
+# Order of H from which h_and_k_spectra takes H's and K's spectra on two
+# threads; below it the thread costs more than the overlap saves.
+_SIDE_BY_SIDE_ORDER = 256
+# Real-equivalent order n * (2 if complex else 1) from which a dense spectrum
+# is taken by LAPACK's two-stage reduction (_spectrum).  numpy's eigvalsh time
+# over the two-stage time, one BLAS thread, random Hermitian matrices, two
+# sweeps on an x86-64 host:
+#   real       729 0.81 0.82    864 1.15 0.95   1024 1.12 1.02   1331 1.48 1.61
+#             2048 1.66 1.68   2916 1.43 1.80
+#   complex    343 1.05 1.04    400 1.04 1.14    512 1.21 1.20    686 1.30 1.54
+#             1024 1.99 1.63   1458 1.78 1.93
+# Real orders break even near 1024, complex ones lower; one constant in
+# real-equivalent order keeps every order it selects at 1.0x or better.
+_TWO_STAGE_ORDER = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -256,27 +272,82 @@ def _check_dense(dim: int, what: str) -> None:
         )
 
 
-def _in_place_spectrum(op: DiscreteOperator) -> np.ndarray:
-    """Eigenvalues of op from one Fortran-ordered dense copy, overwritten.
+# LAPACKE's column-major layout code, and the argument types of
+# LAPACKE_?syevd_2stage / ?heevd_2stage: (layout, jobz, uplo, n, a, lda, w).
+_COL_MAJOR = 102
+_TWO_STAGE_ARGS = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
+                   ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
 
-    The same LAPACK ?syevd / ?heevd that np.linalg.eigvalsh calls, on the
-    same lower triangle, without numpy's internal copy; the values match
-    numpy's bit for bit.
+
+@functools.cache
+def _two_stage_routines() -> dict | None:
+    """{dtype: LAPACKE dsyevd_2stage or zheevd_2stage} from scipy's OpenBLAS, or None.
+
+    The library is the OpenBLAS that Linux wheels of scipy ship in
+    scipy.libs (LP64: 32-bit LAPACK integers, symbols prefixed scipy_).
+    It is opened on the first call, never at import (two threads racing on
+    that call both open it and get the same library).  None where that
+    library or either routine is absent; then every order takes numpy.
     """
-    a = op.matrix.toarray(order="F")
-    return scipy.linalg.eigvalsh(a, overwrite_a=True, driver="evd")
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas-*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            routines = {np.dtype(np.float64): lib.scipy_LAPACKE_dsyevd_2stage,
+                        np.dtype(np.complex128): lib.scipy_LAPACKE_zheevd_2stage}
+        except (OSError, AttributeError):
+            continue
+        for routine in routines.values():
+            routine.restype = ctypes.c_int
+            routine.argtypes = _TWO_STAGE_ARGS
+        return routines
+    return None
+
+
+def _spectrum(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian array a, which must be finite.
+
+    From real-equivalent order _TWO_STAGE_ORDER on, where scipy's OpenBLAS
+    has them (_two_stage_routines), LAPACK's two-stage ?syevd_2stage /
+    ?heevd_2stage (eigenvalues only, lower triangle, column-major) take
+    the spectrum; their values agree with numpy's to rounding.  Below it,
+    or without them, np.linalg.eigvalsh does, which never writes to a.
+
+    The two-stage routines overwrite their buffer.  With overwrite_a that
+    is a itself when it is a writeable, aligned, contiguous float64 or
+    complex128 array; anything else reaches them as a float64 or
+    complex128 copy in a's memory order, so overwrite_a never changes the
+    values.  A C-ordered buffer read as column-major is a's transpose, the
+    conjugate of a Hermitian array, so its spectrum is the same.  info != 0
+    raises LinAlgError.
+    """
+    n, complex_ = a.shape[0], np.iscomplexobj(a)
+    routines = None
+    if n * (2 if complex_ else 1) >= _TWO_STAGE_ORDER:
+        routines = _two_stage_routines()
+    if routines is None:
+        return np.linalg.eigvalsh(a)
+    dtype = np.dtype(np.complex128 if complex_ else np.float64)
+    flags = a.flags
+    if not (overwrite_a and a.dtype == dtype and flags.writeable and flags.aligned
+            and (flags.f_contiguous or flags.c_contiguous)):
+        a = np.array(a, dtype=dtype, order="K")
+    w = np.empty(n)
+    info = routines[dtype](_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
+    if info != 0:
+        name = "zheevd" if complex_ else "dsyevd"
+        raise np.linalg.LinAlgError(f"LAPACKE {name}_2stage failed: info {info}")
+    return w
 
 
 def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
     """Ascending eigenvalues of op by a full dense eigendecomposition.
 
-    Charges the dense budget with the order first.  From order
-    _IN_PLACE_ORDER on the dense copy is decomposed in place.
+    Charges the dense budget with the order first, then takes _spectrum of
+    one Fortran-ordered dense copy, which it may overwrite.
     """
     _check_dense(op.dim, what)
-    if op.dim < _IN_PLACE_ORDER:
-        return np.linalg.eigvalsh(op.toarray())
-    return _in_place_spectrum(op)
+    return _spectrum(op.matrix.toarray(order="F"), overwrite_a=True)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +638,15 @@ def birman_schwinger(V: MatrixPotential) -> np.ndarray:
     return k
 
 
-def _k_values(K: np.ndarray) -> np.ndarray:
-    """Spectrum of K under the PSD rule, ascending and clipped at 0."""
+def _k_values(K: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """Spectrum of K under the PSD rule, ascending and clipped at 0.
+
+    K is left as it is unless overwrite_a hands it to _spectrum as its
+    work buffer.
+    """
     if K.shape[0] == 0:
         return np.zeros(0)
-    return np.maximum(require_psd_spectrum(np.linalg.eigvalsh(K), "K"), 0.0)
+    return np.maximum(require_psd_spectrum(_spectrum(K, overwrite_a), "K"), 0.0)
 
 
 def k_spectrum(V: MatrixPotential) -> np.ndarray:
@@ -581,28 +656,25 @@ def k_spectrum(V: MatrixPotential) -> np.ndarray:
     they must pass the PSD rule, and the clip removes only rounding dust
     below 0.
     """
-    return _k_values(birman_schwinger(V))
+    return _k_values(birman_schwinger(V), overwrite_a=True)
 
 
 def h_and_k_spectra(H: DiscreteOperator, V: MatrixPotential) -> tuple[np.ndarray, np.ndarray]:
     """(dense spectrum of H, k_spectrum(V)) for H = hamiltonian(V), side by side.
 
     H's dense-budget charge comes first.  When H's order is at least
-    _IN_PLACE_ORDER and parallel_cpus() is at least 2 (two usable CPUs,
-    BLAS pinned to one thread), K is assembled, then H's spectrum is taken
-    in place on a worker thread while this thread runs K's eigvalsh: numpy
-    releases the GIL inside LAPACK, scipy's wrapper does not, so the worker
-    must run the scipy call and K's assembly must come before it.
-    Otherwise H's spectrum is taken first, then K's.  The values are the
-    same either way.
+    _SIDE_BY_SIDE_ORDER and parallel_cpus() is at least 2 (two usable CPUs,
+    BLAS pinned to one thread), H's spectrum is taken on a worker thread
+    while this thread assembles K and takes its spectrum; numpy and ctypes
+    both release the GIL inside LAPACK.  Otherwise H's spectrum is taken
+    first, then K's.  The values are the same either way.
     """
-    if H.dim < _IN_PLACE_ORDER or parallel_cpus() < 2:
+    if H.dim < _SIDE_BY_SIDE_ORDER or parallel_cpus() < 2:
         return _dense_spectrum(H, "Hamiltonian spectrum"), k_spectrum(V)
     _check_dense(H.dim, "Hamiltonian spectrum")
-    K = birman_schwinger(V)
     with ThreadPoolExecutor(1) as pool:
-        h_values = pool.submit(_in_place_spectrum, H)
-        k_values = _k_values(K)
+        h_values = pool.submit(_dense_spectrum, H, "Hamiltonian spectrum")
+        k_values = k_spectrum(V)
         return h_values.result(), k_values
 
 

@@ -1,4 +1,5 @@
-"""Import contract: clrlab loads scipy's subpackages only when a routine uses one.
+"""Import contract: clrlab loads scipy's subpackages only when a routine uses one,
+and opens the two-stage eigensolver's library only when a spectrum needs it.
 
 Each case runs in a fresh interpreter, since the test process itself has
 long since imported every subpackage.
@@ -16,7 +17,7 @@ import clrlab
 PACKAGE_ROOT = str(Path(clrlab.__file__).resolve().parents[1])
 
 PRELUDE = """
-import json, sys
+import json, os, sys
 import clrlab
 from clrlab.harness.experiments import run_experiment
 from clrlab.harness.reports import ExperimentConfig
@@ -24,6 +25,15 @@ from clrlab.harness.reports import ExperimentConfig
 def loaded():
     subs = ("sparse", "linalg", "special", "integrate", "optimize")
     return [s for s in subs if "scipy." + s in sys.modules]
+
+def opened():
+    # whether the two-stage eigensolver's library was looked up or is mapped
+    maps = ""
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as fh:
+            maps = fh.read()
+    return (clrlab.lattice._two_stage_routines.cache_info().currsize > 0
+            or "scipy.libs/libscipy_openblas-" in maps)
 """
 
 
@@ -44,16 +54,17 @@ def _children(codes, **env) -> list:
 
 
 def test_import_and_matrix_experiments_load_no_scipy_subpackage():
+    # nor open the two-stage eigensolver's library
     [got] = _children(["""
-stages = {"import": loaded()}
+stages = {"import": [loaded(), opened()]}
 for name, trials in (("jensen", 5), ("holder", 5), ("timeorder-consistency", 5),
                      ("remark-probe", 50)):
     run_experiment(ExperimentConfig(experiment=name, trials=trials))
-    stages[name] = loaded()
+    stages[name] = [loaded(), opened()]
 print(json.dumps(stages))
 """])
     assert got == dict.fromkeys(
-        ["import", "jensen", "holder", "timeorder-consistency", "remark-probe"], [])
+        ["import", "jensen", "holder", "timeorder-consistency", "remark-probe"], [[], False])
 
 
 def test_each_experiment_loads_the_subpackages_it_uses():
@@ -71,36 +82,27 @@ print(json.dumps(loaded()))
         assert needs <= set(subs) and not (not_needed & set(subs)), (name, subs)
 
 
-def test_first_linalg_import_on_the_spectrum_worker_thread():
-    # H's order is 343 and BLAS is pinned, so with two usable CPUs (forced
-    # here, as on a 2-CPU host) h_and_k_spectra takes H's spectrum on its
-    # worker thread, which is the first code to touch scipy.linalg.  The
+def test_side_by_side_two_stage_spectra_match_the_serial_run():
+    # Seed 2's first draw is a 7x7x7 box with N = 2: H and K are complex of
+    # order 686, over the two-stage threshold.  BLAS is pinned, so with two
+    # usable CPUs (forced here, as on a 2-CPU host) h_and_k_spectra takes
+    # H's spectrum on its worker thread while this thread takes K's.  The
     # reference run takes the spectra one after the other; it is pinned
     # too, since BLAS threading changes K's spectrum at rounding level.
     code = """
-import threading
 from clrlab import config
 
-first_on_main = []
-
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy.linalg" and not first_on_main:
-            first_on_main.append(threading.current_thread() is threading.main_thread())
-        return None
-
-sys.meta_path.insert(0, Spy())
 config._usable_cpus = lambda: CPUS
-assert config._SERIAL_BLAS and not loaded()
-report = run_experiment(ExperimentConfig(experiment="bs-equivalence", trials=1,
+assert config._SERIAL_BLAS
+report = run_experiment(ExperimentConfig(experiment="bs-equivalence", trials=1, seed=2,
                                          grid_points=(7, 7, 7)))
-print(json.dumps({"first_on_main": first_on_main,
+print(json.dumps({"looked_up": clrlab.lattice._two_stage_routines.cache_info().currsize,
                   "report": {"records": report.records, "summary": report.summary}}))
 """
     pinned = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
     side_by_side, serial = _children([code.replace("CPUS", cpus) for cpus in "21"], **pinned)
-    assert side_by_side["first_on_main"] == [False]
-    assert serial["first_on_main"] == [True]
+    assert {r["dim"] for r in serial["report"]["records"]} == {686}
+    assert side_by_side["looked_up"] == serial["looked_up"] == 1
     assert side_by_side["report"]["summary"]["hard_failures"] == 0
     assert (json.dumps(side_by_side["report"], sort_keys=True)
             == json.dumps(serial["report"], sort_keys=True))

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import warnings
 
@@ -1602,20 +1603,20 @@ def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
     _force_overlap(monkeypatch, True)
     threads = threading.active_count()
 
-    def worker_fails(op):
+    def worker_fails(op, what):
         raise RuntimeError("worker failed")
 
     with monkeypatch.context() as m:
-        m.setattr(lattice, "_in_place_spectrum", worker_fails)
+        m.setattr(lattice, "_dense_spectrum", worker_fails)
         with pytest.raises(RuntimeError, match="worker failed"):
             h_and_k_spectra(op, v)
     assert threading.active_count() == threads
 
-    def k_fails(a):
+    def k_fails(K, overwrite_a=False):
         raise np.linalg.LinAlgError("K failed")
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigvalsh", k_fails)
+        m.setattr(lattice, "_k_values", k_fails)
         with pytest.raises(np.linalg.LinAlgError, match="K failed"):
             h_and_k_spectra(op, v)
     assert threading.active_count() == threads
@@ -1631,6 +1632,141 @@ def test_h_and_k_spectra_sequential_unless_blas_is_serial(monkeypatch):
     monkeypatch.setattr(lattice, "ThreadPoolExecutor", no_thread)
     w, lam = h_and_k_spectra(op, v)
     assert np.array_equal(w, np.linalg.eigvalsh(op.toarray()))
+
+
+# ---------------------------------------------------------------------------
+# dense spectra by the two-stage eigensolver
+
+def _hermitian(n, dtype, seed=3):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    if dtype == np.complex128:
+        g = g + 1j * rng.standard_normal((n, n))
+    return g + g.conj().T
+
+
+def test_two_stage_routines_found_with_the_scipy_wheel_openblas():
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if sys.platform != "linux" or lapack["name"] != "scipy-openblas":
+        pytest.skip(f"scipy's LAPACK is {lapack['name']} on {sys.platform}, "
+                    f"not the OpenBLAS of a Linux wheel")
+    routines = lattice._two_stage_routines()
+    assert routines is not None
+    assert set(routines) == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+
+@pytest.mark.parametrize("pts, N, dtype", [
+    ((11, 11, 11), 1, np.float64),   # order 1331
+    ((7, 7, 7), 2, np.complex128),   # 686, real-equivalent 1372
+    ((6, 6, 6), 3, np.complex128),   # 648, real-equivalent 1296
+])
+def test_two_stage_spectra_match_numpy(pts, N, dtype):
+    v, op = _random_hamiltonian(pts, N)
+    assert op.matrix.dtype == dtype
+    assert op.dim * (2 if dtype == np.complex128 else 1) >= lattice._TWO_STAGE_ORDER
+    tol, zero_tol = 1e-12 * op.scale(), ZERO_BAND_RTOL * op.scale()
+    w, want = lattice._dense_spectrum(op, "test"), np.linalg.eigvalsh(op.toarray())
+    assert np.max(np.abs(w - want)) <= tol
+    assert np.sum(w < -zero_tol) == np.sum(want < -zero_tol) > 0
+    k = birman_schwinger(v)
+    assert k.shape == (op.dim, op.dim)
+    lam, lam_want = k_spectrum(v), np.maximum(np.linalg.eigvalsh(k), 0.0)
+    assert np.max(np.abs(lam - lam_want)) <= tol
+    assert np.sum(lam > 1.0) == np.sum(lam_want > 1.0) > 0
+
+
+def _without_two_stage(monkeypatch):
+    monkeypatch.setattr(lattice, "_two_stage_routines", lambda: None)
+
+
+def test_bs_equivalence_counts_same_without_two_stage(monkeypatch):
+    # trials 0-2 draw N = 1, 1, 2: orders 343, 343 and 686 (complex, two-stage)
+    cfg = ExperimentConfig(experiment="bs-equivalence", trials=3, grid_points=(7, 7, 7),
+                           N_max=2)
+    runs = []
+    for absent in (False, True):
+        if absent:
+            _without_two_stage(monkeypatch)
+        report = run_experiment(cfg)
+        assert report.summary["hard_failures"] == 0
+        runs.append([(r["dim"], r["count"], r["count_dense"], r["k_count"])
+                     for r in report.records if r["kind"] == "count-equivalence"])
+    assert runs[0] == runs[1]
+    assert 686 in {dim for dim, *_ in runs[0]}
+
+
+@pytest.mark.parametrize("n, dtype", [
+    (200, np.float64), (1100, np.float64), (300, np.complex128), (600, np.complex128),
+])
+def test_spectrum_without_two_stage_is_numpy_bit_for_bit(monkeypatch, n, dtype):
+    _without_two_stage(monkeypatch)
+    a = _hermitian(n, dtype)
+    want = np.linalg.eigvalsh(a)
+    for overwrite_a in (False, True):
+        assert np.array_equal(lattice._spectrum(np.asfortranarray(a), overwrite_a), want)
+
+
+def test_two_stage_failure_raises_with_info(monkeypatch):
+    monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
+    monkeypatch.setattr(lattice, "_two_stage_routines", lambda: {
+        np.dtype(np.float64): lambda *args: 7, np.dtype(np.complex128): lambda *args: -5})
+    with pytest.raises(np.linalg.LinAlgError, match="dsyevd_2stage failed: info 7"):
+        lattice._spectrum(np.eye(3))
+    with pytest.raises(np.linalg.LinAlgError, match="zheevd_2stage failed: info -5"):
+        lattice._spectrum(np.eye(3, dtype=complex))
+
+
+def test_only_owned_contiguous_float64_or_complex128_reach_the_routine(monkeypatch):
+    routines = lattice._two_stage_routines()
+    if routines is None:
+        pytest.skip("no two-stage routines on this platform")
+    buffers = []
+
+    def spy(routine):
+        def call(layout, jobz, uplo, n, a, lda, w):
+            buffers.append(a)
+            return routine(layout, jobz, uplo, n, a, lda, w)
+        return call
+
+    monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
+    monkeypatch.setattr(lattice, "_two_stage_routines",
+                        lambda: {dtype: spy(r) for dtype, r in routines.items()})
+    sym, herm = _hermitian(12, np.float64), _hermitian(12, np.complex128)
+    spaced = np.zeros((24, 24))
+    spaced[::2, ::2] = sym
+    frozen = sym.copy()
+    frozen.flags.writeable = False
+    # (array, overwrite_a, whether the routine may work in the array itself)
+    cases = [
+        (np.asfortranarray(sym), True, True),
+        (np.ascontiguousarray(herm), True, True),  # read as its conjugate
+        (np.asfortranarray(sym), False, False),
+        (sym.astype(np.float32), True, False),
+        (np.round(sym).astype(np.int64), True, False),
+        (herm.astype(np.complex64), True, False),
+        (spaced[::2, ::2], True, False),
+        (frozen, True, False),
+    ]
+    for a, overwrite_a, in_place in cases:
+        before = a.copy()
+        buffers.clear()
+        w = lattice._spectrum(a, overwrite_a)
+        assert (buffers == [a.ctypes.data]) == in_place
+        assert len(buffers) == 1
+        want = np.linalg.eigvalsh(before.astype(np.result_type(before, np.float64)))
+        assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+        if not in_place:
+            assert np.array_equal(a, before)
+
+
+def test_k_values_leaves_the_callers_array_unchanged(monkeypatch):
+    monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
+    grid = GridSpec(d=2, points_per_axis=(5, 5), h=0.5)
+    v = generate_potential(11, grid, 2, "random-psd-field", amplitude=40.0)
+    k = birman_schwinger(v)
+    before = k.copy()
+    assert np.array_equal(lattice._k_values(k), k_spectrum(v))
+    assert np.array_equal(k, before)
 
 
 def test_serial_blas_rule():
