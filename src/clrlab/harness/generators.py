@@ -118,17 +118,14 @@ def _psd_field_values(
     arr = raw.reshape(*pts, n, n)
     total = arr.copy()
     count = np.ones(pts, dtype=float)
-    ones = np.ones(pts, dtype=float)
     for ax in range(grid.d):
-        for step in (1, -1):
-            shifted = np.roll(arr, step, axis=ax)
-            mask = np.roll(ones, step, axis=ax)
-            edge = [slice(None)] * grid.d
-            edge[ax] = 0 if step == 1 else -1
-            shifted[tuple(edge)] = 0.0
-            mask[tuple(edge)] = 0.0
-            total += shifted
-            count += mask
+        lower = (slice(None),) * ax + (slice(None, -1),)
+        upper = (slice(None),) * ax + (slice(1, None),)
+        # each site adds its lower neighbour along the axis, then its upper one
+        total[upper] += arr[lower]
+        count[upper] += 1.0
+        total[lower] += arr[upper]
+        count[lower] += 1.0
     smoothed = total / count[..., None, None]
     return smoothed.reshape(nsites, n, n)
 

@@ -4,8 +4,11 @@ Grids are 1-D to 3-D Dirichlet boxes; the Laplacian is the standard
 2d+1-point stencil acting as the identity on the internal C^N fiber, and
 its eigenbasis is the tensor product of per-axis DST-I bases.  It and
 H = L - V are assembled in one pass as a canonical CSR matrix straight
-from the box stencil (_stencil_matrix; L alone is H of a zero potential), and
-every operator's Hermiticity is checked by looking up each stored entry's
+from the box stencil (_stencil_matrix; L alone is H of a zero potential).
+What depends on the box shape alone (the stencil's sorted pattern, the
+DST-I axis bases, unit columns in those bases) is built once and kept in
+a byte-bounded cache (_shape_cached), never keyed by h or V.  Every
+operator's Hermiticity is checked by looking up each stored entry's
 transpose partner (_hermitian_defect).  On top of them sit the counting
 and comparison routines: negative-eigenvalue counts via symmetric-indefinite
 inertia of the block-tridiagonal Schur complements (the one counting path:
@@ -37,6 +40,8 @@ import hashlib
 import json
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -344,51 +349,132 @@ def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
     """Ascending eigenvalues of op by a full dense eigendecomposition.
 
     Charges the dense budget with the order first, then takes _spectrum of
-    one Fortran-ordered dense copy, which it may overwrite.
+    one Fortran-ordered dense copy, which it may overwrite, filled straight
+    from the CSR arrays (canonical, so each entry is written once).
     """
     _check_dense(op.dim, what)
-    return _spectrum(op.matrix.toarray(order="F"), overwrite_a=True)
+    m = op.matrix
+    a = np.zeros(m.shape, dtype=m.dtype, order="F")
+    a[np.repeat(np.arange(op.dim), np.diff(m.indptr)), m.indices] = m.data
+    return _spectrum(a, overwrite_a=True)
+
+
+# ---------------------------------------------------------------------------
+# Shape cache.
+
+# Byte budget of the shape cache, and the largest entry it keeps: a larger
+# one (9^3 unit columns are 4.25 MB) is built on every call instead.
+_SHAPE_CACHE_BYTES = 4 << 20
+_SHAPE_ENTRY_BYTES = 1 << 20
+_shape_entries: OrderedDict = OrderedDict()  # key -> (arrays, bytes), oldest use first
+_shape_bytes = 0
+_shape_lock = threading.Lock()
+
+
+def _shape_cached(key, build) -> tuple:
+    """build(), a tuple of fresh arrays that depend on key alone, made read-only.
+
+    The first call for a key builds the arrays; they are kept while their
+    bytes are at most _SHAPE_ENTRY_BYTES, and the least recently used
+    entries are dropped while the cache holds more than _SHAPE_CACHE_BYTES.
+    Nothing is built at import.  A lock guards the entries; two threads
+    missing the same key both build it and get equal arrays.  A forked
+    process gets its own copy.  _shape_cached.cache_clear() empties it.
+    """
+    global _shape_bytes
+    with _shape_lock:
+        hit = _shape_entries.get(key)
+        if hit is not None:
+            _shape_entries.move_to_end(key)
+            return hit[0]
+    arrays = build()
+    for a in arrays:
+        a.flags.writeable = False
+    size = sum(a.nbytes for a in arrays)
+    if size <= _SHAPE_ENTRY_BYTES:
+        with _shape_lock:
+            if key not in _shape_entries:
+                _shape_entries[key] = arrays, size
+                _shape_bytes += size
+            while _shape_bytes > _SHAPE_CACHE_BYTES:
+                _shape_bytes -= _shape_entries.popitem(last=False)[1][1]
+    return arrays
+
+
+def _clear_shape_cache() -> None:
+    global _shape_bytes
+    with _shape_lock:
+        _shape_entries.clear()
+        _shape_bytes = 0
+
+
+_shape_cached.cache_clear = _clear_shape_cache
 
 
 # ---------------------------------------------------------------------------
 # Laplacians.
 
+def _stencil_pattern(pts: tuple[int, ...], n: int) -> tuple:
+    """(cols, order, indptr): where _stencil_matrix's entries go on a box.
+
+    The entries are listed couplings first (every neighbour pair (i, i+1)
+    along every axis, fiber component by component, then the same pairs
+    transposed), then the N x N diagonal blocks, site by site.  order sorts
+    that list by row and then column, cols is already sorted, and indptr
+    counts the rows; both are in the int32 index type scipy would pick
+    (int64 past it), so a matrix built on them shares them.
+    """
+    def build():
+        nsites = math.prod(pts)
+        dim = nsites * n
+        sites = np.arange(nsites)
+        lo, hi = [], []
+        for ax, m in enumerate(pts):
+            line = sites.reshape(math.prod(pts[:ax]), m, -1)
+            lo.append(line[:, :-1].ravel())
+            hi.append(line[:, 1:].ravel())
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        idx = np.arange(dim).reshape(nsites, n)  # row of (site x, component a)
+        blocks = (nsites, n, n)
+        rows = np.concatenate([idx[lo].ravel(), idx[hi].ravel(),
+                               np.broadcast_to(idx[:, :, None], blocks).ravel()])
+        cols = np.concatenate([idx[hi].ravel(), idx[lo].ravel(),
+                               np.broadcast_to(idx[:, None, :], blocks).ravel()])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+        index = np.int32 if max(dim, rows.size) <= np.iinfo(np.int32).max else np.int64
+        return cols[order].astype(index), order, indptr.astype(index)
+
+    return _shape_cached(("stencil", pts, n), build)
+
+
 def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> scipy.sparse.csr_matrix:
     """Canonical CSR of L kron I_N plus the block diagonal of blocks (nsites, N, N).
 
-    Assembled in one pass from the 2d+1-point stencil.  Along each axis the
-    sites i and i+1 couple with -1/h^2, and every axis adds 2/h^2 to the
-    site diagonal.  Diagonal blocks are diag * I_N + blocks, so the entries
-    and the dropped exact zeros match the sparse sum of the Kronecker-sum
-    Laplacian and the block diagonal.
+    Along each axis the sites i and i+1 couple with -1/h^2, and every axis
+    adds 2/h^2 to the site diagonal.  Diagonal blocks are diag * I_N +
+    blocks, so the entries and the dropped exact zeros match the sparse sum
+    of the Kronecker-sum Laplacian and the block diagonal.  Only the values
+    are formed here; where they go comes from the box's cached pattern
+    (_stencil_pattern), whose index arrays the matrix shares unless an
+    exact zero is dropped.
     """
     pts, h = grid.points_per_axis, grid.h
     n = blocks.shape[1]
     dim = grid.nsites * n
-    sites = np.arange(grid.nsites)
+    cols, order, indptr = _stencil_pattern(pts, n)
     diag = 0.0
-    lo, hi, coupling = [], [], []
-    for ax, m in enumerate(pts):
+    for _ in pts:
         diag += 2.0 / h**2
-        line = sites.reshape(math.prod(pts[:ax]), m, -1)
-        lo.append(line[:, :-1].ravel())
-        hi.append(line[:, 1:].ravel())
-        coupling.append(np.full(lo[-1].size, -1.0 / h**2))
-    lo, hi, coupling = (np.concatenate(a) for a in (lo, hi, coupling))
-
-    idx = np.arange(dim).reshape(grid.nsites, n)  # row of (site x, component a)
-    rows = np.concatenate([idx[lo].ravel(), idx[hi].ravel(),
-                           np.broadcast_to(idx[:, :, None], blocks.shape).ravel()])
-    cols = np.concatenate([idx[hi].ravel(), idx[lo].ravel(),
-                           np.broadcast_to(idx[:, None, :], blocks.shape).ravel()])
-    data = np.concatenate([np.repeat(np.tile(coupling, 2), n),
-                           (blocks + diag * np.eye(n)).ravel()])
+    coupling = np.full(order.size - blocks.size, -1.0 / h**2)
+    data = np.concatenate([coupling, (blocks + diag * np.eye(n)).ravel()])[order]
     keep = data != 0
-    rows, cols, data = rows[keep], cols[keep], data[keep]
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return scipy.sparse.csr_matrix((data[order], cols[order], indptr), shape=(dim, dim))
+    if not keep.all():
+        data, cols = data[keep], cols[keep]
+        # a row now starts after the entries kept before its old start
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    return scipy.sparse.csr_matrix((data, cols, indptr), shape=(dim, dim))
 
 
 def _axis_modes(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -396,11 +482,17 @@ def _axis_modes(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
 
     lam_j = (4/h^2) sin^2(theta_j / 2), with theta_j = pi j / (m+1) and the
     real DST-I basis U_ij = sqrt(2/(m+1)) sin(i theta_j), i, j = 1..m.
+    sin^2(theta_j / 2) and U depend on m alone and come from the shape
+    cache; U is read-only.
     """
-    i = np.arange(1, m + 1)
-    theta = np.pi * i / (m + 1)
-    u = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(i, theta))
-    return 4.0 / h**2 * np.sin(theta / 2.0) ** 2, u
+    def build():
+        i = np.arange(1, m + 1)
+        theta = np.pi * i / (m + 1)
+        u = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(i, theta))
+        return np.sin(theta / 2.0) ** 2, u
+
+    s2, u = _shape_cached(("axis", m), build)
+    return 4.0 / h**2 * s2, u
 
 
 def _unit_columns_in_modes(grid: GridSpec, cols: np.ndarray):
@@ -410,17 +502,24 @@ def _unit_columns_in_modes(grid: GridSpec, cols: np.ndarray):
     (the broadcast sum of the axis eigenvalues, shape points_per_axis) and
     eigenbasis U, the tensor product of the axis bases.  x holds the unit
     columns cols transformed along every axis with U^T, shape
-    (*points_per_axis, len(cols)); it depends on the grid only.
+    (*points_per_axis, len(cols)); it depends on the box shape and the
+    columns only, comes from the shape cache and is read-only.
     """
     pts = grid.points_per_axis
+    cols = np.asarray(cols, dtype=np.intp)
     modes = [_axis_modes(m, grid.h) for m in pts]
     lam = sum(np.ix_(*(w for w, _ in modes)))  # broadcast Kronecker sum
-    x = np.zeros((grid.nsites, len(cols)))
-    x[cols, np.arange(len(cols))] = 1.0
-    x = x.reshape(*pts, len(cols))
-    for ax, (_, u) in enumerate(modes):
-        # U^T, not U: U is symmetric in exact arithmetic but not bit for bit
-        x = np.moveaxis(np.tensordot(u.T, x, axes=(1, ax)), 0, ax)
+
+    def build():
+        x = np.zeros((grid.nsites, len(cols)))
+        x[cols, np.arange(len(cols))] = 1.0
+        x = x.reshape(*pts, len(cols))
+        for ax, (_, u) in enumerate(modes):
+            # U^T, not U: U is symmetric in exact arithmetic but not bit for bit
+            x = np.moveaxis(np.tensordot(u.T, x, axes=(1, ax)), 0, ax)
+        return (x,)
+
+    (x,) = _shape_cached(("columns", pts, cols.tobytes()), build)
     return modes, lam, x
 
 

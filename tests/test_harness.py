@@ -173,6 +173,48 @@ def test_bump_potentials_same_with_the_per_matrix_draw(monkeypatch):
     assert digests() == want
 
 
+def _rolled_psd_field_values(rng, grid, n, amplitude):
+    """Oracle: random-psd-field smoothed with np.roll copies of the field and its mask."""
+    nsites = grid.nsites
+    g = rng.standard_normal((nsites, n, n)) + 1j * rng.standard_normal((nsites, n, n))
+    raw = np.einsum("xij,xkj->xik", g, g.conj()) / (2.0 * n)
+    raw *= (amplitude * rng.uniform(0.3, 1.0, size=nsites))[:, None, None]
+    pts = grid.points_per_axis
+    arr = raw.reshape(*pts, n, n)
+    total = arr.copy()
+    count = np.ones(pts, dtype=float)
+    ones = np.ones(pts, dtype=float)
+    for ax in range(grid.d):
+        for step in (1, -1):
+            shifted = np.roll(arr, step, axis=ax)
+            mask = np.roll(ones, step, axis=ax)
+            edge = [slice(None)] * grid.d
+            edge[ax] = 0 if step == 1 else -1
+            shifted[tuple(edge)] = 0.0
+            mask[tuple(edge)] = 0.0
+            total += shifted
+            count += mask
+    return (total / count[..., None, None]).reshape(nsites, n, n)
+
+
+def test_psd_field_potentials_same_with_the_rolled_smoothing(monkeypatch):
+    import clrlab.harness.generators as generators
+
+    grids = [GridSpec(d=len(p), points_per_axis=p, h=0.4)
+             for p in ((1,), (2,), (11,), (1, 4), (5, 3), (3, 1, 2), (3, 3, 3))]
+    cases = [(seed, g, n) for seed in (1, 2, 3) for g in grids for n in (1, 2, 3)]
+
+    def potentials():
+        return [generate_potential(seed, g, n, "random-psd-field", 4.0)
+                for seed, g, n in cases]
+
+    sliced = potentials()
+    monkeypatch.setattr(generators, "_psd_field_values", _rolled_psd_field_values)
+    for got, want in zip(sliced, potentials()):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert potential_digest(got) == potential_digest(want)
+
+
 @pytest.mark.parametrize("name", ["jensen", "holder", "timeorder-consistency",
                                   "remark-probe"])
 def test_tuple_experiments_same_records_with_the_per_matrix_oracles(monkeypatch, name):
