@@ -6,10 +6,10 @@ its eigenbasis is the tensor product of per-axis DST-I bases.  It and
 H = L - V are assembled in one pass as a canonical CSR matrix straight
 from the box stencil (_stencil_matrix; L alone is H of a zero potential).
 What depends on the box shape alone (the stencil's sorted pattern, the
-DST-I axis bases, unit columns in those bases) is built once and kept in
-a byte-bounded cache (_shape_cached), never keyed by h or V.  Every
-operator's Hermiticity is checked by looking up each stored entry's
-transpose partner (_hermitian_defect).  On top of them sit the counting
+DST-I axis bases) is built once and kept in a byte-bounded cache
+(_shape_cached), never keyed by h or V.  Every operator's Hermiticity is
+checked by looking up each stored entry's transpose partner
+(_hermitian_defect).  On top of them sit the counting
 and comparison routines: negative-eigenvalue counts via symmetric-indefinite
 inertia of the block-tridiagonal Schur complements (the one counting path:
 each slab is factored once, the next Schur block comes from the inverse of
@@ -17,12 +17,13 @@ those factors, the dense H is never formed, and a singular Schur block
 raises instead of falling back to a dense count), the Birman-Schwinger operator
 K = V^{1/2} L^{-1} V^{1/2} with its spectrum and counting bound (one call of
 F gives F(1) and every F(lambda_k), and a family of F, one row each, gives
-one bound per row), the dense
-spectra of H and K taken side by side (h_and_k_spectra; every dense
-spectrum is numpy's below a threshold order and LAPACK's two-stage
-eigensolver's from it, _spectrum), heat-semigroup and
-Trotter-product traces, the resolvent trace, and Riemann-sum right-hand
-sides of the counting and Riesz-mean bounds.
+one bound per row; K is its one n x n array, scaled in place by chunks
+of Green's-function columns), the dense spectra of H and K taken side by
+side (h_and_k_spectra; every dense spectrum is numpy's below a threshold
+order and LAPACK's two-stage eigensolver's, in the operator's own buffer,
+from it, _spectrum), heat-semigroup and Trotter-product traces, the
+resolvent trace, and Riemann-sum right-hand sides of the counting and
+Riesz-mean bounds.
 
 Routines on a potential take V alone and read its box from V.grid.
 
@@ -78,6 +79,9 @@ _SIDE_BY_SIDE_ORDER = 256
 # Real orders break even near 1024, complex ones lower; one constant in
 # real-equivalent order keeps every order it selects at 1.0x or better.
 _TWO_STAGE_ORDER = 1024
+# Bytes of one chunk of Green's-function columns in birman_schwinger: its
+# workspace beside K is a few such chunks, whatever the order of K.
+_GREEN_CHUNK_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +367,8 @@ def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
 # Shape cache.
 
 # Byte budget of the shape cache, and the largest entry it keeps: a larger
-# one (9^3 unit columns are 4.25 MB) is built on every call instead.
+# one (the stencil pattern of a 16^3 box with N = 3 is 1.3 MB) is built on
+# every call instead.
 _SHAPE_CACHE_BYTES = 4 << 20
 _SHAPE_ENTRY_BYTES = 1 << 20
 _shape_entries: OrderedDict = OrderedDict()  # key -> (arrays, bytes), oldest use first
@@ -500,45 +505,52 @@ def _unit_columns_in_modes(grid: GridSpec, cols: np.ndarray):
 
     L is the Kronecker sum of the per-axis stencils, with eigenvalues lam
     (the broadcast sum of the axis eigenvalues, shape points_per_axis) and
-    eigenbasis U, the tensor product of the axis bases.  x holds the unit
-    columns cols transformed along every axis with U^T, shape
-    (*points_per_axis, len(cols)); it depends on the box shape and the
-    columns only, comes from the shape cache and is read-only.
+    eigenbasis U, the tensor product of the axis bases.  x holds the
+    columns cols of U^T, shape (*points_per_axis, len(cols)): the Kronecker
+    product of the transposed axis bases, one axis factor per column,
+    multiplied in axis order.  x is a fresh C-ordered array.
     """
     pts = grid.points_per_axis
     cols = np.asarray(cols, dtype=np.intp)
     modes = [_axis_modes(m, grid.h) for m in pts]
     lam = sum(np.ix_(*(w for w, _ in modes)))  # broadcast Kronecker sum
-
-    def build():
-        x = np.zeros((grid.nsites, len(cols)))
-        x[cols, np.arange(len(cols))] = 1.0
-        x = x.reshape(*pts, len(cols))
-        for ax, (_, u) in enumerate(modes):
-            # U^T, not U: U is symmetric in exact arithmetic but not bit for bit
-            x = np.moveaxis(np.tensordot(u.T, x, axes=(1, ax)), 0, ax)
-        return (x,)
-
-    (x,) = _shape_cached(("columns", pts, cols.tobytes()), build)
+    factors = []
+    for ax, ((_, u), c) in enumerate(zip(modes, np.unravel_index(cols, pts))):
+        # U^T, not U: U is symmetric in exact arithmetic but not bit for bit
+        shape = [1] * len(pts) + [cols.size]
+        shape[ax] = pts[ax]
+        factors.append(u.T[:, c].reshape(shape))
+    x = np.ascontiguousarray(functools.reduce(np.multiply, factors))
     return modes, lam, x
 
 
 def _from_modes(modes, x: np.ndarray) -> np.ndarray:
-    """Transform x back along every axis with U; shape (nsites, ncols)."""
+    """Transform x back along every axis with U; shape (nsites, ncols).
+
+    Each axis is one matmul on reshaped views of x, (sites before the axis,
+    the axis, sites after it and the columns), written into a second buffer
+    of x's size; the two buffers swap roles from axis to axis, so no
+    transposed copy is made and x is overwritten.
+    """
+    pts = x.shape[:-1]
+    y = np.empty_like(x)
     for ax, (_, u) in enumerate(modes):
-        x = np.moveaxis(np.tensordot(u, x, axes=(1, ax)), 0, ax)
-    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+        shape = (math.prod(pts[:ax]), pts[ax], x.size // math.prod(pts[:ax + 1]))
+        np.matmul(u, x.reshape(shape), out=y.reshape(shape))
+        x, y = y, x
+    return x.reshape(math.prod(pts), x.shape[-1])
 
 
 def _laplacian_function(grid: GridSpec, f, cols: np.ndarray) -> np.ndarray:
     """Columns cols of f(L), L the spatial (fiber-1) Laplacian; shape (nsites, len(cols)).
 
-    f(L) = U f(Lambda) U^T: transform the unit columns along every axis with
-    U^T, scale by f of the summed axis eigenvalues, transform back.  Costs
-    O(nsites * sum(m) * len(cols)).
+    f(L) = U f(Lambda) U^T: take the unit columns in the eigenbasis, scale
+    them by f of the summed axis eigenvalues, transform back.  Two arrays
+    of the result's size are live.  Costs O(nsites * sum(m) * len(cols)).
     """
     modes, lam, x = _unit_columns_in_modes(grid, cols)
-    return _from_modes(modes, x * f(lam)[..., np.newaxis])
+    x *= f(lam)[..., np.newaxis]
+    return _from_modes(modes, x)
 
 
 def hamiltonian(V: MatrixPotential, sign: float = -1.0) -> DiscreteOperator:
@@ -713,27 +725,38 @@ def birman_schwinger(V: MatrixPotential) -> np.ndarray:
     """K = V^{1/2} L^{-1} V^{1/2} on V.grid, restricted to the support of V, dense.
 
     Requires a sitewise-PSD potential, checked on the one site spectrum
-    that the square roots come from (sqrt_sites).  The Green's function
-    G = L^{-1} comes from the per-axis eigenpairs on the support columns
-    only, and K[(x,a),(y,b)] = G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab, of order
-    |support| * N and real when V is.  K is PSD; its eigenvalues above 1
-    count the negative eigenvalues of L - V exactly.  K is Hermitian by
-    construction, and nothing checks it again; its spectrum is
-    k_spectrum(V).
+    that the square roots come from (sqrt_sites).  K[(x,a),(y,b)] =
+    G(x,y) (V(x)^{1/2} V(y)^{1/2})_ab, of order |support| * N and real when
+    V is.  K is PSD; its eigenvalues above 1 count the negative eigenvalues
+    of L - V exactly.  K is Hermitian by construction, and nothing checks
+    it again; its spectrum is k_spectrum(V).
+
+    K is the one n x n array made.  The GEMM of the square roots fills
+    it, and the Green's function G = L^{-1} then scales it a chunk of
+    support columns at a time.  Each chunk of G comes from
+    _laplacian_function, gathered on the support rows unless the support
+    is the whole box, so the workspace beside K is a few arrays of
+    _GREEN_CHUNK_BYTES, whatever the order of K.
     """
     roots = V.sqrt_sites()
     _check_dense(V.dim, "Birman-Schwinger assembly")
 
     support = V.support()
     n = support.size * V.N
-    green = _laplacian_function(V.grid, np.reciprocal, support)[support]
     roots = roots[support]
     if not np.any(V.values.imag):
         roots = roots.real  # real LAPACK paths are several times faster
     # one GEMM: k[(x,a),(y,c)] = (V(x)^{1/2} V(y)^{1/2})_ac, then scaled by G(x,y)
     k = roots.reshape(n, V.N) @ roots.transpose(1, 0, 2).reshape(V.N, n)
-    blocks = k.reshape(support.size, V.N, support.size, V.N)
-    blocks *= green[:, None, :, None]
+    rows = k.reshape(support.size, V.N, n)  # [x, a, (y, c)]
+    whole = support.size == V.grid.nsites
+    step = max(1, _GREEN_CHUNK_BYTES // (8 * V.grid.nsites))
+    for lo in range(0, support.size, step):
+        green = _laplacian_function(V.grid, np.reciprocal, support[lo:lo + step])
+        if not whole:
+            green = green[support]
+        # G(x, y) repeated over c, so each row's run of the chunk is scaled in one pass
+        rows[:, :, lo * V.N:(lo + step) * V.N] *= np.repeat(green, V.N, axis=1)[:, None, :]
     return k
 
 

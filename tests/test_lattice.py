@@ -791,6 +791,29 @@ def test_birman_schwinger_makes_no_second_dense_array():
     assert peak < 1.5 * k.nbytes
 
 
+@pytest.mark.parametrize("style", ["random-psd-field", "gaussian-bumps"])
+def test_birman_schwinger_holds_k_and_at_most_one_spatial_temporary(style):
+    import tracemalloc
+
+    # N = 1, so K is as large as its spatial temporaries can be
+    g = GridSpec(d=3, points_per_axis=(9, 9, 9), h=0.5)
+    v = generate_potential(3, g, 1, style, 5.0)
+    if style == "gaussian-bumps":  # cut the tails: sites outside the support
+        vals = v.values.copy()
+        vals[np.abs(vals[:, 0, 0]) < 0.05 * np.max(np.abs(vals))] = 0.0
+        v = MatrixPotential(grid=g, N=1, values=vals)
+        assert 0 < v.support().size < g.nsites // 2
+    else:
+        assert v.support().size == g.nsites
+    tracemalloc.start()
+    try:
+        k = birman_schwinger(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * k.nbytes + (1 << 20)
+
+
 def test_birman_schwinger_requires_psd():
     g = grid1d(5)
     diag = np.array([1.0, -0.5, 0.0, 0.0, 0.0])
@@ -1391,9 +1414,8 @@ def test_axis_modes_and_unit_columns_same_warm_and_cold(pts):
 def test_cached_arrays_reject_writes():
     g = GridSpec(d=2, points_per_axis=(4, 3), h=0.5)
     _, u = _axis_modes(4, g.h)
-    _, _, x = lattice._unit_columns_in_modes(g, np.arange(g.nsites))
     m = lattice._stencil_matrix(g, np.ones((g.nsites, 2, 2)))
-    for a in (u, x, m.indices, m.indptr) + lattice._stencil_pattern((4, 3), 2):
+    for a in (u, m.indices, m.indptr) + lattice._stencil_pattern((4, 3), 2):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
     # an operator holds a copy of its own, which the canonical form may rewrite
@@ -1416,18 +1438,18 @@ def test_shape_cache_stays_within_its_byte_budget(monkeypatch):
         assert retained_shape_bytes() == lattice._shape_bytes <= 100_000
     assert ("axis", 60) in lattice._shape_entries
     assert ("axis", 1) not in lattice._shape_entries
-    # an entry over 1 MiB, the unit columns of a 9^3 box (4.25 MB), is built but not kept
+    # unit columns are formed on every call, never kept: after those of a 9^3
+    # box (4.25 MB) the cache holds only the axis basis of m = 9, sin^2 and U
     lattice._shape_cached.cache_clear()
     g = GridSpec(d=3, points_per_axis=(9, 9, 9), h=0.5)
-    cols = np.arange(g.nsites)
-    _, _, x = lattice._unit_columns_in_modes(g, cols)
-    assert x.nbytes > lattice._SHAPE_ENTRY_BYTES
-    assert ("columns", (9, 9, 9), cols.tobytes()) not in lattice._shape_entries
-    # only the axis basis of m = 9, sin^2 and U, is kept
+    _, _, x = lattice._unit_columns_in_modes(g, np.arange(g.nsites))
     assert retained_shape_bytes() == lattice._shape_bytes == 9 * 8 + 9 * 9 * 8
     u = _axis_modes(9, g.h)[1]
     want = np.kron(np.kron(u.T, u.T), u.T)  # U^T, the tensor product of the axis bases
-    assert np.allclose(x.reshape(g.nsites, g.nsites), want, atol=1e-14)
+    assert np.array_equal(x.reshape(g.nsites, g.nsites), want)
+    cols = np.array([0, 5, 80, 81, 400, 728])
+    _, _, x = lattice._unit_columns_in_modes(g, cols)
+    assert x.flags.c_contiguous and np.array_equal(x.reshape(g.nsites, -1), want[:, cols])
 
 
 def test_shape_cache_keeps_its_byte_count_under_threads(monkeypatch):
@@ -1875,14 +1897,42 @@ def test_spectrum_without_two_stage_is_numpy_bit_for_bit(monkeypatch, n, dtype):
         assert np.array_equal(lattice._spectrum(np.asfortranarray(a), overwrite_a), want)
 
 
-def test_two_stage_failure_raises_with_info(monkeypatch):
-    monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
+def _failing_routines(monkeypatch):
+    # any call of a two-stage routine raises
     monkeypatch.setattr(lattice, "_two_stage_routines", lambda: {
         np.dtype(np.float64): lambda *args: 7, np.dtype(np.complex128): lambda *args: -5})
+
+
+def test_two_stage_failure_raises_with_info(monkeypatch):
+    _failing_routines(monkeypatch)
+    monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
     with pytest.raises(np.linalg.LinAlgError, match="dsyevd_2stage failed: info 7"):
         lattice._spectrum(np.eye(3))
     with pytest.raises(np.linalg.LinAlgError, match="zheevd_2stage failed: info -5"):
         lattice._spectrum(np.eye(3, dtype=complex))
+
+
+def test_empty_spectrum_makes_no_lapack_call(monkeypatch):
+    _failing_routines(monkeypatch)
+    monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
+    for dtype in (np.float64, np.complex128):
+        for overwrite_a in (False, True):
+            w = lattice._spectrum(np.zeros((0, 0), dtype=dtype), overwrite_a)
+            assert w.shape == (0,) and w.dtype == np.float64
+
+
+@pytest.mark.parametrize("n, dtype", [(n, np.float64) for n in (1, 8, 54, 343, 729)]
+                         + [(n, np.complex128) for n in (1, 54, 250, 511)])
+def test_spectrum_below_the_two_stage_order_is_numpy_bit_for_bit(monkeypatch, n, dtype):
+    # numpy's eigvalsh takes these orders, never a two-stage routine
+    _failing_routines(monkeypatch)
+    assert n * (2 if dtype == np.complex128 else 1) < lattice._TWO_STAGE_ORDER
+    a = _hermitian(n, dtype, seed=n)
+    want = np.linalg.eigvalsh(a)
+    for overwrite_a in (False, True):
+        for b in (np.asfortranarray(a), np.ascontiguousarray(a)):
+            assert np.array_equal(lattice._spectrum(b, overwrite_a), want)
+            assert np.array_equal(b, a)
 
 
 def test_only_owned_contiguous_float64_or_complex128_reach_the_routine(monkeypatch):
@@ -1900,6 +1950,22 @@ def test_only_owned_contiguous_float64_or_complex128_reach_the_routine(monkeypat
     monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
     monkeypatch.setattr(lattice, "_two_stage_routines",
                         lambda: {dtype: spy(r) for dtype, r in routines.items()})
+    # at order 729 the routine works in the very buffer that _dense_spectrum
+    # densified H into and that birman_schwinger built K in
+    v, op = _random_hamiltonian((9, 9, 9), 1)
+    built = []
+    spectrum, assemble = lattice._spectrum, lattice.birman_schwinger
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_spectrum",
+                  lambda a, overwrite_a=False: built.append(a.ctypes.data)
+                  or spectrum(a, overwrite_a))
+        m.setattr(lattice, "birman_schwinger",
+                  lambda V: built.append((k := assemble(V)).ctypes.data) or k)
+        lattice._dense_spectrum(op, "test")
+        assert buffers == built[:1]
+        buffers.clear()
+        k_spectrum(v)
+        assert v.support().size == 729 and buffers == built[1:2] == built[2:]
     sym, herm = _hermitian(12, np.float64), _hermitian(12, np.complex128)
     spaced = np.zeros((24, 24))
     spaced[::2, ::2] = sym
