@@ -17,13 +17,14 @@ those factors, the dense H is never formed, and a singular Schur block
 raises instead of falling back to a dense count), the Birman-Schwinger operator
 K = V^{1/2} L^{-1} V^{1/2} with its spectrum and counting bound (one call of
 F gives F(1) and every F(lambda_k), and a family of F, one row each, gives
-one bound per row; K is its one n x n array, scaled in place by chunks
-of Green's-function columns), the dense spectra of H and K taken side by
-side (h_and_k_spectra; every dense spectrum is numpy's below a threshold
-order and LAPACK's two-stage eigensolver's, in the operator's own buffer,
-from it, _spectrum), heat-semigroup and Trotter-product traces, the
-resolvent trace, and Riemann-sum right-hand sides of the counting and
-Riesz-mean bounds.
+one bound per row; K is its one n x n array, Fortran-ordered and scaled
+in place by chunks of Green's-function columns), the dense spectra of H
+and K taken side by side (h_and_k_spectra; every dense spectrum is
+numpy's below order 256, and from it LAPACK's, one-stage and then
+two-stage, in the operator's one buffer, which has its own private
+mapping, _spectrum and _operator_buffer), heat-semigroup and
+Trotter-product traces, the resolvent trace, and Riemann-sum right-hand
+sides of the counting and Riesz-mean bounds.
 
 Routines on a potential take V alone and read its box from V.grid.
 
@@ -40,6 +41,7 @@ import glob
 import hashlib
 import json
 import math
+import mmap
 import os
 import threading
 from collections import OrderedDict
@@ -66,18 +68,21 @@ ZERO_BAND_RTOL = 1e-10
 # plane of a 3-D box with m >= 8 is a slab of its own.
 _MIN_SLAB = 64
 # Order of H from which h_and_k_spectra takes H's and K's spectra on two
-# threads; below it the thread costs more than the overlap saves.
+# threads (below it the thread costs more than the overlap saves), and the
+# order from which _spectrum takes every dense spectrum in place.
 _SIDE_BY_SIDE_ORDER = 256
 # Real-equivalent order n * (2 if complex else 1) from which a dense spectrum
-# is taken by LAPACK's two-stage reduction (_spectrum).  numpy's eigvalsh time
-# over the two-stage time, one BLAS thread, random Hermitian matrices, two
-# sweeps on an x86-64 host:
-#   real       729 0.81 0.82    864 1.15 0.95   1024 1.12 1.02   1331 1.48 1.61
-#             2048 1.66 1.68   2916 1.43 1.80
-#   complex    343 1.05 1.04    400 1.04 1.14    512 1.21 1.20    686 1.30 1.54
-#             1024 1.99 1.63   1458 1.78 1.93
-# Real orders break even near 1024, complex ones lower; one constant in
-# real-equivalent order keeps every order it selects at 1.0x or better.
+# is taken by LAPACK's two-stage reduction instead of the one-stage driver
+# (_spectrum).  One-stage over two-stage time, both in place, one BLAS
+# thread, random Hermitian matrices, two sweeps on an x86-64 host:
+#   real       512 0.75 0.72    729 0.85 0.76    864 1.03 0.93   1024 1.06 0.94
+#             1331 1.51 1.15   2048 1.25 1.34   2916 1.38 1.53
+#   complex    256 0.88 0.90    343 0.99 0.93    400 1.04 1.05    450 1.09 1.08
+#              511 1.15 1.29    686 1.25 1.28   1024 1.36 1.33   1458 1.67 1.41
+# Real orders break even near 1024.  Complex ones from about 400 gain 4-15 %
+# (511: 15-29 %), but the one-stage values are numpy's bit for bit and the
+# two-stage ones are not, and no workload or default experiment draws a
+# complex order in 400-511; so one constant in real-equivalent order.
 _TWO_STAGE_ORDER = 1024
 # Bytes of one chunk of Green's-function columns in birman_schwinger: its
 # workspace beside K is a few such chunks, whatever the order of K.
@@ -282,70 +287,114 @@ def _check_dense(dim: int, what: str) -> None:
 
 
 # LAPACKE's column-major layout code, and the argument types of
-# LAPACKE_?syevd_2stage / ?heevd_2stage: (layout, jobz, uplo, n, a, lda, w).
+# LAPACKE_?syevd / ?heevd and their two-stage forms: (layout, jobz, uplo, n, a, lda, w).
 _COL_MAJOR = 102
-_TWO_STAGE_ARGS = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
-                   ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
+_EVD_ARGS = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
+             ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
 
 
 @functools.cache
-def _two_stage_routines() -> dict | None:
-    """{dtype: LAPACKE dsyevd_2stage or zheevd_2stage} from scipy's OpenBLAS, or None.
+def _lapacke_routines() -> dict | None:
+    """{name: LAPACKE routine} of dsyevd, zheevd and their _2stage forms, or None.
 
     The library is the OpenBLAS that Linux wheels of scipy ship in
     scipy.libs (LP64: 32-bit LAPACK integers, symbols prefixed scipy_).
     It is opened on the first call, never at import (two threads racing on
     that call both open it and get the same library).  None where that
-    library or either routine is absent; then every order takes numpy.
+    library or any of the four routines is absent; then every order takes
+    numpy.
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas-*.so"))):
         try:
             lib = ctypes.CDLL(path)
-            routines = {np.dtype(np.float64): lib.scipy_LAPACKE_dsyevd_2stage,
-                        np.dtype(np.complex128): lib.scipy_LAPACKE_zheevd_2stage}
+            routines = {name: getattr(lib, "scipy_LAPACKE_" + name)
+                        for name in ("dsyevd", "zheevd", "dsyevd_2stage", "zheevd_2stage")}
         except (OSError, AttributeError):
             continue
         for routine in routines.values():
             routine.restype = ctypes.c_int
-            routine.argtypes = _TWO_STAGE_ARGS
+            routine.argtypes = _EVD_ARGS
         return routines
     return None
+
+
+def _in_place_routine(n: int, complex_: bool):
+    """(name, routine) of the LAPACKE driver that takes an order-n spectrum in place, or None.
+
+    The two-stage ?syevd_2stage / ?heevd_2stage from real-equivalent order
+    n * (2 if complex else 1) = _TWO_STAGE_ORDER, the one-stage ?syevd /
+    ?heevd from order _SIDE_BY_SIDE_ORDER below it.  None below both, or
+    where scipy's OpenBLAS lacks them (_lapacke_routines): numpy's
+    eigvalsh takes those spectra.
+    """
+    name = "zheevd" if complex_ else "dsyevd"
+    if n * (2 if complex_ else 1) >= _TWO_STAGE_ORDER:
+        name += "_2stage"
+    elif n < _SIDE_BY_SIDE_ORDER:
+        return None
+    routines = _lapacke_routines()
+    return None if routines is None else (name, routines[name])
+
+
+def _operator_buffer(n: int, dtype) -> np.ndarray:
+    """Zeroed Fortran-ordered n x n array of dtype for one dense operator.
+
+    Where _in_place_routine takes order n, the array is backed by its own
+    anonymous private mapping, and freeing it unmaps the pages at once.
+    From the heap they could stay resident: once glibc frees a chunk of
+    several MB it raises its mmap threshold, and the next array of that
+    size is then carved from the heap.  The mapping is private, so a forked
+    process writes its own copy.  From 4 MiB it is advised to use huge
+    pages, as numpy advises its own arrays.  Below that order, or without
+    the routines, the array is np.zeros'.
+    """
+    dtype = np.dtype(dtype)
+    if _in_place_routine(n, dtype.kind == "c") is None:
+        return np.zeros((n, n), dtype=dtype, order="F")
+    nbytes = n * n * dtype.itemsize
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if nbytes >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype).reshape((n, n), order="F")
 
 
 def _spectrum(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian array a, which must be finite.
 
-    From real-equivalent order _TWO_STAGE_ORDER on, where scipy's OpenBLAS
-    has them (_two_stage_routines), LAPACK's two-stage ?syevd_2stage /
-    ?heevd_2stage (eigenvalues only, lower triangle, column-major) take
-    the spectrum; their values agree with numpy's to rounding.  Below it,
-    or without them, np.linalg.eigvalsh does, which never writes to a.
+    Where _in_place_routine names a LAPACKE driver (from order
+    _SIDE_BY_SIDE_ORDER on, where scipy's OpenBLAS has them), it takes the
+    spectrum: eigenvalues only, lower triangle, column-major.  The
+    one-stage ?syevd / ?heevd are the drivers numpy's eigvalsh runs; with
+    the numpy 2.4.6 and scipy 1.17.1 wheels (OpenBLAS 0.3.31 and 0.3.30)
+    their values were numpy's bit for bit in every case tried, which rests
+    on the two OpenBLAS builds, not on a guarantee.  The two-stage ones,
+    from _TWO_STAGE_ORDER, agree with numpy's to rounding.
+    Below that order, or without them, np.linalg.eigvalsh takes the
+    spectrum, which never writes to a.
 
-    The two-stage routines overwrite their buffer.  With overwrite_a that
-    is a itself when it is a writeable, aligned, contiguous float64 or
-    complex128 array; anything else reaches them as a float64 or
-    complex128 copy in a's memory order, so overwrite_a never changes the
-    values.  A C-ordered buffer read as column-major is a's transpose, the
-    conjugate of a Hermitian array, so its spectrum is the same.  info != 0
-    raises LinAlgError.
+    The drivers overwrite their buffer.  With overwrite_a that is a itself
+    when it is a writeable, aligned, contiguous float64 or complex128
+    array; anything else reaches them as a float64 or complex128 copy in
+    a's memory order, so overwrite_a never changes the values.  A C-ordered
+    buffer read as column-major is a's transpose, the conjugate of a
+    Hermitian array, so its spectrum is the same.  info != 0 raises
+    LinAlgError.
     """
     n, complex_ = a.shape[0], np.iscomplexobj(a)
-    routines = None
-    if n * (2 if complex_ else 1) >= _TWO_STAGE_ORDER:
-        routines = _two_stage_routines()
-    if routines is None:
+    found = _in_place_routine(n, complex_)
+    if found is None:
         return np.linalg.eigvalsh(a)
+    name, routine = found
     dtype = np.dtype(np.complex128 if complex_ else np.float64)
     flags = a.flags
     if not (overwrite_a and a.dtype == dtype and flags.writeable and flags.aligned
             and (flags.f_contiguous or flags.c_contiguous)):
         a = np.array(a, dtype=dtype, order="K")
     w = np.empty(n)
-    info = routines[dtype](_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
+    info = routine(_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
     if info != 0:
-        name = "zheevd" if complex_ else "dsyevd"
-        raise np.linalg.LinAlgError(f"LAPACKE {name}_2stage failed: info {info}")
+        raise np.linalg.LinAlgError(f"LAPACKE {name} failed: info {info}")
     return w
 
 
@@ -353,12 +402,14 @@ def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
     """Ascending eigenvalues of op by a full dense eigendecomposition.
 
     Charges the dense budget with the order first, then takes _spectrum of
-    one Fortran-ordered dense copy, which it may overwrite, filled straight
-    from the CSR arrays (canonical, so each entry is written once).
+    one Fortran-ordered dense copy (_operator_buffer: its own mapping where
+    the spectrum is taken in place), which it may overwrite, filled
+    straight from the CSR arrays (canonical, so each entry is written
+    once).
     """
     _check_dense(op.dim, what)
     m = op.matrix
-    a = np.zeros(m.shape, dtype=m.dtype, order="F")
+    a = _operator_buffer(op.dim, m.dtype)
     a[np.repeat(np.arange(op.dim), np.diff(m.indptr)), m.indices] = m.data
     return _spectrum(a, overwrite_a=True)
 
@@ -731,12 +782,18 @@ def birman_schwinger(V: MatrixPotential) -> np.ndarray:
     of L - V exactly.  K is Hermitian by construction, and nothing checks
     it again; its spectrum is k_spectrum(V).
 
-    K is the one n x n array made.  The GEMM of the square roots fills
-    it, and the Green's function G = L^{-1} then scales it a chunk of
-    support columns at a time.  Each chunk of G comes from
-    _laplacian_function, gathered on the support rows unless the support
-    is the whole box, so the workspace beside K is a few arrays of
-    _GREEN_CHUNK_BYTES, whatever the order of K.
+    K is the one n x n array made, Fortran-ordered, so a LAPACK driver
+    reads the lower triangle that numpy's eigvalsh reads; where its
+    spectrum is taken in place, K has its own mapping (_operator_buffer).
+    The GEMM of the square roots fills it in C order, as numpy's matmul
+    writes it (a GEMM writing K^T, whose memory is K in Fortran order,
+    rounds some entries differently when N >= 2), and _transpose_in_place
+    turns it over in the same buffer.  The Green's function G = L^{-1}
+    then scales it a chunk of support columns at a time, each chunk
+    contiguous.  Each chunk of G comes from _laplacian_function, gathered
+    on the support rows unless the support is the whole box, so the
+    workspace beside K is a few arrays of _GREEN_CHUNK_BYTES, whatever the
+    order of K.
     """
     roots = V.sqrt_sites()
     _check_dense(V.dim, "Birman-Schwinger assembly")
@@ -747,17 +804,37 @@ def birman_schwinger(V: MatrixPotential) -> np.ndarray:
     if not np.any(V.values.imag):
         roots = roots.real  # real LAPACK paths are several times faster
     # one GEMM: k[(x,a),(y,c)] = (V(x)^{1/2} V(y)^{1/2})_ac, then scaled by G(x,y)
-    k = roots.reshape(n, V.N) @ roots.transpose(1, 0, 2).reshape(V.N, n)
-    rows = k.reshape(support.size, V.N, n)  # [x, a, (y, c)]
+    k = _operator_buffer(n, roots.dtype)
+    np.matmul(roots.reshape(n, V.N), roots.transpose(1, 0, 2).reshape(V.N, n), out=k.T)
+    _transpose_in_place(k.T)
+    cols = k.T.reshape(support.size, V.N, n)  # [y, c, (x, a)]
     whole = support.size == V.grid.nsites
     step = max(1, _GREEN_CHUNK_BYTES // (8 * V.grid.nsites))
     for lo in range(0, support.size, step):
         green = _laplacian_function(V.grid, np.reciprocal, support[lo:lo + step])
         if not whole:
             green = green[support]
-        # G(x, y) repeated over c, so each row's run of the chunk is scaled in one pass
-        rows[:, :, lo * V.N:(lo + step) * V.N] *= np.repeat(green, V.N, axis=1)[:, None, :]
+        # G(x, y) repeated over a, so each column's run of the chunk is scaled in one pass
+        cols[lo:lo + step] *= np.repeat(green.T, V.N, axis=1)[:, None, :]
     return k
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """Overwrite the square array a with its transpose, in a's own buffer.
+
+    Each tile of side 64 above the diagonal swaps with its mirror tile
+    through one tile-sized copy; each diagonal tile is turned over alone.
+    """
+    n, tile = a.shape[0], 64
+    for lo in range(0, n, tile):
+        hi = lo + tile
+        diag = a[lo:hi, lo:hi]
+        diag[...] = diag.T.copy()
+        for right in range(hi, n, tile):
+            upper, lower = a[lo:hi, right:right + tile], a[right:right + tile, lo:hi]
+            swap = upper.copy()
+            upper[...] = lower.T
+            lower[...] = swap.T
 
 
 def _k_values(K: np.ndarray, overwrite_a: bool = False) -> np.ndarray:

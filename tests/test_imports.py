@@ -1,5 +1,5 @@
 """Import contract: clrlab loads scipy's subpackages only when a routine uses one,
-and opens the two-stage eigensolver's library only when a spectrum needs it.
+and opens the LAPACKE eigensolvers' library only when a spectrum needs it.
 
 Each case runs in a fresh interpreter, since the test process itself has
 long since imported every subpackage.
@@ -27,12 +27,12 @@ def loaded():
     return [s for s in subs if "scipy." + s in sys.modules]
 
 def opened():
-    # whether the two-stage eigensolver's library was looked up or is mapped
+    # whether the LAPACKE eigensolvers' library was looked up or is mapped
     maps = ""
     if os.path.exists("/proc/self/maps"):
         with open("/proc/self/maps") as fh:
             maps = fh.read()
-    return (clrlab.lattice._two_stage_routines.cache_info().currsize > 0
+    return (clrlab.lattice._lapacke_routines.cache_info().currsize > 0
             or "scipy.libs/libscipy_openblas-" in maps)
 """
 
@@ -54,7 +54,7 @@ def _children(codes, **env) -> list:
 
 
 def test_import_and_matrix_experiments_load_no_scipy_subpackage():
-    # nor open the two-stage eigensolver's library
+    # nor open the LAPACKE eigensolvers' library
     [got] = _children(["""
 stages = {"import": [loaded(), opened()]}
 for name, trials in (("jensen", 5), ("holder", 5), ("timeorder-consistency", 5),
@@ -96,7 +96,7 @@ config._usable_cpus = lambda: CPUS
 assert config._SERIAL_BLAS
 report = run_experiment(ExperimentConfig(experiment="bs-equivalence", trials=1, seed=2,
                                          grid_points=(7, 7, 7)))
-print(json.dumps({"looked_up": clrlab.lattice._two_stage_routines.cache_info().currsize,
+print(json.dumps({"looked_up": clrlab.lattice._lapacke_routines.cache_info().currsize,
                   "report": {"records": report.records, "summary": report.summary}}))
 """
     pinned = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")

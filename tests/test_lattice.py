@@ -740,6 +740,44 @@ def test_birman_schwinger_gemm_matches_einsum(pts, N, real):
     assert np.max(np.abs(k - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
 
 
+def _c_ordered_bs_oracle(V):
+    """Oracle: K by the C-ordered construction, numpy's GEMM of the square
+    roots scaled in place by chunks of Green's-function columns."""
+    roots = V.sqrt_sites()
+    support = V.support()
+    n = support.size * V.N
+    roots = roots[support]
+    if not np.any(V.values.imag):
+        roots = roots.real
+    k = roots.reshape(n, V.N) @ roots.transpose(1, 0, 2).reshape(V.N, n)
+    rows = k.reshape(support.size, V.N, n)
+    step = max(1, lattice._GREEN_CHUNK_BYTES // (8 * V.grid.nsites))
+    for lo in range(0, support.size, step):
+        green = lattice._laplacian_function(V.grid, np.reciprocal, support[lo:lo + step])
+        if support.size < V.grid.nsites:
+            green = green[support]
+        rows[:, :, lo * V.N:(lo + step) * V.N] *= np.repeat(green, V.N, axis=1)[:, None, :]
+    return k
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+@pytest.mark.parametrize("pts", [(17,), (4, 5), (3, 3, 3), (7, 7, 7)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_birman_schwinger_is_fortran_ordered_with_the_c_ordered_values(pts, N, partial, real):
+    # a GEMM writing K^T straight away rounds some entries of N >= 2 differently
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.5)
+    v = generate_potential((61, N, g.nsites), g, N, "random-psd-field", 5.0)
+    vals = v.values.real.copy() if real else v.values.copy()
+    if partial:
+        vals[::3] = 0.0  # sites outside the support
+    v = MatrixPotential(grid=g, N=N, values=vals)
+    k = birman_schwinger(v)
+    want = _c_ordered_bs_oracle(v)
+    assert k.flags.f_contiguous and want.flags.c_contiguous
+    assert k.dtype == want.dtype and np.array_equal(k, want)
+
+
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("pts", [(9,), (4, 3), (3, 3, 3)])
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -1841,9 +1879,9 @@ def test_two_stage_routines_found_with_the_scipy_wheel_openblas():
     if sys.platform != "linux" or lapack["name"] != "scipy-openblas":
         pytest.skip(f"scipy's LAPACK is {lapack['name']} on {sys.platform}, "
                     f"not the OpenBLAS of a Linux wheel")
-    routines = lattice._two_stage_routines()
+    routines = lattice._lapacke_routines()
     assert routines is not None
-    assert set(routines) == {np.dtype(np.float64), np.dtype(np.complex128)}
+    assert set(routines) == {"dsyevd", "zheevd", "dsyevd_2stage", "zheevd_2stage"}
 
 
 @pytest.mark.parametrize("pts, N, dtype", [
@@ -1867,7 +1905,7 @@ def test_two_stage_spectra_match_numpy(pts, N, dtype):
 
 
 def _without_two_stage(monkeypatch):
-    monkeypatch.setattr(lattice, "_two_stage_routines", lambda: None)
+    monkeypatch.setattr(lattice, "_lapacke_routines", lambda: None)
 
 
 def test_bs_equivalence_counts_same_without_two_stage(monkeypatch):
@@ -1898,9 +1936,10 @@ def test_spectrum_without_two_stage_is_numpy_bit_for_bit(monkeypatch, n, dtype):
 
 
 def _failing_routines(monkeypatch):
-    # any call of a two-stage routine raises
-    monkeypatch.setattr(lattice, "_two_stage_routines", lambda: {
-        np.dtype(np.float64): lambda *args: 7, np.dtype(np.complex128): lambda *args: -5})
+    # any call of a LAPACKE routine raises
+    monkeypatch.setattr(lattice, "_lapacke_routines", lambda: {
+        "dsyevd": lambda *args: 7, "dsyevd_2stage": lambda *args: 7,
+        "zheevd": lambda *args: -5, "zheevd_2stage": lambda *args: -5})
 
 
 def test_two_stage_failure_raises_with_info(monkeypatch):
@@ -1921,11 +1960,12 @@ def test_empty_spectrum_makes_no_lapack_call(monkeypatch):
             assert w.shape == (0,) and w.dtype == np.float64
 
 
-@pytest.mark.parametrize("n, dtype", [(n, np.float64) for n in (1, 8, 54, 343, 729)]
-                         + [(n, np.complex128) for n in (1, 54, 250, 511)])
+@pytest.mark.parametrize("n, dtype", [(n, np.float64) for n in (1, 8, 54, 255)]
+                         + [(n, np.complex128) for n in (1, 54, 250, 255)])
 def test_spectrum_below_the_two_stage_order_is_numpy_bit_for_bit(monkeypatch, n, dtype):
-    # numpy's eigvalsh takes these orders, never a two-stage routine
+    # numpy's eigvalsh takes these orders, never a LAPACKE routine
     _failing_routines(monkeypatch)
+    assert n < lattice._SIDE_BY_SIDE_ORDER
     assert n * (2 if dtype == np.complex128 else 1) < lattice._TWO_STAGE_ORDER
     a = _hermitian(n, dtype, seed=n)
     want = np.linalg.eigvalsh(a)
@@ -1935,10 +1975,128 @@ def test_spectrum_below_the_two_stage_order_is_numpy_bit_for_bit(monkeypatch, n,
             assert np.array_equal(b, a)
 
 
-def test_only_owned_contiguous_float64_or_complex128_reach_the_routine(monkeypatch):
-    routines = lattice._two_stage_routines()
+def _spied_routines(monkeypatch):
+    """[(name, buffer address)] of every LAPACKE call from here on."""
+    routines = lattice._lapacke_routines()
     if routines is None:
-        pytest.skip("no two-stage routines on this platform")
+        pytest.skip("no LAPACKE routines on this platform")
+    calls = []
+
+    def spy(name, routine):
+        def call(layout, jobz, uplo, n, a, lda, w):
+            calls.append((name, a))
+            return routine(layout, jobz, uplo, n, a, lda, w)
+        return call
+
+    monkeypatch.setattr(lattice, "_lapacke_routines",
+                        lambda: {name: spy(name, r) for name, r in routines.items()})
+    return calls
+
+
+def _blas_builds():
+    return (f"numpy {np.__version__} {np.show_config(mode='dicts')['Build Dependencies']}, "
+            f"scipy {scipy.__version__} "
+            f"{scipy.show_config(mode='dicts')['Build Dependencies']}")
+
+
+@pytest.mark.parametrize("n, dtype", [(n, np.float64) for n in (256, 343, 512, 729)]
+                         + [(n, np.complex128) for n in (256, 343, 511)])
+def test_spectrum_from_order_256_is_numpy_bit_for_bit_in_place(monkeypatch, n, dtype):
+    # the one-stage ?syevd / ?heevd take these orders in place; numpy's
+    # eigvalsh runs the same drivers
+    calls = _spied_routines(monkeypatch)
+    assert n >= lattice._SIDE_BY_SIDE_ORDER
+    assert n * (2 if dtype == np.complex128 else 1) < lattice._TWO_STAGE_ORDER
+    a = _hermitian(n, dtype, seed=n)
+    want = np.linalg.eigvalsh(a)
+    name = "zheevd" if dtype == np.complex128 else "dsyevd"
+    for overwrite_a in (False, True):
+        for b in (np.asfortranarray(a), np.ascontiguousarray(a)):
+            calls.clear()
+            assert np.array_equal(lattice._spectrum(b, overwrite_a), want), _blas_builds()
+            assert [c[0] for c in calls] == [name]
+            assert (calls[0][1] == b.ctypes.data) == overwrite_a
+            if not overwrite_a:
+                assert np.array_equal(b, a)
+
+
+def test_one_stage_failure_raises_with_info(monkeypatch):
+    _failing_routines(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="LAPACKE dsyevd failed: info 7"):
+        lattice._spectrum(np.eye(256))
+    with pytest.raises(np.linalg.LinAlgError, match="LAPACKE zheevd failed: info -5"):
+        lattice._spectrum(np.eye(256, dtype=complex))
+
+
+def _mapping(a):
+    """The object at the end of a's base chain (an mmap for an operator's own mapping)."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_operator_buffer_has_its_own_private_mapping_from_order_256():
+    import mmap
+    import os
+    import weakref
+
+    if lattice._lapacke_routines() is None or not hasattr(os, "fork"):
+        pytest.skip("no LAPACKE routines or no fork on this platform")
+    small = lattice._operator_buffer(255, np.float64)
+    assert small.flags.f_contiguous and not small.any()
+    assert not isinstance(_mapping(small), mmap.mmap)
+    for dtype in (np.float64, np.complex128):
+        a = lattice._operator_buffer(256, dtype)
+        assert a.shape == (256, 256) and a.dtype == dtype and a.flags.f_contiguous
+        assert a.flags.writeable and not a.any()
+        assert isinstance(_mapping(a), mmap.mmap)
+    a[:] = 1.0
+    pid = os.fork()
+    if pid == 0:  # the child writes its own copy of the pages
+        a[:] = 2.0
+        os._exit(0 if np.all(a == 2.0) else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert np.all(a == 1.0)
+    # freeing the array unmaps its pages
+    mapped = weakref.ref(_mapping(a))
+    del a
+    assert mapped() is None
+
+
+def test_routine_works_in_the_operators_own_buffers_at_order_729(monkeypatch):
+    # no threshold patched: a real order-729 H and K take the one-stage
+    # dsyevd in the very buffers _dense_spectrum and birman_schwinger built
+    import mmap
+
+    calls = _spied_routines(monkeypatch)
+    v, op = _random_hamiltonian((9, 9, 9), 1)
+    built = []
+    spectrum, assemble = lattice._spectrum, lattice.birman_schwinger
+
+    def spied_spectrum(a, overwrite_a=False):
+        built.append((a.ctypes.data, isinstance(_mapping(a), mmap.mmap), a.flags.f_contiguous))
+        return spectrum(a, overwrite_a)
+
+    monkeypatch.setattr(lattice, "_spectrum", spied_spectrum)
+    monkeypatch.setattr(lattice, "birman_schwinger",
+                        lambda V: built.append((k := assemble(V)).ctypes.data) or k)
+    assert np.array_equal(lattice._dense_spectrum(op, "test"),
+                          np.linalg.eigvalsh(op.toarray()))
+    lam = k_spectrum(v)
+    assert v.support().size == 729
+    assert [name for name, _ in calls] == ["dsyevd", "dsyevd"]
+    (h_buffer, *h_flags), k_buffer, (k_spectrum_buffer, *k_flags) = built
+    assert h_flags == k_flags == [True, True]
+    assert [address for _, address in calls] == [h_buffer, k_buffer] == [
+        h_buffer, k_spectrum_buffer]
+    assert np.array_equal(lam, np.maximum(np.linalg.eigvalsh(assemble(v)), 0.0))
+
+
+def test_only_owned_contiguous_float64_or_complex128_reach_the_routine(monkeypatch):
+    routines = lattice._lapacke_routines()
+    if routines is None:
+        pytest.skip("no LAPACKE routines on this platform")
     buffers = []
 
     def spy(routine):
@@ -1948,8 +2106,8 @@ def test_only_owned_contiguous_float64_or_complex128_reach_the_routine(monkeypat
         return call
 
     monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
-    monkeypatch.setattr(lattice, "_two_stage_routines",
-                        lambda: {dtype: spy(r) for dtype, r in routines.items()})
+    monkeypatch.setattr(lattice, "_lapacke_routines",
+                        lambda: {name: spy(r) for name, r in routines.items()})
     # at order 729 the routine works in the very buffer that _dense_spectrum
     # densified H into and that birman_schwinger built K in
     v, op = _random_hamiltonian((9, 9, 9), 1)
