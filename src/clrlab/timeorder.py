@@ -21,7 +21,9 @@ eigenbases V_j, the sum is a chain of overlap matrices O_j = V_j^H V_{j+1}:
 
 contracted one index at a time.  It evaluates f on all N**n sums and
 costs O(N**n) time and memory, and shares nothing with the ordered
-product below, so it stays an independent check of it.  The closed forms
+product below, so it stays an independent check of it.  A sequence of
+functions shares one enumeration: the sums and overlaps are built once and
+each function's chain is contracted in turn.  The closed forms
 are all coefficients C_q(alpha) of one truncated ordered product,
 
     e^{(alpha+x)W_1} .. e^{(alpha+x)W_n} = sum_q x^q C_q(alpha),
@@ -39,6 +41,11 @@ with alpha_j >= 0 for j >= 2 and beta_k >= 0 (alpha_0, alpha_1 and the
 rates r_k unconstrained).  For PSD inputs, averaging beats time ordering:
 
     Re tr T f(W_1..W_n) <= (1/n) sum_j tr f(n W_j).
+
+The averaged side calls f once, on the n spectra joined, and a function of
+the class evaluates its polynomial by in-place Horner with the steps of
+numpy's polyval; both give the values of their per-matrix and polyval forms
+bit for bit.
 """
 
 from __future__ import annotations
@@ -84,12 +91,29 @@ class ScalarFunctionClass:
         object.__setattr__(self, "exp_atoms", atoms)
 
     def __call__(self, mu):
+        """f(mu) elementwise, equal bit for bit to polyval plus the atoms.
+
+        The polynomial is evaluated by Horner's rule in one buffer, with the
+        steps of numpy's polyval: alpha_d + 0 * mu, then alpha_j + c * mu for
+        j = d-1 .. 0.  Each atom is then added to that buffer in place.
+        """
         x = np.asarray(mu, dtype=float)
-        out = np.zeros_like(x)
-        if self.poly_coeffs:
-            out = out + np.polynomial.polynomial.polyval(x, self.poly_coeffs)
+        coeffs = self.poly_coeffs
+        if coeffs:
+            # The values are 0.0 + polyval (a zero array plus polyval's
+            # result), which differs from polyval only where its last step
+            # alpha_0 + c * mu adds -0.0 to -0.0; alpha_0 + 0.0 in that step
+            # gives the same values without a pass of its own.
+            steps = (coeffs[0] + 0.0,) + coeffs[1:]
+            out = x * 0
+            out += steps[-1]
+            for c in reversed(steps[:-1]):
+                out *= x
+                out += c
+        else:
+            out = np.zeros_like(x)
         for w, r in self.exp_atoms:
-            out = out + w * np.exp(-r * x)
+            out += w * np.exp(-r * x)
         if np.isscalar(mu) or np.ndim(mu) == 0:
             return float(out)
         return out
@@ -150,18 +174,24 @@ def time_ordered_apply(f, matrices) -> np.ndarray:
     """Matrix of T f(W_1..W_n) by joint spectral enumeration.
 
     f may be any scalar function that is real and finite on the sums of
-    eigenvalues (a ScalarFunctionClass qualifies).  Enumeration touches
-    N**n index tuples; if that exceeds ENUMERATION_BUDGET a BudgetError
-    points the caller at the closed forms instead.  Cost is O(N**n) memory
-    and time: f is evaluated once on all N**n eigenvalue sums, and the
-    overlap chain is contracted one index at a time (see the module
-    docstring).
+    eigenvalues (a ScalarFunctionClass qualifies), or a sequence of such
+    functions, just as _ordered_series takes one rate or an array of rates:
+    a sequence gives the stack of their matrices, shape (len(f), N, N).
+    Enumeration touches N**n index tuples; if that exceeds
+    ENUMERATION_BUDGET a BudgetError points the caller at the closed forms
+    instead.  Cost is O(N**n) memory and time: the N**n eigenvalue sums and
+    the overlaps are built once, and each function is evaluated on all the
+    sums and its overlap chain contracted one index at a time (see the
+    module docstring), one function after the other, so a sequence needs
+    the memory of one enumeration and each of its matrices equals that
+    function's own call bit for bit.  The functions of a sequence share the
+    array of sums, so none may write to its argument.
     """
     return _enumerated(f, _decompositions(matrices))
 
 
 def _enumerated(f, decs) -> np.ndarray:
-    """Matrix of T f(W_1..W_n) by contracting the overlap chain (module doc)."""
+    """Matrix, or stack of matrices, of T f(W_1..W_n) (time_ordered_apply)."""
     n = len(decs)
     dim = decs[0].dim
     if dim**n > ENUMERATION_BUDGET:
@@ -176,13 +206,21 @@ def _enumerated(f, decs) -> np.ndarray:
     for d in decs:
         sums = sums[..., None] + d.eigenvalues
     sums = sums.ravel()
+    overlaps = [a.vectors.conj().T @ b.vectors for a, b in zip(decs, decs[1:])]
+    if callable(f):
+        return _contracted(f, sums, overlaps, decs)
+    return np.stack([_contracted(g, sums, overlaps, decs) for g in f])
+
+
+def _contracted(f, sums, overlaps, decs) -> np.ndarray:
+    """T f from f on the eigenvalue sums and the overlap chain (module doc)."""
+    dim = decs[0].dim
     coeff = np.asarray(f(sums))
     if coeff.shape != sums.shape:
         raise ValueError("f must evaluate elementwise on an array of reals")
-    if n == 1:
+    if not overlaps:
         core = np.diag(coeff)
     else:
-        overlaps = [a.vectors.conj().T @ b.vectors for a, b in zip(decs, decs[1:])]
         # chain[k_1, k_j, rest] after summing k_2..k_{j-1}
         chain = coeff.reshape(dim, dim, -1) * overlaps[0][:, :, None]
         for o in overlaps[1:]:
@@ -264,11 +302,18 @@ def _require_admissible(f) -> ScalarFunctionClass:
 
 
 def averaged_trace(f, matrices) -> float:
-    """(1/n) sum_j tr f(n W_j), evaluated on eigenvalues."""
+    """(1/n) sum_j tr f(n W_j), evaluated on eigenvalues.
+
+    f is called once, on the n spectra joined into one array of n*N values.
+    Each matrix's row of f-values is then summed as np.sum sums it alone,
+    and the row sums added in the order of the matrices, so the value
+    equals one call of f per matrix bit for bit.
+    """
     decs = _decompositions(matrices)
     n = len(decs)
-    return sum(float(np.sum(np.asarray(f(n * d.eigenvalues), dtype=float)))
-               for d in decs) / n
+    values = np.asarray(f(n * np.concatenate([d.eigenvalues for d in decs])),
+                        dtype=float)
+    return sum(values.reshape(n, -1).sum(axis=1).tolist()) / n
 
 
 def _jensen_sides(f, matrices) -> tuple[float, float]:

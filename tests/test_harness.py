@@ -382,6 +382,27 @@ def test_jensen_run_evaluates_the_averaged_side_once(monkeypatch, serial_trials)
     assert calls[0] == 50
 
 
+def test_timeorder_trial_enumerates_its_closed_forms_in_one_call(monkeypatch, serial_trials):
+    # the three closed forms share one enumeration; the commuting check
+    # makes the second call
+    import clrlab.harness.experiments as experiments
+
+    calls = []
+    apply = experiments.time_ordered_apply
+
+    def counted(f, matrices):
+        calls.append(f)
+        return apply(f, matrices)
+
+    monkeypatch.setattr(experiments, "time_ordered_apply", counted)
+    rep = run_experiment(ExperimentConfig(experiment="timeorder-consistency",
+                                          trials=20, seed=7))
+    assert rep.passed
+    assert len(calls) == 2 * 20
+    assert [len(f) for f in calls[::2]] == [3] * 20
+    assert all(callable(f) for f in calls[1::2])
+
+
 def test_timeorder_run_takes_one_spectrum_per_matrix(decomposition_counts):
     # per trial: the drawn tuple and the commuting family (n matrices each),
     # plus the commuting check's apply_spectral on the family's sum; each

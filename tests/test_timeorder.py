@@ -74,6 +74,47 @@ def test_function_class_evaluation():
         assert abs(f(mu) - want) < 1e-13
 
 
+def polyval_plus_atoms(f, mu):
+    """Oracle: ScalarFunctionClass.__call__ as numpy's polyval plus an atom loop."""
+    x = np.asarray(mu, dtype=float)
+    out = np.zeros_like(x)
+    if f.poly_coeffs:
+        out = out + np.polynomial.polynomial.polyval(x, f.poly_coeffs)
+    for w, r in f.exp_atoms:
+        out = out + w * np.exp(-r * x)
+    if np.isscalar(mu) or np.ndim(mu) == 0:
+        return float(out)
+    return out
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+def test_function_class_is_polyval_plus_atoms_bit_for_bit():
+    # in-place Horner takes polyval's steps, signed zeros included
+    rng = np.random.default_rng(17)
+    edges = np.array([0.0, -0.0, -1.0, 1.0, -2.5, 3.0, 1e-300, -1e-300])
+    functions = [
+        ScalarFunctionClass(),
+        ScalarFunctionClass(poly_coeffs=(-0.0,)),
+        ScalarFunctionClass(poly_coeffs=(-0.0, 1.0)),
+        ScalarFunctionClass(poly_coeffs=(0.0, -0.0, 0.0, 1.0)),
+        ScalarFunctionClass(poly_coeffs=(-0.0, -0.0, -0.0)),
+        ScalarFunctionClass(exp_atoms=((0.3, 1.5), (0.0, -2.0))),
+        ScalarFunctionClass(poly_coeffs=(1.0, 2.0, 0.5), exp_atoms=((0.3, 1.5),)),
+    ] + [random_admissible(rng) for _ in range(40)]
+    for f in functions:
+        row = np.concatenate([edges, rng.uniform(-3.0, 3.0, 16)])
+        inputs = [row, row.reshape(4, 6), *edges.tolist(), np.float64(-0.0),
+                  np.array(-0.0), np.array(0.7), 2]
+        for mu in inputs:
+            got, want = f(mu), polyval_plus_atoms(f, mu)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(bits(got), bits(want)), (f, mu)
+
+
 # ---------------------------------------------------------------------------
 # time_ordered_apply
 
@@ -138,10 +179,14 @@ def assert_matches_index_enumeration(rng, decs):
         lambda mu: mu * np.exp(alpha * mu),
         lambda mu: np.maximum(mu - kink, 0.0),
     ]
-    for f in functions:
+    # one call for the sequence equals one call per function, bit for bit
+    family = time_ordered_apply(functions, decs)
+    assert family.shape == (len(functions), decs[0].dim, decs[0].dim)
+    for f, member in zip(functions, family):
         want = index_enumeration(f, decs)
         got = time_ordered_apply(f, decs)
         assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+        assert member.dtype == got.dtype and np.array_equal(member, got)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -163,19 +208,35 @@ def test_chain_contraction_matches_index_enumeration_at_4_to_the_9():
 ENUMERATION_PEAK_MULTIPLE = 3
 
 
+def enumeration_peak(f, decs) -> int:
+    """Peak traced allocation of time_ordered_apply(f, decs), after a warm-up call."""
+    time_ordered_apply(f, decs)
+    tracemalloc.start()
+    try:
+        time_ordered_apply(f, decs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_enumeration_peak_memory_is_a_small_multiple_of_its_terms():
     rng = np.random.default_rng(810)
     decs = random_decompositions(rng, 9, 4, False)
     f = ScalarFunctionClass(poly_coeffs=(0.1, -0.2, 0.3, 0.0, 0.1),
                             exp_atoms=((0.5, 1.0), (0.2, -0.3)))
-    time_ordered_apply(f, decs)
-    tracemalloc.start()
-    try:
-        time_ordered_apply(f, decs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ENUMERATION_PEAK_MULTIPLE * 16 * 4**9
+    assert enumeration_peak(f, decs) <= ENUMERATION_PEAK_MULTIPLE * 16 * 4**9
+
+
+def test_family_peak_memory_is_that_of_one_enumeration():
+    # the three functions share the sums and overlaps and are contracted
+    # one after the other, so the bound on one enumeration still holds
+    rng = np.random.default_rng(811)
+    decs = random_decompositions(rng, 9, 4, False)
+    functions = [ScalarFunctionClass(poly_coeffs=(0.1, -0.2, 0.3, 0.0, 0.1),
+                                     exp_atoms=((0.5, 1.0), (0.2, -0.3))),
+                 ScalarFunctionClass.exponential(0.7),
+                 lambda mu: mu * np.exp(-0.4 * mu)]
+    assert enumeration_peak(functions, decs) <= ENUMERATION_PEAK_MULTIPLE * 16 * 4**9
 
 
 def test_apply_budget_error():
@@ -417,6 +478,39 @@ def test_jensen_gap_matches_enumeration():
         averaged, ordered = _jensen_sides(f, ws)
         assert averaged == rhs
         assert jensen_gap(f, ws) == averaged - ordered
+
+
+def per_matrix_averaged_trace(f, decs):
+    """Oracle: averaged_trace with one call of f per matrix."""
+    n = len(decs)
+    return sum(float(np.sum(np.asarray(f(n * d.eigenvalues), dtype=float)))
+               for d in decs) / n
+
+
+def test_averaged_trace_is_the_per_matrix_loop_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for dim in range(1, 17):
+        for n in range(1, 9):
+            decs = [eig_hermitian(random_psd(rng, dim, scale=float(rng.uniform(0.1, 1.5))))
+                    for _ in range(n)]
+            kink = float(rng.uniform(0.1, 2.0))
+            for f in (random_admissible(rng),
+                      lambda mu: np.maximum(np.asarray(mu, dtype=float) - kink, 0.0)):
+                assert averaged_trace(f, decs) == per_matrix_averaged_trace(f, decs)
+
+
+def test_averaged_trace_calls_f_once_per_tuple():
+    rng = np.random.default_rng(19)
+    ws = [random_psd(rng, 3) for _ in range(5)]
+    f = random_admissible(rng)
+    calls = []
+
+    def counted(mu):
+        calls.append(np.shape(mu))
+        return f(mu)
+
+    assert averaged_trace(counted, ws) == averaged_trace(f, ws)
+    assert calls == [(15,)]
 
 
 def test_jensen_gap_one_validation_and_one_eigh_per_matrix(monkeypatch, decomposition_counts):
