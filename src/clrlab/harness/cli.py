@@ -2,11 +2,13 @@
 
 ``clrlab <experiment> [--config FILE] [--seed N] [--trials N] [--out DIR]``
 runs one experiment and exits 0 when every hard gate passed, 1 when a hard
-gate failed, and 2 on configuration or usage errors.  ``clrlab constants
---dmax D`` additionally prints the constant table as CSV on stdout, and
-``clrlab potential gen`` writes a potential JSON file without running any
-experiment; a flag out of its range (``--points 0``, ``--h -1``, ``--N 0``,
-a negative or infinite ``--amplitude``) is a usage error and exits 2.
+gate failed, and 2 on configuration or usage errors, among them a
+``--config`` file that cannot be read or parsed and an ``--out`` that
+cannot be written.  ``clrlab constants --dmax D`` additionally prints the
+constant table as CSV on stdout, and ``clrlab potential gen`` writes a
+potential JSON file without running any experiment; a flag out of its
+range (``--points 0``, ``--h -1``, ``--N 0``, a negative or infinite
+``--amplitude``) is a usage error and exits 2.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
     data: dict = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read the --config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
     data.setdefault("experiment", experiment)
@@ -116,7 +121,10 @@ def _gen_potential(args: argparse.Namespace) -> int:
                                amplitude=args.amplitude)
     except ValueError as exc:  # a flag out of its range is a usage error
         raise ConfigError(str(exc)) from exc
-    save_potential(v, args.out)
+    try:
+        save_potential(v, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -128,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "potential":
             return _gen_potential(args)
         return _run(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"clrlab: config error: {exc}", file=sys.stderr)
         return 2
     except ClrlabError as exc:

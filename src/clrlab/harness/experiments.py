@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from ..config import parallel_cpus
-from ..errors import ClrlabError
+from ..errors import ClrlabError, ConfigError
 from ..lattice import (
     ZERO_BAND_RTOL,
     GridSpec,
@@ -752,7 +752,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Validate, dispatch, optionally write report files, return the report.
 
     The runner sees the config with its defaults resolved; the report
-    carries the config as given.
+    carries the config as given.  An out that cannot be written raises
+    ConfigError; an OSError inside the experiment propagates as it is.
     """
     config.validate()
     experiment = EXPERIMENTS[config.experiment]
@@ -765,5 +766,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         csv_columns=csv_columns,
     )
     if config.out:
-        report.write(config.out)
+        try:
+            report.write(config.out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report under {config.out}: {exc}") from exc
     return report

@@ -4,12 +4,11 @@ Grids are 1-D to 3-D Dirichlet boxes; the Laplacian is the standard
 2d+1-point stencil acting as the identity on the internal C^N fiber, and
 its eigenbasis is the tensor product of per-axis DST-I bases.  It and
 H = L - V are assembled in one pass as a canonical CSR matrix straight
-from the box stencil (_stencil_matrix; L alone is H of a zero potential).
-What depends on the box shape alone (the stencil's sorted pattern, the
-DST-I axis bases) is built once and kept in a byte-bounded cache
-(_shape_cached), never keyed by h or V.  Every operator's Hermiticity is
-checked by looking up each stored entry's transpose partner
-(_hermitian_defect).  On top of them sit the counting
+from the box stencil (_stencil_matrix; L alone is H of a zero potential):
+the grid fixes each row's sorted columns, so every row is written in
+column order and nothing is sorted or kept between calls.  Every
+operator's Hermiticity is checked by looking up each stored entry's
+transpose partner (_hermitian_defect).  On top of them sit the counting
 and comparison routines: negative-eigenvalue counts via symmetric-indefinite
 inertia of the block-tridiagonal Schur complements (the one counting path:
 each slab is factored once, the next Schur block comes from the inverse of
@@ -43,8 +42,6 @@ import json
 import math
 import mmap
 import os
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -415,95 +412,7 @@ def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Shape cache.
-
-# Byte budget of the shape cache, and the largest entry it keeps: a larger
-# one (the stencil pattern of a 16^3 box with N = 3 is 1.3 MB) is built on
-# every call instead.
-_SHAPE_CACHE_BYTES = 4 << 20
-_SHAPE_ENTRY_BYTES = 1 << 20
-_shape_entries: OrderedDict = OrderedDict()  # key -> (arrays, bytes), oldest use first
-_shape_bytes = 0
-_shape_lock = threading.Lock()
-
-
-def _shape_cached(key, build) -> tuple:
-    """build(), a tuple of fresh arrays that depend on key alone, made read-only.
-
-    The first call for a key builds the arrays; they are kept while their
-    bytes are at most _SHAPE_ENTRY_BYTES, and the least recently used
-    entries are dropped while the cache holds more than _SHAPE_CACHE_BYTES.
-    Nothing is built at import.  A lock guards the entries; two threads
-    missing the same key both build it and get equal arrays.  A forked
-    process gets its own copy.  _shape_cached.cache_clear() empties it.
-    """
-    global _shape_bytes
-    with _shape_lock:
-        hit = _shape_entries.get(key)
-        if hit is not None:
-            _shape_entries.move_to_end(key)
-            return hit[0]
-    arrays = build()
-    for a in arrays:
-        a.flags.writeable = False
-    size = sum(a.nbytes for a in arrays)
-    if size <= _SHAPE_ENTRY_BYTES:
-        with _shape_lock:
-            if key not in _shape_entries:
-                _shape_entries[key] = arrays, size
-                _shape_bytes += size
-            while _shape_bytes > _SHAPE_CACHE_BYTES:
-                _shape_bytes -= _shape_entries.popitem(last=False)[1][1]
-    return arrays
-
-
-def _clear_shape_cache() -> None:
-    global _shape_bytes
-    with _shape_lock:
-        _shape_entries.clear()
-        _shape_bytes = 0
-
-
-_shape_cached.cache_clear = _clear_shape_cache
-
-
-# ---------------------------------------------------------------------------
 # Laplacians.
-
-def _stencil_pattern(pts: tuple[int, ...], n: int) -> tuple:
-    """(cols, order, indptr): where _stencil_matrix's entries go on a box.
-
-    The entries are listed couplings first (every neighbour pair (i, i+1)
-    along every axis, fiber component by component, then the same pairs
-    transposed), then the N x N diagonal blocks, site by site.  order sorts
-    that list by row and then column, cols is already sorted, and indptr
-    counts the rows; both are in the int32 index type scipy would pick
-    (int64 past it), so a matrix built on them shares them.
-    """
-    def build():
-        nsites = math.prod(pts)
-        dim = nsites * n
-        sites = np.arange(nsites)
-        lo, hi = [], []
-        for ax, m in enumerate(pts):
-            line = sites.reshape(math.prod(pts[:ax]), m, -1)
-            lo.append(line[:, :-1].ravel())
-            hi.append(line[:, 1:].ravel())
-        lo, hi = np.concatenate(lo), np.concatenate(hi)
-        idx = np.arange(dim).reshape(nsites, n)  # row of (site x, component a)
-        blocks = (nsites, n, n)
-        rows = np.concatenate([idx[lo].ravel(), idx[hi].ravel(),
-                               np.broadcast_to(idx[:, :, None], blocks).ravel()])
-        cols = np.concatenate([idx[hi].ravel(), idx[lo].ravel(),
-                               np.broadcast_to(idx[:, None, :], blocks).ravel()])
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-        index = np.int32 if max(dim, rows.size) <= np.iinfo(np.int32).max else np.int64
-        return cols[order].astype(index), order, indptr.astype(index)
-
-    return _shape_cached(("stencil", pts, n), build)
-
 
 def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> scipy.sparse.csr_matrix:
     """Canonical CSR of L kron I_N plus the block diagonal of blocks (nsites, N, N).
@@ -511,44 +420,52 @@ def _stencil_matrix(grid: GridSpec, blocks: np.ndarray) -> scipy.sparse.csr_matr
     Along each axis the sites i and i+1 couple with -1/h^2, and every axis
     adds 2/h^2 to the site diagonal.  Diagonal blocks are diag * I_N +
     blocks, so the entries and the dropped exact zeros match the sparse sum
-    of the Kronecker-sum Laplacian and the block diagonal.  Only the values
-    are formed here; where they go comes from the box's cached pattern
-    (_stencil_pattern), whose index arrays the matrix shares unless an
-    exact zero is dropped.
+    of the Kronecker-sum Laplacian and the block diagonal.
+
+    Row (x, a) has 2d + N slots, written straight in ascending column
+    order: the lower neighbours, axis 0 first (column offsets -stride * N),
+    row a of site x's block, then the upper neighbours, last axis first.
+    The strides of the axes with m >= 2 strictly decrease, and an axis with
+    m = 1 has no neighbours, so its slots are always dropped.  One mask
+    drops the neighbours outside the box and the exact zeros, and indptr
+    counts the kept slots row by row.  The index arrays are in the int32
+    type scipy picks (int64 past it), so the matrix takes them as they are.
     """
     pts, h = grid.points_per_axis, grid.h
-    n = blocks.shape[1]
-    dim = grid.nsites * n
-    cols, order, indptr = _stencil_pattern(pts, n)
+    nsites, n = blocks.shape[:2]
+    dim, d = nsites * n, len(pts)
+    width = 2 * d + n
+    index = np.int32 if dim * width <= np.iinfo(np.int32).max else np.int64
+    strides = [n * math.prod(pts[ax + 1:]) for ax in range(d)]
+    offsets = np.array([[-s for s in strides] + [b - a for b in range(n)] + strides[::-1]
+                        for a in range(n)], dtype=index)
+    cols = np.arange(dim, dtype=index).reshape(nsites, n, 1) + offsets
+    data = np.full(cols.shape, -1.0 / h**2, dtype=np.result_type(blocks, 1.0))
     diag = 0.0
     for _ in pts:
         diag += 2.0 / h**2
-    coupling = np.full(order.size - blocks.size, -1.0 / h**2)
-    data = np.concatenate([coupling, (blocks + diag * np.eye(n)).ravel()])[order]
+    np.add(blocks, diag * np.eye(n), out=data[..., d:d + n])
     keep = data != 0
-    if not keep.all():
-        data, cols = data[keep], cols[keep]
-        # a row now starts after the entries kept before its old start
-        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
-    return scipy.sparse.csr_matrix((data, cols, indptr), shape=(dim, dim))
+    box = keep.reshape(*pts, n, width)
+    for ax in range(d):
+        box[(slice(None),) * ax + (0, Ellipsis, ax)] = False
+        box[(slice(None),) * ax + (-1, Ellipsis, width - 1 - ax)] = False
+    indptr = np.zeros(dim + 1, dtype=index)
+    indptr[1:] = np.cumsum(keep, dtype=index)[width - 1::width]
+    return scipy.sparse.csr_matrix((data[keep], cols[keep], indptr), shape=(dim, dim))
 
 
 def _axis_modes(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs (lam, U) of the 1-D stencil Laplacian on m sites.
 
     lam_j = (4/h^2) sin^2(theta_j / 2), with theta_j = pi j / (m+1) and the
-    real DST-I basis U_ij = sqrt(2/(m+1)) sin(i theta_j), i, j = 1..m.
-    sin^2(theta_j / 2) and U depend on m alone and come from the shape
-    cache; U is read-only.
+    real DST-I basis U_ij = sqrt(2/(m+1)) sin(i theta_j), i, j = 1..m, both
+    fresh arrays.
     """
-    def build():
-        i = np.arange(1, m + 1)
-        theta = np.pi * i / (m + 1)
-        u = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(i, theta))
-        return np.sin(theta / 2.0) ** 2, u
-
-    s2, u = _shape_cached(("axis", m), build)
-    return 4.0 / h**2 * s2, u
+    i = np.arange(1, m + 1)
+    theta = np.pi * i / (m + 1)
+    lam = 4.0 / h**2 * np.sin(theta / 2.0) ** 2
+    return lam, math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(i, theta))
 
 
 def _unit_columns_in_modes(grid: GridSpec, cols: np.ndarray):

@@ -3,14 +3,14 @@
 Before every operation the worker clears each cache it finds in the
 package (_package_caches), so every round costs what a fresh ``clrlab``
 command does.  These tests load the worker read-only and pin that it
-finds the lattice's shape cache and can clear everything it lists.
+finds the lattice's LAPACKE routine cache and that clearing everything
+it lists leaves each cache empty.
 """
 
 import importlib.util
 from pathlib import Path
 
 from clrlab import lattice
-from clrlab.lattice import GridSpec, _axis_modes
 
 WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
 
@@ -22,12 +22,11 @@ def _worker():
     return module
 
 
-def test_worker_clears_the_shape_cache_before_each_operation():
+def test_worker_clears_the_package_caches_before_each_operation():
     caches = _worker()._package_caches()
-    assert lattice._shape_cached in caches
-    _axis_modes(5, 0.5)
-    lattice._unit_columns_in_modes(GridSpec(d=1, points_per_axis=(5,), h=0.5), [0, 2])
-    assert lattice._shape_entries
+    assert lattice._lapacke_routines in caches
+    lattice._lapacke_routines()
+    assert lattice._lapacke_routines.cache_info().currsize == 1
     for cache in caches:  # what the worker does before each operation
         cache.cache_clear()
-    assert not lattice._shape_entries and lattice._shape_bytes == 0
+    assert all(cache.cache_info().currsize == 0 for cache in caches)

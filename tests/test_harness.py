@@ -528,7 +528,7 @@ def test_cli_failure_exit_code(tmp_path):
     assert rc == 1
 
 
-def test_cli_usage_errors_exit_two(tmp_path):
+def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["jensen", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "holder"}))
@@ -536,6 +536,30 @@ def test_cli_usage_errors_exit_two(tmp_path):
     ugly = tmp_path / "ugly.json"
     ugly.write_text("{not json")
     assert cli_main(["jensen", "--config", str(ugly)]) == 2
+    capsys.readouterr()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"experiment": "jens\xe9n"}')
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a directory")
+    for argv in (["jensen", "--config", str(tmp_path)],
+                 ["jensen", "--config", str(latin)],
+                 ["constants", "--dmax", "3", "--out", str(taken)],
+                 ["potential", "gen", "--style", "gaussian-bumps", "--points", "4",
+                  "--out", str(tmp_path)]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clrlab: ") and err.count("\n") == 1, argv
+    assert taken.read_text() == "not a directory"
+
+
+def test_experiment_oserror_propagates(monkeypatch):
+    def broken(config):
+        raise PermissionError("inside the experiment")
+
+    jensen = dataclasses.replace(EXPERIMENTS["jensen"], run=broken)
+    monkeypatch.setitem(EXPERIMENTS, "jensen", jensen)
+    with pytest.raises(PermissionError, match="inside the experiment"):
+        cli_main(["jensen", "--trials", "2"])
 
 
 @pytest.mark.parametrize("fields, command", [

@@ -1363,7 +1363,7 @@ def test_stencil_assembly_matches_kron_sum_bit_for_bit(pts):
 
 
 def stencil_matrix_one_pass(grid, blocks):
-    """Oracle: the stencil assembly with no shape cache, every index built per call."""
+    """Oracle: the stencil assembly as a coupling list, lexsorted into CSR order."""
     pts, h = grid.points_per_axis, grid.h
     n = blocks.shape[1]
     dim = grid.nsites * n
@@ -1393,141 +1393,62 @@ def stencil_matrix_one_pass(grid, blocks):
     return sp.csr_matrix((data[order], cols[order], indptr), shape=(dim, dim))
 
 
-def retained_shape_bytes():
-    return sum(a.nbytes for arrays, _ in lattice._shape_entries.values() for a in arrays)
-
-
-@pytest.mark.parametrize("pts", [(1,), (2,), (9,), (3, 1), (4, 3), (1, 2, 2), (3, 3, 3)],
-                         ids=dirichlet_ids("pts", 7))
+@pytest.mark.parametrize("pts", [(1,), (2,), (9,), (3, 1), (4, 3), (1, 2, 2), (3, 3, 3),
+                                 (1, 3), (2, 1, 3), (1, 1, 1)],
+                         ids=dirichlet_ids("pts", 10))
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_cached_stencil_assembly_matches_the_one_pass_oracle(pts, N):
+def test_stencil_assembly_matches_the_one_pass_oracle(pts, N):
     g = GridSpec(d=len(pts), points_per_axis=pts, h=0.43)
     potentials = [MatrixPotential(grid=g, N=N, values=np.zeros((g.nsites, N, N)))]
     potentials += [generate_potential(3, g, N, style, 5.0) for style in POTENTIAL_STYLES]
+    # the in-box slots: every site's N x N block and each neighbour pair twice
+    slots = g.nsites * N * N + 2 * N * sum(g.nsites - g.nsites // m for m in pts)
     kinds = set()
     for v in potentials:
         for sign in (-1.0, 0.6):
             blocks = sign * v._entries()
             want = stencil_matrix_one_pass(g, blocks)
-            lattice._shape_cached.cache_clear()
-            for _ in ("cold", "warm"):
-                got = lattice._stencil_matrix(g, blocks)
-                assert got.data.dtype == want.data.dtype
-                assert got.data.tobytes() == want.data.tobytes()
-                for name in ("indices", "indptr"):
-                    assert getattr(got, name).dtype == getattr(want, name).dtype
-                    assert np.array_equal(getattr(got, name), getattr(want, name))
-            kinds.add((blocks.dtype.kind, got.nnz < lattice._stencil_pattern(pts, N)[0].size))
+            got = lattice._stencil_matrix(g, blocks)
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+            for name in ("indices", "indptr"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            kinds.add((blocks.dtype.kind, got.nnz < slots))
     # real and complex values; with N > 1 the zero and scalar-embed
     # potentials' exact-zero off-diagonals take the drop path
     assert {kind for kind, _ in kinds} == ({"f", "c"} if N > 1 else {"f"})
     assert any(dropped for _, dropped in kinds) == (N > 1)
 
 
-@pytest.mark.parametrize("pts", [(1,), (7,), (5, 2), (3, 3, 3)], ids=dirichlet_ids("pts", 4))
-def test_axis_modes_and_unit_columns_same_warm_and_cold(pts):
+@pytest.mark.parametrize("pts", [(1,), (7,), (5, 2), (3, 3, 3), (9, 9, 9)],
+                         ids=dirichlet_ids("pts", 5))
+def test_axis_modes_and_unit_columns_in_closed_form(pts):
     g = GridSpec(d=len(pts), points_per_axis=pts, h=0.61)
-    columns = [np.arange(g.nsites), np.arange(0, g.nsites, 2), np.array([g.nsites - 1])]
-
-    def values():
-        axes = [_axis_modes(m, g.h) for m in pts]
-        units = [lattice._unit_columns_in_modes(g, cols) for cols in columns]
-        return axes, units
-
-    lattice._shape_cached.cache_clear()
-    cold = values()
-    warm = values()
-    assert lattice._shape_entries
-    for (lam_c, u_c), (lam_w, u_w) in zip(cold[0], warm[0]):
-        assert lam_c.tobytes() == lam_w.tobytes() and u_c.tobytes() == u_w.tobytes()
-    for (modes_c, lam_c, x_c), (modes_w, lam_w, x_w) in zip(cold[1], warm[1]):
-        assert lam_c.tobytes() == lam_w.tobytes()
-        assert x_c.shape == x_w.shape and np.array_equal(x_c, x_w)
-    # the cache keeps the arithmetic: lam = 4/h^2 sin^2(theta/2) as one expression
-    for m, (lam, _) in zip(pts, cold[0]):
+    # lam = 4/h^2 sin^2(theta/2) as one expression
+    for m in pts:
         theta = np.pi * np.arange(1, m + 1) / (m + 1)
+        lam, _ = _axis_modes(m, g.h)
         assert lam.tobytes() == (4.0 / g.h**2 * np.sin(theta / 2.0) ** 2).tobytes()
+    # U^T, the tensor product of the transposed axis bases, on the columns cols
+    want = np.ones((1, 1))
+    for m in pts:
+        want = np.kron(want, _axis_modes(m, g.h)[1].T)
+    for cols in (np.arange(g.nsites), np.arange(0, g.nsites, 2), np.array([g.nsites - 1]),
+                 np.unique(np.array([0, 5, 80, 81, 400, 728]) % g.nsites)):
+        _, _, x = lattice._unit_columns_in_modes(g, cols)
+        assert x.shape == pts + (cols.size,) and x.flags.c_contiguous
+        assert np.array_equal(x.reshape(g.nsites, -1), want[:, cols])
 
 
-def test_cached_arrays_reject_writes():
+def test_operator_holds_index_arrays_of_its_own():
     g = GridSpec(d=2, points_per_axis=(4, 3), h=0.5)
-    _, u = _axis_modes(4, g.h)
     m = lattice._stencil_matrix(g, np.ones((g.nsites, 2, 2)))
-    for a in (u, m.indices, m.indptr) + lattice._stencil_pattern((4, 3), 2):
-        with pytest.raises(ValueError, match="read-only"):
-            a[(0,) * a.ndim] = 1.0
-    # an operator holds a copy of its own, which the canonical form may rewrite
+    # the canonical form may rewrite the operator's arrays, never the caller's
     op = DiscreteOperator(m)
-    assert op.matrix.indices.flags.writeable and op.matrix.indptr.flags.writeable
-
-
-def test_shape_cache_stays_within_its_byte_budget(monkeypatch):
-    lattice._shape_cached.cache_clear()
-    for m in range(1, 120):
-        g = GridSpec(d=1, points_per_axis=(m,), h=0.5)
-        laplacian(g, fiber=3)
-        lattice._unit_columns_in_modes(g, np.arange(m))
-        assert retained_shape_bytes() == lattice._shape_bytes <= lattice._SHAPE_CACHE_BYTES
-    # a budget of 100 kB keeps the most recently used entries that fit
-    lattice._shape_cached.cache_clear()
-    monkeypatch.setattr(lattice, "_SHAPE_CACHE_BYTES", 100_000)
-    for m in range(1, 61):
-        _axis_modes(m, 0.5)
-        assert retained_shape_bytes() == lattice._shape_bytes <= 100_000
-    assert ("axis", 60) in lattice._shape_entries
-    assert ("axis", 1) not in lattice._shape_entries
-    # unit columns are formed on every call, never kept: after those of a 9^3
-    # box (4.25 MB) the cache holds only the axis basis of m = 9, sin^2 and U
-    lattice._shape_cached.cache_clear()
-    g = GridSpec(d=3, points_per_axis=(9, 9, 9), h=0.5)
-    _, _, x = lattice._unit_columns_in_modes(g, np.arange(g.nsites))
-    assert retained_shape_bytes() == lattice._shape_bytes == 9 * 8 + 9 * 9 * 8
-    u = _axis_modes(9, g.h)[1]
-    want = np.kron(np.kron(u.T, u.T), u.T)  # U^T, the tensor product of the axis bases
-    assert np.array_equal(x.reshape(g.nsites, g.nsites), want)
-    cols = np.array([0, 5, 80, 81, 400, 728])
-    _, _, x = lattice._unit_columns_in_modes(g, cols)
-    assert x.flags.c_contiguous and np.array_equal(x.reshape(g.nsites, -1), want[:, cols])
-
-
-def test_shape_cache_keeps_its_byte_count_under_threads(monkeypatch):
-    # more threads than cores, a short switch interval and a budget that
-    # evicts all the time: a lost update would break the byte count
-    monkeypatch.setattr(lattice, "_SHAPE_CACHE_BYTES", 20_000)
-    lattice._shape_cached.cache_clear()
-    want = {m: _axis_modes(m, 0.5)[1].copy() for m in range(1, 40)}
-    wrong = []
-
-    def work(offset):
-        try:
-            for k in range(2000):
-                m = 1 + (7 * k + offset) % 39
-                if not np.array_equal(_axis_modes(m, 0.5)[1], want[m]):
-                    wrong.append(m)
-        except Exception as exc:  # a thread's exception would only warn
-            wrong.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not wrong
-    assert retained_shape_bytes() == lattice._shape_bytes <= 20_000
-
-
-def test_shape_cache_clear_empties_it():
-    g = GridSpec(d=3, points_per_axis=(3, 3, 3), h=0.5)
-    lattice.birman_schwinger(generate_potential(1, g, 2, "random-psd-field", 3.0))
-    assert lattice._shape_entries and lattice._shape_bytes > 0
-    lattice._shape_cached.cache_clear()
-    assert not lattice._shape_entries and lattice._shape_bytes == 0
+    for name in ("indices", "indptr"):
+        mine = getattr(op.matrix, name)
+        assert mine.flags.writeable and not np.shares_memory(mine, getattr(m, name))
 
 
 def test_hamiltonian_is_laplacian_plus_signed_block():
