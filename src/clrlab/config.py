@@ -5,7 +5,7 @@ front and fail loudly instead of thrashing.  The dense budget may be
 raised for a one-off run through the environment, everything else is a
 hard package constant.  parallel_cpus() says how many CPUs the package
 may keep busy at once (h_and_k_spectra's second thread, the forked
-shares of an experiment's trials).
+workers that take an experiment's trials from one queue).
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ its records, CSV columns and summary extras.
 Every experiment draws its instances from per-trial derived seeds, emits
 one record per checked statement, and reduces the records into a summary
 whose pass/fail is derivable from the records alone.  Independent trials
-run through _map_trials, which may fork them over the usable CPUs; the
-records are the same either way.  Hard gates are
+run through _map_trials, which may fork workers on the usable CPUs that
+take them in chunks from one queue; the records are the same either way,
+whichever process computes a trial.  Hard gates are
 exact finite-dimensional statements; records with gate == "monitor"
 carry continuum-comparison data and never affect the exit status.
 """
@@ -107,13 +108,18 @@ def _summary(records: list, extra: dict | None) -> dict:
 # ---------------------------------------------------------------------------
 # trial maps
 
-# True while a share of a forked trial map runs, in the parent and in the
+# True while a worker of a forked trial map runs, in the caller and in the
 # children: a map nested in it runs serially.
 _IN_SHARE = False
 
+# A map cuts its positions into at most this many contiguous chunks.  Their
+# 4-byte ids fill at most PIPE_BUF = 4096 bytes, which even a one-page pipe
+# holds, so the caller writes the whole queue before forking without blocking.
+_MAX_CHUNKS = 1024
+
 
 def _forkable() -> bool:
-    """Whether a trial map may fork here: on Linux, outside the share of a
+    """Whether a trial map may fork here: on Linux, outside a worker of a
     forked map, and with no other Python thread alive (a fork copies the
     calling thread only, so a lock that another thread held would stay
     held)."""
@@ -121,24 +127,40 @@ def _forkable() -> bool:
             and threading.active_count() == 1)
 
 
-def _share(fn, cfg, indices, positions) -> tuple:
-    """fn(cfg, indices[p]) for p in positions, in order, up to the first
-    exception: (results, None) or (results, (position, exception))."""
-    results = []
-    for p in positions:
-        try:
-            results.append(fn(cfg, indices[p]))
-        except Exception as exc:
-            return results, (p, exc)
-    return results, None
+def _share(fn, cfg, indices, chunks, first, queue) -> tuple:
+    """One worker's share of a forked map: chunk first, then every chunk
+    whose id it reads from the queue pipe, until EOF.
+
+    Chunk c holds the positions c n // chunks, ..., (c + 1) n // chunks - 1
+    of the n indices.  fn(cfg, indices[p]) runs for each position in order,
+    up to the first exception.  Returns (computed, None) or
+    (computed, (position, exception)), computed listing (first position,
+    results) per finished chunk.
+    """
+    n = len(indices)
+    computed = []
+    c = first
+    while True:
+        start, stop = c * n // chunks, (c + 1) * n // chunks
+        results = []
+        for p in range(start, stop):
+            try:
+                results.append(fn(cfg, indices[p]))
+            except Exception as exc:
+                return computed, (p, exc)
+        computed.append((start, results))
+        word = os.read(queue, 4)
+        if not word:
+            return computed, None
+        c = int.from_bytes(word, "little")
 
 
-def _run_child_share(fn, cfg, indices, positions, write_end) -> None:
-    """A forked share: compute it, pickle it into the pipe and leave by
+def _run_child_share(share, write_end) -> None:
+    """A forked worker: compute share(), pickle it into the pipe and leave by
     os._exit, so no inherited stdio buffer is flushed and no exit hook runs."""
     status = 1
     try:
-        payload = pickle.dumps(_share(fn, cfg, indices, positions))
+        payload = pickle.dumps(share())
         with os.fdopen(write_end, "wb") as pipe:
             pipe.write(payload)
         status = 0
@@ -149,39 +171,50 @@ def _run_child_share(fn, cfg, indices, positions, write_end) -> None:
 def _map_trials(fn, cfg: ExperimentConfig, indices: Sequence) -> list:
     """[fn(cfg, i) for i in indices], the independent calls spread over CPUs.
 
-    With W = min(parallel_cpus(), len(indices)) >= 2 and _forkable(), W - 1
-    children are forked, each with a pipe: share k takes the positions k,
-    k + W, ..., this process computes share 0, and every share stops at its
-    first exception.  The results are merged by position, and the exception
-    of the lowest failing position is raised, as the serial loop would
-    raise it.  A child that dies raises ClrlabError naming its exit status;
-    every child is reaped before this returns or raises.  Otherwise the
-    calls run here, one after the other.  The results are the same either
-    way.
+    The positions are cut into C = min(len(indices), _MAX_CHUNKS)
+    contiguous chunks.  With W = min(parallel_cpus(), C) >= 2 and
+    _forkable(), the ids of chunks W, ..., C - 1 are written in ascending
+    order into one queue pipe, whose write end is closed before W - 1
+    children are forked, each with a pipe of its own for its results.
+    Worker k (this process is worker 0) computes chunk k and then reads
+    ids from the queue until EOF, so a worker that draws slow trials takes
+    fewer chunks; a worker stops at its first exception.  The results are
+    merged by position, and the exception of the lowest failing position
+    is raised, as the serial loop would raise it: chunks leave the queue in
+    ascending order, so every lower position was computed.  A child that
+    dies raises ClrlabError naming its exit status; every child is reaped
+    before this returns or raises.  Otherwise the calls run here, one after
+    the other.  The results are the same either way; which process
+    computes a position may vary from run to run.
     """
     global _IN_SHARE
-    workers = min(parallel_cpus(), len(indices))
+    chunks = min(len(indices), _MAX_CHUNKS)
+    workers = min(parallel_cpus(), chunks)
     if workers < 2 or not _forkable():
         return [fn(cfg, i) for i in indices]
     children = []  # (pid, read end of its pipe)
     payloads, statuses = [], []
+    queue, queue_end = os.pipe()
     _IN_SHARE = True
     try:
+        with os.fdopen(queue_end, "wb") as end:  # closed before any fork
+            end.write(b"".join(c.to_bytes(4, "little") for c in range(workers, chunks)))
         for k in range(1, workers):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_end)
-                _run_child_share(fn, cfg, indices, range(k, len(indices), workers),
+                _run_child_share(lambda: _share(fn, cfg, indices, chunks, k, queue),
                                  write_end)
             os.close(write_end)
             children.append((pid, read_end))
-        shares = [_share(fn, cfg, indices, range(0, len(indices), workers))]
+        shares = [_share(fn, cfg, indices, chunks, 0, queue)]
         for _, read_end in children:
             with os.fdopen(read_end, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
     finally:
         _IN_SHARE = False
+        os.close(queue)
         for pid, read_end in children:
             os.close(read_end)
             if len(payloads) < len(children):  # leaving by an exception
@@ -195,8 +228,9 @@ def _map_trials(fn, cfg: ExperimentConfig, indices: Sequence) -> list:
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     merged = [None] * len(indices)
-    for k, (results, _) in enumerate(shares):
-        merged[k::workers] = results
+    for computed, _ in shares:
+        for start, results in computed:
+            merged[start:start + len(results)] = results
     return merged
 
 
@@ -752,11 +786,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Validate, dispatch, optionally write report files, return the report.
 
     The runner sees the config with its defaults resolved; the report
-    carries the config as given.  An out that cannot be written raises
-    ConfigError; an OSError inside the experiment propagates as it is.
+    carries the config as given.  The out directory is created before the
+    run, so an out that cannot be a directory raises ConfigError before
+    any trial runs; one whose files cannot be written raises it after.  An
+    OSError inside the experiment propagates as it is.
     """
     config.validate()
     experiment = EXPERIMENTS[config.experiment]
+    if config.out:
+        try:
+            os.makedirs(config.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report under {config.out}: {exc}") from exc
     records, csv_columns, extra = experiment.run(experiment.resolve(config))
     report = ExperimentReport(
         experiment=config.experiment,

@@ -543,12 +543,27 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     taken.write_text("not a directory")
     for argv in (["jensen", "--config", str(tmp_path)],
                  ["jensen", "--config", str(latin)],
-                 ["constants", "--dmax", "3", "--out", str(taken)],
+                 ["constants", "--dmax", "4", "--out", str(taken)],
                  ["potential", "gen", "--style", "gaussian-bumps", "--points", "4",
                   "--out", str(tmp_path)]):
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("clrlab: ") and err.count("\n") == 1, argv
+    assert taken.read_text() == "not a directory"
+
+
+def test_an_unwritable_out_fails_before_the_run(monkeypatch, tmp_path, capsys):
+    def never(config):
+        pytest.fail("the experiment ran although --out cannot be written")
+
+    monkeypatch.setitem(EXPERIMENTS, "constants",
+                        dataclasses.replace(EXPERIMENTS["constants"], run=never))
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a directory")
+    for out in (taken, taken / "below"):
+        assert cli_main(["constants", "--dmax", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clrlab: config error: ") and err.count("\n") == 1
     assert taken.read_text() == "not a directory"
 
 

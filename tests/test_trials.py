@@ -7,6 +7,7 @@ case must leave no child behind and no pipe open.
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -93,16 +94,65 @@ def _pids(cfg, i):
     return i, os.getpid()
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_shares_are_strided_and_merged_by_position(monkeypatch, workers):
+def _logged(log):
+    """_pids that also appends "position pid" to the file log, one line per call."""
+    def trial(cfg, i):
+        with open(log, "a") as fh:  # one short O_APPEND write per call
+            fh.write(f"{i} {os.getpid()}\n")
+        return i, os.getpid()
+
+    return trial
+
+
+def _by_process(calls) -> dict:
+    """The positions each process computed, in the order it computed them."""
+    positions = {}
+    for p, pid in calls:
+        positions.setdefault(pid, []).append(p)
+    return positions
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])  # 8: more workers than most CI hosts' cores
+@pytest.mark.parametrize("n", [5, 2500])
+def test_workers_drain_one_queue_and_merge_by_position(monkeypatch, tmp_path, workers, n):
     forks = _cpus(monkeypatch, workers)
-    indices = [("a", 5), ("b", 1), ("c", 9), ("d", 0), ("e", 2)]
-    got = experiments._map_trials(_pids, None, indices)
-    assert [i for i, _ in got] == indices
-    pids = [pid for _, pid in got]
-    assert pids[0::workers] == [os.getpid()] * len(pids[0::workers])
-    for k, child in enumerate(forks, start=1):
-        assert pids[k::workers] == [child] * len(pids[k::workers])
+    log = tmp_path / "calls"
+    got = experiments._map_trials(_logged(log), None, range(n))
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(p for p, _ in calls) == list(range(n))  # each position once
+    assert got == sorted(calls)  # merged by position
+    assert len(forks) == min(workers, n) - 1
+    positions = _by_process(calls)
+    assert set(positions) <= {os.getpid(), *forks}
+    chunks = min(n, experiments._MAX_CHUNKS)
+    for k, pid in enumerate([os.getpid(), *forks]):
+        # worker k starts with chunk k: position k when no chunk holds two
+        assert positions[pid][0] == k * n // chunks
+    for ps in positions.values():
+        assert ps == sorted(ps)
+
+
+def test_a_slow_first_trial_leaves_the_rest_to_the_other_worker(monkeypatch):
+    """Position 0 waits until the last position is computed in the child."""
+    forks = _cpus(monkeypatch, 2)
+    done, done_end = os.pipe()
+    n = 5
+
+    def skewed(cfg, i):
+        if i == n - 1:
+            os.write(done_end, b"x")
+        if i == 0:
+            ready, _, _ = select.select([done], [], [], 10.0)
+            assert ready, "the last position was not computed in another process"
+        return i, os.getpid()
+
+    try:
+        got = experiments._map_trials(skewed, None, range(n))
+    finally:
+        os.close(done)
+        os.close(done_end)
+    assert [i for i, _ in got] == list(range(n))
+    assert _by_process(got) == {os.getpid(): [0], forks[0]: list(range(1, n))}
 
 
 def test_serial_without_a_second_cpu_or_with_few_trials(monkeypatch):
@@ -171,6 +221,19 @@ def test_the_lowest_failing_trial_raises_as_in_the_serial_loop(monkeypatch, work
     assert str(forked.value) == str(serial.value) == f"trial {bad[0]} failed"
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_lowest_failure_of_a_map_of_several_positions_per_chunk(monkeypatch, workers):
+    def failing(cfg, i):
+        if i in (1500, 2999):
+            raise SpectralDomainError(f"trial {i} failed")
+        return i
+
+    forks = _cpus(monkeypatch, workers)
+    with pytest.raises(SpectralDomainError, match="^trial 1500 failed$"):
+        experiments._map_trials(failing, None, range(3000))
+    assert len(forks) == workers - 1
+
+
 @pytest.mark.parametrize("death, status", [
     (lambda: os._exit(3), "3"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9"),
@@ -180,7 +243,7 @@ def test_a_dead_child_raises_naming_its_exit_status(monkeypatch, death, status):
     parent = os.getpid()
 
     def dies_in_the_child(cfg, i):
-        if os.getpid() != parent and i == 3:
+        if os.getpid() != parent and i == 1:
             death()
         return i
 
