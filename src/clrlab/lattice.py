@@ -84,6 +84,9 @@ _TWO_STAGE_ORDER = 1024
 # Bytes of one chunk of Green's-function columns in birman_schwinger: its
 # workspace beside K is a few such chunks, whatever the order of K.
 _GREEN_CHUNK_BYTES = 1 << 18
+# Bytes of the complex step matrices of one run of trotter_sandwich's batched
+# trace: its workspace is a few such runs, whatever the number of times.
+_TROTTER_BATCH_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +854,14 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     eigenpairs of every site block, one eigh whose eigenvalues the PSD rule
     checks.  The returned trace(t, n) does the rest, so one sandwich serves
     a whole t-quadrature.
+
+    t is a positive time, for which trace returns a float, or a 1-D array
+    of them, for which it returns the array of traces.  An array is one
+    batch: the heat factors of all its times from one pass through the axis
+    modes, their site exponentials from one einsum and their n-th powers
+    from one stacked matrix_power, in runs of at most _TROTTER_BATCH_BYTES
+    of step matrices.  A scalar is a batch of one, and a time's trace has
+    the same bits in any batch.
     """
     alpha = _positive_finite(alpha, "alpha")
     w, u = np.linalg.eigh(V.values)
@@ -858,19 +869,36 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     _check_dense(V.dim, "Trotter product")
     grid = V.grid
     modes, lam, unit = _unit_columns_in_modes(grid, np.arange(grid.nsites))
+    run = max(1, _TROTTER_BATCH_BYTES // (16 * V.dim**2))
 
-    def trace(t: float, n: int) -> float:
-        t = _positive_finite(t, "time")
+    def batch(s: np.ndarray, n: int) -> np.ndarray:
+        # x[..., b, y] = e^{-s_b lam} (U^T e_y): every time's columns side by side
+        x = unit[..., np.newaxis, :] * np.exp(np.multiply.outer(lam, -s))[..., np.newaxis]
+        heat = _from_modes(modes, x.reshape(*lam.shape, -1))
+        heat = heat.reshape(grid.nsites, s.size, grid.nsites)
+        pot = np.einsum("xij,bxj,xkj->bxik", u,
+                        np.exp(np.multiply.outer(-(s * alpha), w)), u.conj())
+        # step[b,(x,i),(y,j)] = e^{-s_b L}(x,y) e^{-s_b alpha V(y)}_ij
+        step = np.einsum("xby,byij->bxiyj", heat, pot)
+        power = np.linalg.matrix_power(step.reshape(s.size, V.dim, V.dim), n)
+        power = power.reshape(s.size, grid.nsites, V.N, grid.nsites, V.N)
+        # the scalar trace's own reduction, time by time: a stacked einsum sums
+        # in another order, and a time's trace should not depend on its batch
+        return np.array([np.einsum("xij,xjxi->", V.values, p).real for p in power])
+
+    def trace(t, n: int):
+        if np.ndim(t) == 0:
+            s = np.array([_positive_finite(t, "time")])
+        else:
+            s = np.array(t, dtype=float)
+            if s.ndim != 1 or s.size == 0 or not np.all((s > 0.0) & np.isfinite(s)):
+                raise ValueError("times must be a non-empty 1-D array of positive, "
+                                 "finite values")
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        s = t / n
-        heat = _from_modes(modes, unit * np.exp(-s * lam)[..., np.newaxis])
-        pot = np.einsum("xij,xj,xkj->xik", u, np.exp(-(s * alpha) * w), u.conj())
-        # step[(x,i),(y,j)] = e^{-sL}(x,y) e^{-s alpha V(y)}_ij
-        step = np.einsum("xy,yij->xiyj", heat, pot)
-        power = np.linalg.matrix_power(step.reshape(V.dim, V.dim), n)
-        power = power.reshape(grid.nsites, V.N, grid.nsites, V.N)
-        return float(np.einsum("xij,xjxi->", V.values, power).real)
+        s /= n
+        out = np.concatenate([batch(s[k:k + run], n) for k in range(0, s.size, run)])
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     return trace
 

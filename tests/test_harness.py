@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,27 @@ def test_report_pass_matches_negative_hard_margins():
     )
     assert rep.passed == (hard_bad == 0)
     assert rep.summary["hard_failures"] == hard_bad
+
+
+def test_a_nan_hard_margin_fails_the_summary():
+    from clrlab.harness.experiments import _summary
+
+    records = [{"gate": "hard", "margin": 0.5}, {"gate": "hard", "margin": math.nan},
+               {"gate": "monitor", "margin": math.nan}]
+    summary = _summary(records, None)
+    assert summary["hard_records"] == 2
+    assert summary["hard_failures"] == 1 and summary["pass"] is False
+    assert _summary(records[:1], None)["pass"] is True
+
+
+def test_cli_exits_one_on_a_nan_hard_margin(monkeypatch, capsys):
+    def nan_margin(cfg):
+        return [{"kind": "probe", "gate": "hard", "margin": math.nan}], ["kind", "margin"], None
+
+    monkeypatch.setitem(EXPERIMENTS, "holder",
+                        dataclasses.replace(EXPERIMENTS["holder"], run=nan_margin))
+    assert cli_main(["holder"]) == 1
+    assert "[FAIL] holder: 1 records, 1 hard gates, 1 failures" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_each_experiment_loads_the_subpackages_it_uses():
     # experiment, trials, subpackages it must load, subpackages it must not
     cases = [
         ("constants", None, {"special"}, set()),
-        ("trotter", 1, {"integrate"}, set()),
+        ("trotter", 1, {"sparse"}, {"linalg", "special", "integrate", "optimize"}),
         ("bs-equivalence", 2, {"sparse", "linalg", "special"}, {"integrate"}),
     ]
     got = _children([f"""

@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1020,6 +1022,30 @@ def test_trotter_sandwich_matches_per_call_formula_bit_for_bit(pts):
                 assert trace(t, n) == _trotter_trace_oracle(g, v, 1.3, t, n), (N, t, n)
 
 
+@pytest.mark.parametrize("pts", [(7,), (4, 5), (3, 3, 3)], ids=dirichlet_ids("pts", 3))
+def test_batched_trotter_trace_matches_scalar_calls_bit_for_bit(pts, monkeypatch):
+    g = GridSpec(d=len(pts), points_per_axis=pts, h=0.6)
+    times = np.array([1e-9, 0.05, 0.9, 7.0, 50.0, 3e-19, 4e18])
+    for N in (1, 2, 3):
+        v = generate_potential((41, N, g.nsites), g, N, "random-psd-field", 2.0)
+        trace = trotter_sandwich(v, 1.3)
+        for n in (1, 2, 7, 256):
+            got = trace(times, n)
+            assert got.shape == times.shape and got.dtype == float
+            assert got.tolist() == [trace(float(t), n) for t in times], (N, n)
+    # a batch split into runs of one time each gives the same bits
+    monkeypatch.setattr(lattice, "_TROTTER_BATCH_BYTES", 1)
+    assert trotter_sandwich(v, 1.3)(times, 7).tolist() == trace(times, 7).tolist()
+
+
+@pytest.mark.parametrize("bad", [[], [[1.0]], [1.0, 0.0], [1.0, -2.0], [math.nan], [math.inf]],
+                         ids=str)
+def test_batched_trotter_times_must_be_positive_and_finite(bad):
+    trace = trotter_sandwich(scalar_potential(grid1d(6, 0.5), np.ones(6)), 1.0)
+    with pytest.raises(ValueError, match="^times must be a non-empty 1-D array"):
+        trace(np.array(bad), 4)
+
+
 def _parent_bs_bound(F, lam):
     """bs_bound as it was with one F_a per call: F(1) and F(lam) taken apart."""
     f1 = float(F(1.0))
@@ -1181,15 +1207,81 @@ def test_trotter_experiment_same_records_with_the_per_call_oracle(monkeypatch):
 
     cfg = ExperimentConfig(experiment="trotter", trials=5)
     fast = run_experiment(cfg)
-    monkeypatch.setattr(
-        experiments, "trotter_sandwich",
-        lambda V, alpha: lambda t, n: _trotter_trace_oracle(V.grid, V, alpha, t, n))
+    def per_call(V, alpha):
+        def trace(t, n):
+            if np.ndim(t) == 0:
+                return _trotter_trace_oracle(V.grid, V, alpha, t, n)
+            return np.array([_trotter_trace_oracle(V.grid, V, alpha, x, n) for x in t])
+        return trace
+
+    monkeypatch.setattr(experiments, "trotter_sandwich", per_call)
     slow = run_experiment(cfg)
 
     def canon(rep):
         return json.dumps({"records": rep.records, "summary": rep.summary}, sort_keys=True)
 
     assert canon(fast) == canon(slow)
+
+
+def _bench_trotter_configs(seeds):
+    """The trotter config of the small-grids benchmark workload at each seed."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cfg for seed in seeds for cfg in workloads.build("small-grids", seed)
+            if cfg.experiment == "trotter"]
+
+
+def test_t_quadrature_matches_adaptive_quad():
+    # the exp-sinh rule against QUADPACK's adaptive rule on [0, inf), on the
+    # instances of the default trotter run and of small-grids' seeds 1-3
+    from clrlab.harness import experiments
+
+    cfgs = [ExperimentConfig(experiment="trotter")] + _bench_trotter_configs((1, 2, 3))
+    assert len(cfgs) == 4
+    for cfg in cfgs:
+        cfg = experiments.EXPERIMENTS["trotter"].resolve(cfg)
+        for i in range(10):
+            _, v, alpha = experiments._trotter_instance(cfg, 20_000 + i)
+            trace = trotter_sandwich(v, alpha)
+            got = experiments._exp_sinh_integral(
+                lambda t: trace(t, 256), 1.0 / experiments._lambda_floor(v.grid))
+            want, _ = quad(lambda t: trace(t, 256), 0.0, np.inf,
+                           epsabs=1e-13, epsrel=1e-12, limit=400)
+            assert abs(got - want) <= 1e-10 * abs(want), (cfg.seed, i, got, want)
+
+
+def test_exp_sinh_rule_calls_g_once_per_level_on_its_new_nodes():
+    from clrlab.harness.experiments import _exp_sinh_integral
+
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return np.exp(-t)
+
+    assert _exp_sinh_integral(g, 1.0) == pytest.approx(1.0, rel=1e-13)
+    assert [t.size for t in calls[:4]] == [17, 16, 32, 64]
+    nodes = np.concatenate(calls)
+    assert np.unique(nodes).size == nodes.size
+    assert _exp_sinh_integral(lambda t: np.exp(-t / 50.0), 50.0) == pytest.approx(50.0, rel=1e-13)
+
+
+def test_exp_sinh_rule_raises_on_a_tail_or_a_nan():
+    from clrlab.harness.experiments import _T_QUADRATURE_LEVELS, _exp_sinh_integral
+
+    calls = []
+
+    def slow_tail(t):  # 1/(1+t) is not integrable on (0, inf)
+        calls.append(t)
+        return 1.0 / (1.0 + t)
+
+    with pytest.raises(ArithmeticError, match="no agreement"):
+        _exp_sinh_integral(slow_tail, 1.0)
+    assert len(calls) == _T_QUADRATURE_LEVELS
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        _exp_sinh_integral(lambda t: np.where(t > 1.0, np.nan, 1.0), 1.0)
 
 
 def test_semigroup_sandwich_vs_expm_oracle():
