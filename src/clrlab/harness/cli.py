@@ -4,7 +4,8 @@
 runs one experiment and exits 0 when every hard gate passed, 1 when a hard
 gate failed, and 2 on configuration or usage errors, among them a
 ``--config`` file that cannot be read or parsed and an ``--out`` that
-cannot be written.  ``clrlab constants --dmax D`` additionally prints the
+cannot be written, and on a computation that fails (ArithmeticError,
+LinAlgError).  ``clrlab constants --dmax D`` additionally prints the
 constant table as CSV on stdout, and ``clrlab potential gen`` writes a
 potential JSON file without running any experiment; a flag out of its
 range (``--points 0``, ``--h -1``, ``--N 0``, a negative or infinite
@@ -17,6 +18,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from ..errors import ClrlabError, ConfigError
 from ..lattice import GridSpec, save_potential
@@ -139,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"clrlab: config error: {exc}", file=sys.stderr)
         return 2
-    except ClrlabError as exc:
+    except (ClrlabError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"clrlab: error: {exc}", file=sys.stderr)
         return 2
 

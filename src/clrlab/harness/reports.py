@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from ..config import ENUMERATION_BUDGET, MAX_MATRIX_DIM
+from ..config import ENUMERATION_BUDGET, MAX_MATRIX_DIM, blas_threads
 from ..errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
@@ -173,6 +173,7 @@ def _versions() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": sys.version.split()[0],
+        "blas_threads": blas_threads(),
     }
 
 

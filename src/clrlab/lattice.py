@@ -36,19 +36,17 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import glob
 import hashlib
 import json
 import math
 import mmap
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
 
-from .config import MAX_MATRIX_DIM, dense_budget, parallel_cpus
+from .config import MAX_MATRIX_DIM, dense_budget, parallel_cpus, wheel_openblas
 from .errors import BudgetError, NonHermitianError
 from .matcore import (
     HERMITICITY_RTOL,
@@ -298,25 +296,21 @@ def _lapacke_routines() -> dict | None:
     """{name: LAPACKE routine} of dsyevd, zheevd and their _2stage forms, or None.
 
     The library is the OpenBLAS that Linux wheels of scipy ship in
-    scipy.libs (LP64: 32-bit LAPACK integers, symbols prefixed scipy_).
-    It is opened on the first call, never at import (two threads racing on
-    that call both open it and get the same library).  None where that
-    library or any of the four routines is absent; then every order takes
-    numpy.
+    scipy.libs (LP64: 32-bit LAPACK integers, symbols prefixed scipy_), set
+    to one thread (config.wheel_openblas).  They are looked up on the first
+    call, never at import.  None where that library or any of the four
+    routines is absent; then every order takes numpy.
     """
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas-*.so"))):
-        try:
-            lib = ctypes.CDLL(path)
-            routines = {name: getattr(lib, "scipy_LAPACKE_" + name)
-                        for name in ("dsyevd", "zheevd", "dsyevd_2stage", "zheevd_2stage")}
-        except (OSError, AttributeError):
-            continue
-        for routine in routines.values():
-            routine.restype = ctypes.c_int
-            routine.argtypes = _EVD_ARGS
-        return routines
-    return None
+    lib = wheel_openblas("scipy")
+    try:
+        routines = {name: getattr(lib, "scipy_LAPACKE_" + name)
+                    for name in ("dsyevd", "zheevd", "dsyevd_2stage", "zheevd_2stage")}
+    except AttributeError:  # no such library (lib is None) or a routine missing
+        return None
+    for routine in routines.values():
+        routine.restype = ctypes.c_int
+        routine.argtypes = _EVD_ARGS
+    return routines
 
 
 def _in_place_routine(n: int, complex_: bool):
@@ -599,6 +593,7 @@ def _schur_negative_count(
     so its entries are finite.
     """
     kind = "he" if np.iscomplexobj(matrix) else "sy"
+    wheel_openblas("scipy")  # one BLAS thread before scipy's LAPACK first runs
     trf, tri, trf_lwork = scipy.linalg.get_lapack_funcs(
         (kind + "trf", kind + "tri", kind + "trf_lwork"), (matrix.data,))
     hemm = scipy.linalg.get_blas_funcs(kind + "mm", (matrix.data,))
@@ -783,7 +778,7 @@ def h_and_k_spectra(H: DiscreteOperator, V: MatrixPotential) -> tuple[np.ndarray
 
     H's dense-budget charge comes first.  When H's order is at least
     _SIDE_BY_SIDE_ORDER and parallel_cpus() is at least 2 (two usable CPUs,
-    BLAS pinned to one thread), H's spectrum is taken on a worker thread
+    each BLAS on one thread), H's spectrum is taken on a worker thread
     while this thread assembles K and takes its spectrum; numpy and ctypes
     both release the GIL inside LAPACK.  Otherwise H's spectrum is taken
     first, then K's.  The values are the same either way.

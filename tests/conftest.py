@@ -34,9 +34,9 @@ def decomposition_counts(monkeypatch, serial_trials):
 def serial_trials(monkeypatch):
     """Keep every experiment's trials in this process.
 
-    With a pinned BLAS and two usable CPUs the trial maps fork, and the
-    calls a forked worker makes never reach counters or tracers installed
-    here; tests that count calls across a run take this fixture.
+    With two usable CPUs the trial maps fork, and the calls a forked
+    worker makes never reach counters or tracers installed here; tests
+    that count calls across a run take this fixture.
     """
     from clrlab.harness import experiments
 

@@ -599,6 +599,24 @@ def test_experiment_oserror_propagates(monkeypatch):
         cli_main(["jensen", "--trials", "2"])
 
 
+@pytest.mark.parametrize("command, routine, error", [
+    (["trotter", "--trials", "1"], "_exp_sinh_integral",
+     ArithmeticError("the t-quadrature did not agree with itself")),
+    (["clr-survey", "--trials", "1"], "count_negative",
+     np.linalg.LinAlgError("singular Schur block on rows 0:9")),
+])
+def test_cli_failed_computation_exits_two(monkeypatch, capsys, command, routine, error):
+    # exit 1 is kept for a failed hard gate
+    import clrlab.harness.experiments as experiments
+
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(experiments, routine, failing)
+    assert cli_main(command) == 2
+    assert capsys.readouterr().err == f"clrlab: error: {error}\n"
+
+
 @pytest.mark.parametrize("fields, command", [
     ({"n_max": "3"}, ["jensen"]),
     ({"tolerances": None}, ["jensen"]),

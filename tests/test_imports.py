@@ -84,23 +84,20 @@ print(json.dumps(loaded()))
 
 def test_side_by_side_two_stage_spectra_match_the_serial_run():
     # Seed 2's first draw is a 7x7x7 box with N = 2: H and K are complex of
-    # order 686, over the two-stage threshold.  BLAS is pinned, so with two
-    # usable CPUs (forced here, as on a 2-CPU host) h_and_k_spectra takes
-    # H's spectrum on its worker thread while this thread takes K's.  The
-    # reference run takes the spectra one after the other; it is pinned
-    # too, since BLAS threading changes K's spectrum at rounding level.
+    # order 686, over the two-stage threshold.  With two usable CPUs (forced
+    # here, as on a 2-CPU host) h_and_k_spectra takes H's spectrum on its
+    # worker thread while this thread takes K's.  The reference run takes
+    # the spectra one after the other.
     code = """
 from clrlab import config
 
 config._usable_cpus = lambda: CPUS
-assert config._SERIAL_BLAS
 report = run_experiment(ExperimentConfig(experiment="bs-equivalence", trials=1, seed=2,
                                          grid_points=(7, 7, 7)))
 print(json.dumps({"looked_up": clrlab.lattice._lapacke_routines.cache_info().currsize,
                   "report": {"records": report.records, "summary": report.summary}}))
 """
-    pinned = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
-    side_by_side, serial = _children([code.replace("CPUS", cpus) for cpus in "21"], **pinned)
+    side_by_side, serial = _children([code.replace("CPUS", cpus) for cpus in "21"])
     assert {r["dim"] for r in serial["report"]["records"]} == {686}
     assert side_by_side["looked_up"] == serial["looked_up"] == 1
     assert side_by_side["report"]["summary"]["hard_failures"] == 0

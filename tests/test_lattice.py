@@ -1800,8 +1800,7 @@ def test_dense_spectrum_matches_numpy_bit_for_bit(pts, N, dtype):
 
 
 def _force_overlap(monkeypatch, on):
-    monkeypatch.setattr(config, "_SERIAL_BLAS", on)
-    monkeypatch.setattr(config, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 2 if on else 1)
     pools = []
     executor = lattice.ThreadPoolExecutor
 
@@ -1864,12 +1863,12 @@ def test_h_and_k_spectra_propagates_errors_and_joins(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_h_and_k_spectra_sequential_unless_blas_is_serial(monkeypatch):
+def test_h_and_k_spectra_sequential_on_one_usable_cpu(monkeypatch):
     v, op = _random_hamiltonian((7, 7, 7), 1)
-    monkeypatch.setattr(config, "_SERIAL_BLAS", config._serial_blas({}))
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 1)
 
     def no_thread(*args, **kwargs):
-        raise AssertionError("no worker thread without a serial BLAS")
+        raise AssertionError("no worker thread without a second usable CPU")
 
     monkeypatch.setattr(lattice, "ThreadPoolExecutor", no_thread)
     w, lam = h_and_k_spectra(op, v)
@@ -2175,12 +2174,18 @@ def test_k_values_leaves_the_callers_array_unchanged(monkeypatch):
     assert np.array_equal(k, before)
 
 
-def test_serial_blas_rule():
-    assert not config._serial_blas({})
-    assert config._serial_blas({"OMP_NUM_THREADS": "1"})
-    assert not config._serial_blas({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"})
-    assert config._serial_blas({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"})
-    assert not config._serial_blas({"BLIS_NUM_THREADS": "1"})
+def test_a_blas_without_a_thread_setter_keeps_the_package_on_one_cpu(monkeypatch):
+    # as where numpy's BLAS is MKL, Accelerate or another wheel layout: the
+    # library exports no scipy_openblas_set_num_threads, so the lab cannot
+    # set it to one thread, and the report says so
+    from clrlab.harness.reports import _versions
+
+    monkeypatch.setattr(config, "_OPENBLAS", {})
+    monkeypatch.setitem(config._WHEEL_OPENBLAS, "numpy", ("libscipy_openblas64_-*.so", "_absent"))
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 4)
+    assert config.wheel_openblas("numpy") is None
+    assert config.parallel_cpus() == 1
+    assert _versions()["blas_threads"] == {"numpy": "not set by clrlab"}
 
 
 def test_h_and_k_spectra_charges_the_budget_for_h(monkeypatch):

@@ -1,8 +1,8 @@
 """Trial maps: an experiment's independent trials spread over forked processes.
 
 The forked path is forced by monkeypatching the CPU rule (config.parallel_cpus
-reads _SERIAL_BLAS and _usable_cpus), so it runs on any Linux host.  Every
-case must leave no child behind and no pipe open.
+reads _usable_cpus), so it runs on any Linux host.  Every case must leave no
+child behind and no pipe open.
 """
 
 import json
@@ -15,6 +15,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clrlab
@@ -55,7 +56,6 @@ def no_child_left():
 
 def _cpus(monkeypatch, n):
     """Make the CPU rule grant n CPUs, and count the forks that follow."""
-    monkeypatch.setattr(config, "_SERIAL_BLAS", True)
     monkeypatch.setattr(config, "_usable_cpus", lambda: n)
     forks = []
     fork = os.fork
@@ -162,8 +162,10 @@ def test_serial_without_a_second_cpu_or_with_few_trials(monkeypatch):
     assert experiments._map_trials(_pids, None, range(1)) == [(0, os.getpid())]
     assert experiments._map_trials(_pids, None, []) == []
     assert forks == []
-    # an unpinned BLAS grants one CPU whatever the host has
-    monkeypatch.setattr(config, "_SERIAL_BLAS", config._serial_blas({}))
+    # the rule is the usable CPUs, whatever thread variables the shell sets,
+    # unless a BLAS the lab looked up has no thread setter
+    assert config.parallel_cpus() == 4
+    monkeypatch.setitem(config._OPENBLAS, "numpy", None)
     assert config.parallel_cpus() == 1
     assert experiments._map_trials(_pids, None, range(4)) == [(i, os.getpid()) for i in range(4)]
     assert forks == []
@@ -303,3 +305,40 @@ def test_cli_report_same_pinned_and_unpinned(tmp_path):
         del report["config"]["out"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+# sha256 of {records, summary} of default lt-moments and of bs-equivalence on
+# a 9x9x9 box (up to complex operators of order 1458), and the report's BLAS
+# thread counts
+DIGESTS = """
+import hashlib, json
+from clrlab.harness import ExperimentConfig, run_experiment
+out = {}
+for cfg in (ExperimentConfig(experiment="lt-moments"),
+            ExperimentConfig(experiment="bs-equivalence", trials=2, N_max=2,
+                             grid_points=(9, 9, 9))):
+    report = run_experiment(cfg)
+    blob = json.dumps({"records": report.records, "summary": report.summary}, sort_keys=True)
+    out[cfg.experiment] = [hashlib.sha256(blob.encode()).hexdigest(),
+                           report.versions.get("blas_threads")]
+print(json.dumps(out))
+"""
+
+
+def test_records_same_whatever_blas_threads_the_shell_sets():
+    # a threaded OpenBLAS rounds these spectra differently; the lab sets
+    # numpy's and scipy's to one thread itself
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas}, which the lab cannot set to one thread")
+    root = str(Path(clrlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in PINNED}
+    got = []
+    for env in ({}, PINNED, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}):
+        proc = subprocess.run([sys.executable, "-c", DIGESTS], capture_output=True,
+                              text=True, timeout=120, env={**base, "PYTHONPATH": path, **env})
+        assert proc.returncode == 0, proc.stderr
+        got.append(json.loads(proc.stdout))
+    assert got[0] == got[1] == got[2]
+    assert got[0]["bs-equivalence"][1] == {"numpy": 1, "scipy": 1}
