@@ -81,11 +81,13 @@ def wheel_openblas(package: str):
 
 
 def blas_threads() -> dict:
-    """{package: threads read back} of each wheel OpenBLAS looked up so far,
-    or "not set by clrlab" for one without a setter."""
-    return {package: "not set by clrlab" if lib is None else getattr(
-                lib, "scipy_openblas_get_num_threads" + _WHEEL_OPENBLAS[package][1])()
-            for package, lib in list(_OPENBLAS.items())}
+    """{"numpy": threads read back from numpy's wheel OpenBLAS}, or "not set
+    by clrlab" where it has no setter.  import clrlab sets it in every
+    process; scipy's is opened only by the routines that use it, so listing
+    it would make the value depend on what ran before in the process."""
+    lib = wheel_openblas("numpy")
+    return {"numpy": "not set by clrlab" if lib is None
+            else lib.scipy_openblas_get_num_threads64_()}
 
 
 wheel_openblas("numpy")  # numpy has loaded it, so it is set before any call

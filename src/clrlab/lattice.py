@@ -158,9 +158,17 @@ class MatrixPotential:
     def dim(self) -> int:
         return self.grid.nsites * self.N
 
+    @functools.cached_property
+    def _site_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, u): eigenvalues, shape (nsites, N) and ascending, and eigenvectors
+        of every site block, from one stacked eigh on first use; read-only."""
+        w, u = np.linalg.eigh(self.values)
+        w.flags.writeable = u.flags.writeable = False
+        return w, u
+
     def eigenvalues_sites(self) -> np.ndarray:
-        """Eigenvalues of every site block, shape (nsites, N), ascending."""
-        return np.linalg.eigvalsh(self.values)
+        """Eigenvalues of every site block, shape (nsites, N), ascending; read-only."""
+        return self._site_eigh[0]
 
     def require_psd(self) -> np.ndarray:
         """Site eigenvalues (see eigenvalues_sites), rejecting a non-PSD site."""
@@ -175,13 +183,11 @@ class MatrixPotential:
     def sqrt_sites(self) -> np.ndarray:
         """Sitewise PSD square root, shape (nsites, N, N).
 
-        The site eigenvalues come from the same eigh as the eigenvectors and
-        must pass the PSD rule (require_psd_spectrum); those it allows below
-        0 are rounding dust and are clipped to 0.
+        The site eigenpairs must pass the PSD rule (require_psd); the
+        eigenvalues it allows below 0 are rounding dust and are clipped to 0.
         """
-        w, u = np.linalg.eigh(self.values)
-        require_psd_spectrum(w, "a potential site")
-        root = np.sqrt(np.maximum(w, 0.0))
+        root = np.sqrt(np.maximum(self.require_psd(), 0.0))
+        u = self._site_eigh[1]
         return np.einsum("xij,xj,xkj->xik", u, root, u.conj())
 
     def support(self, tol: float = SUPPORT_TOL) -> np.ndarray:
@@ -194,17 +200,6 @@ class MatrixPotential:
     def _entries(self) -> np.ndarray:
         """values, as a real array when no site matrix has an imaginary part."""
         return self.values if np.any(self.values.imag) else self.values.real
-
-    def block(self) -> np.ndarray:
-        """Dense block-diagonal array with the site matrices on the diagonal.
-
-        Real when no site matrix has an imaginary part.
-        """
-        n = self.N
-        out = np.zeros((self.dim, self.dim), dtype=self._entries().dtype)
-        rows = np.arange(self.dim).reshape(-1, n, 1)
-        out[rows, rows.swapaxes(1, 2)] = self._entries()
-        return out
 
 
 def _hermitian_defect(m: scipy.sparse.csr_matrix) -> float:
@@ -670,18 +665,24 @@ def count_negative(op: DiscreteOperator) -> int:
     return _schur_negative_count(op.matrix, bounds, ZERO_BAND_RTOL * op.scale())
 
 
-def riesz_mean(op: DiscreteOperator, gamma: float) -> float:
+def riesz_mean(op: DiscreteOperator, gamma):
     """sum |e|^gamma over eigenvalues e < -zero_tol of the operator.
 
-    gamma must be positive and finite, or ValueError is raised.
+    gamma is one exponent, for which a float is returned, or a 1-D sequence
+    of them, for which the array of their sums is returned, all from one
+    dense spectrum.  Each gamma must be positive and finite, or ValueError
+    is raised.
     """
-    gamma = _positive_finite(gamma, "gamma")
-    if op.dim == 0:
-        return 0.0
-    zero_tol = ZERO_BAND_RTOL * op.scale()
-    w = _dense_spectrum(op, "Riesz mean")
-    neg = w[w < -zero_tol]
-    return float(np.sum((-neg) ** gamma))
+    gammas = np.asarray(gamma, dtype=float)
+    if gammas.ndim > 1:
+        raise ValueError(f"gamma must be a number or a 1-D sequence, got shape {gammas.shape}")
+    exponents = [_positive_finite(g, "gamma") for g in gammas.ravel()]
+    neg = np.zeros(0)
+    if op.dim:
+        w = _dense_spectrum(op, "Riesz mean")
+        neg = w[w < -ZERO_BAND_RTOL * op.scale()]
+    sums = [float(np.sum((-neg) ** g)) for g in exponents]
+    return sums[0] if gammas.ndim == 0 else np.array(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -844,11 +845,10 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     is real because the trace lets V^{1/2} close the cycle.
 
     Everything that does not depend on t or n is done here, once: the
-    checks (alpha positive and finite, V sitewise PSD, the dense budget),
-    the axis modes with the unit columns transformed into them, and the
-    eigenpairs of every site block, one eigh whose eigenvalues the PSD rule
-    checks.  The returned trace(t, n) does the rest, so one sandwich serves
-    a whole t-quadrature.
+    checks (alpha positive and finite, V sitewise PSD, the dense budget)
+    and the axis modes with the unit columns transformed into them; the
+    site eigenpairs are V's own.  The returned trace(t, n) does the rest,
+    so one sandwich serves a whole t-quadrature.
 
     t is a positive time, for which trace returns a float, or a 1-D array
     of them, for which it returns the array of traces.  An array is one
@@ -859,8 +859,7 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     the same bits in any batch.
     """
     alpha = _positive_finite(alpha, "alpha")
-    w, u = np.linalg.eigh(V.values)
-    require_psd_spectrum(w, "a potential site")
+    w, u = V.require_psd(), V._site_eigh[1]
     _check_dense(V.dim, "Trotter product")
     grid = V.grid
     modes, lam, unit = _unit_columns_in_modes(grid, np.arange(grid.nsites))
@@ -898,16 +897,32 @@ def trotter_sandwich(V: MatrixPotential, alpha: float):
     return trace
 
 
-def semigroup_sandwich_trace(V: MatrixPotential, alpha: float, t: float) -> float:
-    """Exact tr[V^{1/2} e^{-t(L + alpha V)} V^{1/2}] on V.grid, the Trotter limit."""
+def _sandwich_spectrum(V: MatrixPotential, alpha: float, what: str):
+    """(w, d) of L + alpha V on V.grid: its eigenvalues w and the diagonal
+    d_k = q_k^H V q_k of V in its eigenbasis, from one dense eigh.
+
+    d_k is summed site by site, sum_x q_k(x)^H V(x) q_k(x), so the block
+    diagonal V is never formed.  V must be sitewise PSD, alpha positive and
+    finite.
+    """
     alpha = _positive_finite(alpha, "alpha")
-    t = _positive_finite(t, "time")
     V.require_psd()
-    _check_dense(V.dim, "semigroup trace")
-    h_op = hamiltonian(V=V, sign=alpha)
-    w, q = np.linalg.eigh(h_op.toarray())
-    diag_v = np.einsum("ij,jk,ki->i", q.conj().T, V.block(), q).real
-    return float(np.sum(diag_v * np.exp(-t * w)))
+    _check_dense(V.dim, what)
+    w, q = np.linalg.eigh(hamiltonian(V=V, sign=alpha).toarray())
+    q = q.reshape(V.grid.nsites, V.N, V.dim)  # q[x, a, k] = q_k(x)_a
+    d = np.einsum("xak,xak->k", q.conj(), V._entries() @ q).real
+    return w, d
+
+
+def semigroup_sandwich_trace(V: MatrixPotential, alpha: float, t: float) -> float:
+    """Exact tr[V^{1/2} e^{-t(L + alpha V)} V^{1/2}] on V.grid, the Trotter limit.
+
+    By cyclicity it is tr[e^{-t(L + alpha V)} V] = sum_k d_k e^{-t w_k}
+    (_sandwich_spectrum).
+    """
+    t = _positive_finite(t, "time")
+    w, d = _sandwich_spectrum(V, alpha, "semigroup trace")
+    return float(np.sum(d * np.exp(-t * w)))
 
 
 def resolvent_trace(V: MatrixPotential, alpha: float) -> float:
@@ -916,20 +931,11 @@ def resolvent_trace(V: MatrixPotential, alpha: float) -> float:
     Equals sum_k lambda_k / (1 + alpha lambda_k) over the spectrum of the
     Birman-Schwinger operator K, the resolvent identity that converts
     time integrals of Trotter traces into counting information.  By
-    cyclicity it is tr[(L + alpha V)^{-1} V], one dense solve.
+    cyclicity it is tr[(L + alpha V)^{-1} V] = sum_k d_k / w_k
+    (_sandwich_spectrum); L + alpha V >= L is positive definite.
     """
-    alpha = _positive_finite(alpha, "alpha")
-    V.require_psd()
-    _check_dense(V.dim, "resolvent trace")
-
-    h_dense = hamiltonian(V=V, sign=alpha).toarray()
-    try:
-        x = np.linalg.solve(h_dense, V.block())
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"L + alpha V unexpectedly singular (alpha={alpha})"
-        ) from exc
-    return float(np.trace(x).real)
+    w, d = _sandwich_spectrum(V, alpha, "resolvent trace")
+    return float(np.sum(d / w))
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,48 @@ def test_timeorder_run_takes_one_spectrum_per_matrix(decomposition_counts):
                                     "eigh": 3 * 60}
 
 
+def test_lt_trial_takes_one_spectrum_of_h(monkeypatch, serial_trials):
+    # the three Riesz means of a trial come from one dense spectrum
+    from clrlab import lattice
+
+    spectra = []
+    dense = lattice._dense_spectrum
+    monkeypatch.setattr(lattice, "_dense_spectrum",
+                        lambda op, what: spectra.append(what) or dense(op, what))
+    rep = run_experiment(ExperimentConfig(experiment="lt-moments", trials=3))
+    assert spectra == ["Riesz mean"] * 3
+    assert [r["gamma"] for r in rep.records] == [0.5, 1.0, 2.0] * 3
+
+
+def test_holder_gate_reads_the_configured_slack_alone(monkeypatch, serial_trials):
+    # lhs above rhs by 1e-9 (1 + rhs): holder_slack 1e-8 allows it and the
+    # default 1e-10 does not; either way each trial is a holder record
+    import clrlab.harness.experiments as experiments
+
+    exact = experiments.holder_trace_product
+
+    def over(matrices, powers):
+        _, rhs = exact(matrices, powers)
+        return rhs + 1e-9 * (1.0 + rhs), rhs
+
+    monkeypatch.setattr(experiments, "holder_trace_product", over)
+    loose = run_experiment(ExperimentConfig(experiment="holder", trials=5,
+                                            tolerances={"holder_slack": 1e-8}))
+    strict = run_experiment(ExperimentConfig(experiment="holder", trials=5))
+    assert loose.passed and not strict.passed
+    assert strict.summary["hard_failures"] == 5
+    for rep in (loose, strict):
+        assert [r["kind"] for r in rep.records] == ["holder"] * 5
+        assert all(r["lhs"] > r["rhs"] > 0.0 for r in rep.records)
+
+
+def test_bs_equivalence_keeps_n_max_one_on_3d_boxes():
+    rep = run_experiment(ExperimentConfig(experiment="bs-equivalence", trials=8, N_max=1,
+                                          grid_points=(3, 3, 3)))
+    assert rep.passed
+    assert {r["dim"] for r in rep.records} == {27}
+
+
 def _readme_row(name, spec):
     def pairs(mapping):
         return ", ".join(f"`{k}` = {json.dumps(v)}" for k, v in mapping.items()) or "—"

@@ -617,6 +617,25 @@ def test_riesz_mean_matches_eig_oracle():
         riesz_mean(ham, 0.0)
 
 
+def test_riesz_mean_of_a_sequence_of_gamma_is_each_scalar_call_from_one_spectrum(monkeypatch):
+    g = GridSpec(d=2, points_per_axis=(4, 5), h=0.5)
+    ham = hamiltonian(generate_potential(7, g, 2, "random-psd-field", 30.0))
+    gammas = (0.5, 1.0, 2.0)
+    want = np.array([riesz_mean(ham, gamma) for gamma in gammas])
+    assert np.all(want > 0.0)
+    spectra = []
+    dense = lattice._dense_spectrum
+    monkeypatch.setattr(lattice, "_dense_spectrum",
+                        lambda op, what: spectra.append(what) or dense(op, what))
+    got = riesz_mean(ham, gammas)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert spectra == ["Riesz mean"]
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        riesz_mean(ham, (0.5, 0.0))
+    with pytest.raises(ValueError, match="1-D sequence"):
+        riesz_mean(ham, [[0.5, 1.0]])
+
+
 @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0])
 def test_riesz_mean_needs_positive_finite_gamma(gamma):
     # V = 100 puts eigenvalues below -1, where |e|^inf would be inf
@@ -1005,7 +1024,7 @@ def test_trotter_trace_matches_expm_oracle(pts, N):
     heat = scipy.linalg.expm(-s * laplacian(g, fiber=N).toarray())
     pot = scipy.linalg.block_diag(*[scipy.linalg.expm(-s * alpha * b) for b in v.values])
     power = np.linalg.matrix_power(heat @ pot, n)
-    want = float(np.trace(v.block() @ power).real)
+    want = float(np.trace(scipy.linalg.block_diag(*v.values) @ power).real)
     got = trotter_sandwich(v, alpha)(t, n)
     assert abs(got - want) < 1e-12 * (1.0 + abs(want))
 
@@ -1119,9 +1138,9 @@ def test_one_site_decomposition_per_birman_schwinger_and_trotter_sandwich(monkey
     v = generate_potential(3, g, 2, "gaussian-bumps", 5.0)
     calls = count_site_spectra(monkeypatch)
     birman_schwinger(v)
-    assert calls == ["eigh"]
-    calls.clear()
     trotter_sandwich(v, 1.0)
+    v.moment(1.5)
+    v.require_psd()
     assert calls == ["eigh"]
 
 
@@ -1290,7 +1309,7 @@ def test_semigroup_sandwich_vs_expm_oracle():
         v = generate_potential(seed, g, 2, "random-psd-field", 3.0)
         alpha, t = 1.5, 0.7
         h_dense = hamiltonian(v, sign=alpha).toarray()
-        vb = v.block()
+        vb = scipy.linalg.block_diag(*v.values)
         want = float(np.trace(vb @ scipy.linalg.expm(-t * h_dense)).real)
         got = semigroup_sandwich_trace(v, alpha, t)
         assert abs(got - want) < 1e-8 * (1.0 + abs(want))
@@ -1401,7 +1420,6 @@ def test_hamiltonian_real_for_real_potentials():
     g = grid1d(9, 0.5)
     v1 = generate_potential(5, g, 1, "random-psd-field", 3.0)
     assert v1.values.dtype == np.complex128
-    assert v1.block().dtype == np.float64
     assert hamiltonian(v1).matrix.dtype == np.float64
     v2 = generate_potential(5, g, 2, "random-psd-field", 3.0)
     assert np.any(v2.values.imag)
@@ -1550,19 +1568,6 @@ def test_hamiltonian_is_laplacian_plus_signed_block():
         _, want = kron_sum_hamiltonian(g, v, sign)
         got = hamiltonian(v, sign=sign).matrix
         assert np.array_equal(got.toarray(), want.toarray())
-
-
-def test_block_matches_dense_block_diag():
-    g = GridSpec(d=2, points_per_axis=(3, 4), h=0.5)
-    for nf in (1, 2, 3):
-        for style in POTENTIAL_STYLES:
-            v = generate_potential(8, g, nf, style, 3.0)
-            got = v.block()
-            want = scipy.linalg.block_diag(*v.values)
-            if not np.any(v.values.imag):
-                want = want.real
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
 
 
 def _random_sparse(rng, n, complex_, duplicates):

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,21 @@ def test_apply_spectral_pole_names_eigenvalue():
     with np.errstate(divide="ignore"), pytest.raises(SpectralDomainError) as err:
         apply_spectral(lambda mu: 1.0 / mu, a)
     assert "0" in str(err.value)
+
+
+def test_apply_spectral_calls_f_once_and_lets_its_error_through():
+    # math.exp takes no array: its TypeError is raised, with no retry per eigenvalue
+    calls = []
+
+    def exp(mu):
+        calls.append(mu)
+        return math.exp(mu)
+
+    with pytest.raises(TypeError):
+        apply_spectral(exp, np.diag([0.5, 2.0]))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="need 2 scalar values"):
+        apply_spectral(lambda mu: 1.0, np.diag([0.5, 2.0]))
 
 
 def test_apply_spectral_composition():

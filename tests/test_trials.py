@@ -308,10 +308,11 @@ def test_cli_report_same_pinned_and_unpinned(tmp_path):
 
 
 # sha256 of {records, summary} of default lt-moments and of bs-equivalence on
-# a 9x9x9 box (up to complex operators of order 1458), and the report's BLAS
-# thread counts
+# a 9x9x9 box (up to complex operators of order 1458), the report's BLAS
+# thread counts, and the thread count read back from scipy's OpenBLAS
 DIGESTS = """
 import hashlib, json
+from clrlab.config import wheel_openblas
 from clrlab.harness import ExperimentConfig, run_experiment
 out = {}
 for cfg in (ExperimentConfig(experiment="lt-moments"),
@@ -321,6 +322,7 @@ for cfg in (ExperimentConfig(experiment="lt-moments"),
     blob = json.dumps({"records": report.records, "summary": report.summary}, sort_keys=True)
     out[cfg.experiment] = [hashlib.sha256(blob.encode()).hexdigest(),
                            report.versions.get("blas_threads")]
+out["scipy_threads"] = wheel_openblas("scipy").scipy_openblas_get_num_threads()
 print(json.dumps(out))
 """
 
@@ -341,4 +343,29 @@ def test_records_same_whatever_blas_threads_the_shell_sets():
         assert proc.returncode == 0, proc.stderr
         got.append(json.loads(proc.stdout))
     assert got[0] == got[1] == got[2]
-    assert got[0]["bs-equivalence"][1] == {"numpy": 1, "scipy": 1}
+    assert got[0]["lt-moments"][1] == got[0]["bs-equivalence"][1] == {"numpy": 1}
+    assert got[0]["scipy_threads"] == 1
+
+
+# The report's BLAS thread counts of lt-moments in a fresh interpreter, then
+# of bs-equivalence, which opens scipy's OpenBLAS, and of lt-moments again
+BLAS_REPORTS = """
+import json
+from clrlab import config
+from clrlab.harness import ExperimentConfig, run_experiment
+cfgs = [ExperimentConfig(experiment=name, trials=2)
+        for name in ("lt-moments", "bs-equivalence", "lt-moments")]
+reports = [run_experiment(cfg).versions["blas_threads"] for cfg in cfgs]
+assert "scipy" in config._OPENBLAS
+print(json.dumps(reports))
+"""
+
+
+def test_blas_threads_same_whatever_ran_before_in_the_process():
+    root = str(Path(clrlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_REPORTS], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    fresh, _, after = json.loads(proc.stdout)
+    assert fresh == after
