@@ -631,39 +631,42 @@ def _run_bs(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
 # ---------------------------------------------------------------------------
 # clr-survey
 
-def _survey_ensemble(cfg: ExperimentConfig, e: int) -> list:
-    """One ensemble's survey records over the refinements, then its trend."""
-    amplitude = float(cfg.options["amplitude"])
-    records = []
+def _survey_cell(cfg: ExperimentConfig, cell: tuple[int, int]) -> dict:
+    """The survey record of one (ensemble, m) cell: ensemble e's potential on the m^3 box."""
+    e, m = cell
     s = derive_seed(cfg.seed, e)
-    eps_chain = []
-    for m in cfg.options["refinements"]:
-        grid = GridSpec(d=3, points_per_axis=(m, m, m), h=1.0 / (m + 1))
-        v = generate_potential(s, grid, 1, "gaussian-bumps",
-                               amplitude=amplitude)
-        count = count_negative(hamiltonian(V=v))
-        rhs = clr_rhs(v, r_bound(0.0))
-        ratio = count / rhs if rhs > 0 else math.inf
-        eps = max(0.0, ratio - 1.0)
-        eps_chain.append(eps)
-        records.append({
-            "kind": "survey", "gate": "monitor", "ensemble": e, "seed": s,
-            "m": m, "h": grid.h, "count": count, "rhs": rhs,
-            "ratio": ratio, "eps": eps,
-            "digest": potential_digest(v),
-        })
-    trend_ok = all(eps_chain[j + 1] <= eps_chain[j] + 1e-12
-                   for j in range(len(eps_chain) - 1))
-    records.append({
-        "kind": "trend", "gate": "monitor", "ensemble": e, "seed": s,
-        "trend_ok": trend_ok, "eps_chain": eps_chain,
-    })
-    return records
+    grid = GridSpec(d=3, points_per_axis=(m, m, m), h=1.0 / (m + 1))
+    v = generate_potential(s, grid, 1, "gaussian-bumps",
+                           amplitude=float(cfg.options["amplitude"]))
+    count = count_negative(hamiltonian(V=v))
+    rhs = clr_rhs(v, r_bound(0.0))
+    ratio = count / rhs if rhs > 0 else math.inf
+    return {
+        "kind": "survey", "gate": "monitor", "ensemble": e, "seed": s,
+        "m": m, "h": grid.h, "count": count, "rhs": rhs,
+        "ratio": ratio, "eps": max(0.0, ratio - 1.0),
+        "digest": potential_digest(v),
+    }
 
 
 def _run_survey(cfg: ExperimentConfig) -> tuple[list, list, dict | None]:
-    records = [r for rs in _map_trials(_survey_ensemble, cfg, range(cfg.trials))
-               for r in rs]
+    refinements = cfg.options["refinements"]
+    # largest box first: the map's workers take the costliest cells first,
+    # so one ensemble's chain does not leave the other CPUs idle
+    cells = sorted(((e, m) for e in range(cfg.trials) for m in refinements),
+                   key=lambda cell: -cell[1])
+    done = dict(zip(cells, _map_trials(_survey_cell, cfg, cells)))
+    # each ensemble's records over the refinements, then its trend
+    records = []
+    for e in range(cfg.trials):
+        chain = [done[e, m] for m in refinements]
+        eps_chain = [r["eps"] for r in chain]
+        trend_ok = all(eps_chain[j + 1] <= eps_chain[j] + 1e-12
+                       for j in range(len(eps_chain) - 1))
+        records += chain + [{
+            "kind": "trend", "gate": "monitor", "ensemble": e, "seed": chain[0]["seed"],
+            "trend_ok": trend_ok, "eps_chain": eps_chain,
+        }]
     trend_ok_all = all(r["trend_ok"] for r in records if r["kind"] == "trend")
     ratios = [r["ratio"] for r in records if r["kind"] == "survey"]
     extra = {"trend_ok": trend_ok_all, "max_ratio": float(max(ratios))}

@@ -17,13 +17,14 @@ raises instead of falling back to a dense count), the Birman-Schwinger operator
 K = V^{1/2} L^{-1} V^{1/2} with its spectrum and counting bound (one call of
 F gives F(1) and every F(lambda_k), and a family of F, one row each, gives
 one bound per row; K is its one n x n array, Fortran-ordered and scaled
-in place by chunks of Green's-function columns), the dense spectra of H
-and K taken side by side (h_and_k_spectra; every dense spectrum is
-numpy's below order 256, and from it LAPACK's, one-stage and then
-two-stage, in the operator's one buffer, which has its own private
-mapping, _spectrum and _operator_buffer), heat-semigroup and
-Trotter-product traces, the resolvent trace, and Riemann-sum right-hand
-sides of the counting and Riesz-mean bounds.
+in place by chunks of Green's-function columns), the spectra of H and K
+taken side by side (h_and_k_spectra; every spectrum is numpy's below
+order 256.  From it H's comes from its lower band by LAPACK's two-stage
+band solver, with no n x n array formed (_band_spectrum), and K's from
+LAPACK's dense drivers, one-stage and then two-stage, in K's own buffer,
+which has its own private mapping, _spectrum and _operator_buffer),
+heat-semigroup and Trotter-product traces, the resolvent trace, and
+Riemann-sum right-hand sides of the counting and Riesz-mean bounds.
 
 Routines on a potential take V alone and read its box from V.grid.
 
@@ -63,8 +64,9 @@ ZERO_BAND_RTOL = 1e-10
 # plane of a 3-D box with m >= 8 is a slab of its own.
 _MIN_SLAB = 64
 # Order of H from which h_and_k_spectra takes H's and K's spectra on two
-# threads (below it the thread costs more than the overlap saves), and the
-# order from which _spectrum takes every dense spectrum in place.
+# threads (below it the thread costs more than the overlap saves), the order
+# from which _dense_spectrum takes H's spectrum from its band, and the order
+# from which _spectrum takes every dense spectrum in place.
 _SIDE_BY_SIDE_ORDER = 256
 # Real-equivalent order n * (2 if complex else 1) from which a dense spectrum
 # is taken by LAPACK's two-stage reduction instead of the one-stage driver
@@ -326,32 +328,42 @@ def _in_place_routine(n: int, complex_: bool):
     return None if routines is None else (name, routines[name])
 
 
-def _operator_buffer(n: int, dtype) -> np.ndarray:
-    """Zeroed Fortran-ordered n x n array of dtype for one dense operator.
+def _mapped_zeros(shape: tuple, dtype) -> np.ndarray:
+    """Zeroed Fortran-ordered array of shape and dtype in its own anonymous private mapping.
 
-    Where _in_place_routine takes order n, the array is backed by its own
-    anonymous private mapping, and freeing it unmaps the pages at once.
-    From the heap they could stay resident: once glibc frees a chunk of
-    several MB it raises its mmap threshold, and the next array of that
-    size is then carved from the heap.  The mapping is private, so a forked
-    process writes its own copy.  From 4 MiB it is advised to use huge
-    pages, as numpy advises its own arrays.  Below that order, or without
-    the routines, the array is np.zeros'.
+    Freeing the array unmaps the pages at once.  From the heap they could
+    stay resident: once glibc frees a chunk of several MB it raises its mmap
+    threshold, and the next array of that size is then carved from the
+    heap.  The mapping is private, so a forked process writes its own copy.
+    From 4 MiB it is advised to use huge pages, as numpy advises its own
+    arrays.
     """
     dtype = np.dtype(dtype)
-    if _in_place_routine(n, dtype.kind == "c") is None:
-        return np.zeros((n, n), dtype=dtype, order="F")
-    nbytes = n * n * dtype.itemsize
-    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    if nbytes >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, size * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    if size * dtype.itemsize >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=dtype).reshape((n, n), order="F")
+    return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape, order="F")
+
+
+def _operator_buffer(n: int, dtype) -> np.ndarray:
+    """Zeroed Fortran-ordered n x n array of dtype for one dense operator:
+    K, and H's dense copy where _dense_spectrum does not take H's band.
+
+    Where _in_place_routine takes order n, the array has its own mapping
+    (_mapped_zeros); below that order, or without the routines, it is
+    np.zeros'.
+    """
+    if _in_place_routine(n, np.dtype(dtype).kind == "c") is None:
+        return np.zeros((n, n), dtype=dtype, order="F")
+    return _mapped_zeros((n, n), dtype)
 
 
 def _spectrum(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian array a, which must be finite.
 
-    Where _in_place_routine names a LAPACKE driver (from order
+    It takes K's spectrum, and H's only where _dense_spectrum does not take
+    H's band.  Where _in_place_routine names a LAPACKE driver (from order
     _SIDE_BY_SIDE_ORDER on, where scipy's OpenBLAS has them), it takes the
     spectrum: eigenvalues only, lower triangle, column-major.  The
     one-stage ?syevd / ?heevd are the drivers numpy's eigvalsh runs; with
@@ -387,17 +399,98 @@ def _spectrum(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     return w
 
 
-def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
-    """Ascending eigenvalues of op by a full dense eigendecomposition.
+@functools.cache
+def _band_routines() -> dict | None:
+    """{name: Fortran routine} of dsbevd_2stage and zhbevd_2stage, or None.
 
-    Charges the dense budget with the order first, then takes _spectrum of
-    one Fortran-ordered dense copy (_operator_buffer: its own mapping where
-    the spectrum is taken in place), which it may overwrite, filled
-    straight from the CSR arrays (canonical, so each entry is written
-    once).
+    From the library of _lapacke_routines, looked up on the first call,
+    never at import.  These are the Fortran entry points, not LAPACKE's,
+    whose work array would come from the heap: _band_spectrum queries the
+    workspace and gives it its own mapping.  Every argument is passed by
+    reference (jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, then
+    rwork and lrwork for the complex one, iwork, liwork, info), followed
+    by gfortran's hidden lengths of the two strings.  None where that
+    library or either routine is absent; then H's spectrum is taken from
+    a dense copy.
+    """
+    lib = wheel_openblas("scipy")
+    try:
+        routines = {name: getattr(lib, f"scipy_{name}_")
+                    for name in ("dsbevd_2stage", "zhbevd_2stage")}
+    except AttributeError:  # no such library (lib is None) or a routine missing
+        return None
+    for name, routine in routines.items():
+        references = 14 if name.startswith("z") else 12
+        routine.restype = None
+        routine.argtypes = ([ctypes.c_char_p] * 2 + [ctypes.c_void_p] * references
+                            + [ctypes.c_size_t] * 2)
+    return routines
+
+
+def _band_spectrum(m: scipy.sparse.csr_matrix, routines: dict) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian canonical CSR matrix m, from its lower band.
+
+    The bandwidth kd is the largest row - column of a stored entry (m1 m2 N
+    for H on an m0 x m1 x m2 box).  The lower band is copied straight from
+    the CSR arrays into LAPACK's (kd + 1) x n column-major band storage,
+    ab[i - j, j] = m[i, j], and ?sbevd_2stage / ?hbevd_2stage (eigenvalues
+    only) chase it down to a tridiagonal and take that one's spectrum, the
+    second stage of the two-stage reduction that _spectrum runs on a dense
+    array; no n x n array is formed.  The band and the work array (sized
+    by a workspace query) each have their own mapping (_mapped_zeros).
+    The values agree with a dense spectrum's to rounding.  info != 0
+    raises LinAlgError.
+    """
+    n, complex_ = m.shape[0], np.iscomplexobj(m)
+    name = "zhbevd_2stage" if complex_ else "dsbevd_2stage"
+    routine, dtype = routines[name], np.dtype(np.complex128 if complex_ else np.float64)
+    below = np.repeat(np.arange(n), np.diff(m.indptr)) - m.indices  # row - column
+    lower = below >= 0
+    kd = int(below.max(initial=0))
+    ab = _mapped_zeros((kd + 1, n), dtype)
+    ab[below[lower], m.indices[lower]] = m.data[lower]
+    w, z = np.empty(n), np.empty(1, dtype)
+
+    def ref(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    def run(work, lwork, rwork, lrwork, iwork, liwork) -> int:
+        info = ctypes.c_int()
+        real_work = (rwork.ctypes.data, ref(lrwork)) if complex_ else ()
+        routine(b"N", b"L", ref(n), ref(kd), ab.ctypes.data, ref(kd + 1), w.ctypes.data,
+                z.ctypes.data, ref(1), work.ctypes.data, ref(lwork), *real_work,
+                iwork.ctypes.data, ref(liwork), ctypes.byref(info), 1, 1)
+        return info.value
+
+    # the query returns the workspace sizes in the first entries
+    work, rwork, iwork = np.zeros(1, dtype), np.zeros(1), np.zeros(1, np.int32)
+    info = run(work, -1, rwork, -1, iwork, -1)
+    if info == 0:
+        lwork, lrwork, liwork = int(work[0].real), int(rwork[0]), int(iwork[0])
+        info = run(_mapped_zeros((lwork,), dtype), lwork, np.empty(max(lrwork, 1)), lrwork,
+                   np.empty(liwork, np.int32), liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} failed: info {info}")
+    return w
+
+
+def _dense_spectrum(op: DiscreteOperator, what: str) -> np.ndarray:
+    """Ascending eigenvalues of op, all of them.
+
+    Charges the dense budget with the order first, whichever path runs:
+    charging the band path its own, smaller cost is left for later.  From
+    order _SIDE_BY_SIDE_ORDER, where scipy's OpenBLAS has the band routines
+    (_band_routines), the spectrum comes from op's lower band
+    (_band_spectrum).  Below that order, or without them, _spectrum takes
+    it from one Fortran-ordered dense copy (_operator_buffer), which it may
+    overwrite, filled straight from the CSR arrays (canonical, so each
+    entry is written once).
     """
     _check_dense(op.dim, what)
     m = op.matrix
+    routines = _band_routines() if op.dim >= _SIDE_BY_SIDE_ORDER else None
+    if routines is not None:
+        return _band_spectrum(m, routines)
     a = _operator_buffer(op.dim, m.dtype)
     a[np.repeat(np.arange(op.dim), np.diff(m.indptr)), m.indices] = m.data
     return _spectrum(a, overwrite_a=True)
@@ -670,7 +763,7 @@ def riesz_mean(op: DiscreteOperator, gamma):
 
     gamma is one exponent, for which a float is returned, or a 1-D sequence
     of them, for which the array of their sums is returned, all from one
-    dense spectrum.  Each gamma must be positive and finite, or ValueError
+    full spectrum (_dense_spectrum).  Each gamma must be positive and finite, or ValueError
     is raised.
     """
     gammas = np.asarray(gamma, dtype=float)
@@ -775,14 +868,16 @@ def k_spectrum(V: MatrixPotential) -> np.ndarray:
 
 
 def h_and_k_spectra(H: DiscreteOperator, V: MatrixPotential) -> tuple[np.ndarray, np.ndarray]:
-    """(dense spectrum of H, k_spectrum(V)) for H = hamiltonian(V), side by side.
+    """(full spectrum of H, k_spectrum(V)) for H = hamiltonian(V), side by side.
 
-    H's dense-budget charge comes first.  When H's order is at least
-    _SIDE_BY_SIDE_ORDER and parallel_cpus() is at least 2 (two usable CPUs,
-    each BLAS on one thread), H's spectrum is taken on a worker thread
-    while this thread assembles K and takes its spectrum; numpy and ctypes
-    both release the GIL inside LAPACK.  Otherwise H's spectrum is taken
-    first, then K's.  The values are the same either way.
+    H's spectrum is _dense_spectrum's (from its band from order
+    _SIDE_BY_SIDE_ORDER), and its dense-budget charge comes first.  When
+    H's order is at least _SIDE_BY_SIDE_ORDER and parallel_cpus() is at
+    least 2 (two usable CPUs, each BLAS on one thread), H's spectrum is
+    taken on a worker thread while this thread assembles K and takes its
+    spectrum; numpy and ctypes both release the GIL inside LAPACK.
+    Otherwise H's spectrum is taken first, then K's.  The values are the
+    same either way.
     """
     if H.dim < _SIDE_BY_SIDE_ORDER or parallel_cpus() < 2:
         return _dense_spectrum(H, "Hamiltonian spectrum"), k_spectrum(V)
@@ -986,25 +1081,73 @@ def potential_to_json_dict(V: MatrixPotential) -> dict:
     }
 
 
+def _json_field(obj, key: str, where: str):
+    """obj[key] of a potential file's JSON object, or ValueError naming where."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"potential file: missing {where}")
+    return obj[key]
+
+
+def _json_integer(value) -> bool:
+    """Whether value is a JSON integer (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def potential_from_json_dict(data: dict) -> MatrixPotential:
-    g = data["grid"]
-    if g["boundary"] != "dirichlet":
-        raise ValueError(f'grid boundary must be "dirichlet", got {g["boundary"]!r}')
-    grid = GridSpec(
-        d=int(g["d"]),
-        points_per_axis=tuple(int(m) for m in g["points"]),
-        h=float(g["h"]),
-    )
-    n = int(data["N"])
+    """The potential of the JSON form that potential_to_json_dict writes.
+
+    Sites left out are zero.  A malformed form raises ValueError naming
+    its field: a missing grid, grid.boundary, grid.d, grid.points, grid.h
+    or N, a boundary other than "dirichlet", grid.d or grid.points entries
+    that are not integers, grid.h that is not a number, a grid that
+    GridSpec rejects, N that is not an integer in [1, MAX_MATRIX_DIM],
+    sites that are not a
+    list, a site index that is not d integers inside the box or that names
+    a site listed before, or a site matrix that is not N * N [re, im]
+    pairs of numbers.
+    """
+    g = _json_field(data, "grid", "grid")
+    boundary = _json_field(g, "boundary", "grid.boundary")
+    if boundary != "dirichlet":
+        raise ValueError(f'potential file: grid.boundary must be "dirichlet", got {boundary!r}')
+    d, points, h = (_json_field(g, key, "grid." + key) for key in ("d", "points", "h"))
+    if not (_json_integer(d) and isinstance(points, list) and all(map(_json_integer, points))
+            and isinstance(h, (int, float)) and not isinstance(h, bool)):
+        raise ValueError(f"potential file: grid.d and grid.points must be integers and "
+                         f"grid.h a number, got {d!r}, {points!r} and {h!r}")
+    try:
+        grid = GridSpec(d=d, points_per_axis=tuple(points), h=h)
+    except ValueError as exc:
+        raise ValueError(f"potential file: grid: {exc}") from exc
+    n = _json_field(data, "N", "N")
+    if not (_json_integer(n) and 1 <= n <= MAX_MATRIX_DIM):
+        raise ValueError(f"potential file: N must be an integer in [1, {MAX_MATRIX_DIM}], "
+                         f"got {n!r}")
+    sites = data.get("sites", [])
+    if not isinstance(sites, list):
+        raise ValueError(f"potential file: sites must be a list, got {type(sites).__name__}")
     values = np.zeros((grid.nsites, n, n), dtype=complex)
     shape = grid.points_per_axis
-    for site in data.get("sites", []):
-        flat = int(np.ravel_multi_index(tuple(site["index"]), shape))
-        entries = np.asarray(site["matrix"], dtype=float)
+    listed = set()
+    for site in sites:
+        index = _json_field(site, "index", "sites[].index")
+        if not (isinstance(index, list) and len(index) == grid.d
+                and all(_json_integer(i) and 0 <= i < m for i, m in zip(index, shape))):
+            raise ValueError(f"potential file: site index {index!r} must list {grid.d} "
+                             f"integers inside the box {shape}")
+        flat = int(np.ravel_multi_index(tuple(index), shape))
+        if flat in listed:
+            raise ValueError(f"potential file: site index {index} is listed twice")
+        listed.add(flat)
+        matrix = _json_field(site, "matrix", f"matrix of site {index}")
+        try:
+            entries = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"potential file: matrix of site {index}: {exc}") from exc
         if entries.shape != (n * n, 2):
             raise ValueError(
-                f"site {site['index']}: need {n * n} [re, im] pairs, got "
-                f"shape {entries.shape}"
+                f"potential file: matrix of site {index} needs {n * n} [re, im] pairs, "
+                f"got shape {entries.shape}"
             )
         values[flat] = (entries[:, 0] + 1j * entries[:, 1]).reshape(n, n)
     return MatrixPotential(grid=grid, N=n, values=values)

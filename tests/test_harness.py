@@ -450,6 +450,71 @@ def test_lt_trial_takes_one_spectrum_of_h(monkeypatch, serial_trials):
     assert [r["gamma"] for r in rep.records] == [0.5, 1.0, 2.0] * 3
 
 
+def _survey_by_ensemble(cfg: ExperimentConfig) -> dict:
+    """{records, summary} of clr-survey by one loop per ensemble over the
+    refinements, then its trend: the cell map's oracle."""
+    from clrlab.harness.experiments import _summary
+    from clrlab.lattice import clr_rhs
+    from clrlab.transforms import r_bound
+
+    cfg = EXPERIMENTS["clr-survey"].resolve(cfg)
+    records = []
+    for e in range(cfg.trials):
+        s = derive_seed(cfg.seed, e)
+        eps_chain = []
+        for m in cfg.options["refinements"]:
+            grid = GridSpec(d=3, points_per_axis=(m, m, m), h=1.0 / (m + 1))
+            v = generate_potential(s, grid, 1, "gaussian-bumps",
+                                   amplitude=float(cfg.options["amplitude"]))
+            count = count_negative(hamiltonian(V=v))
+            rhs = clr_rhs(v, r_bound(0.0))
+            ratio = count / rhs if rhs > 0 else math.inf
+            eps = max(0.0, ratio - 1.0)
+            eps_chain.append(eps)
+            records.append({
+                "kind": "survey", "gate": "monitor", "ensemble": e, "seed": s,
+                "m": m, "h": grid.h, "count": count, "rhs": rhs,
+                "ratio": ratio, "eps": eps, "digest": potential_digest(v),
+            })
+        trend_ok = all(eps_chain[j + 1] <= eps_chain[j] + 1e-12
+                       for j in range(len(eps_chain) - 1))
+        records.append({"kind": "trend", "gate": "monitor", "ensemble": e, "seed": s,
+                        "trend_ok": trend_ok, "eps_chain": eps_chain})
+    ratios = [r["ratio"] for r in records if r["kind"] == "survey"]
+    extra = {"trend_ok": all(r["trend_ok"] for r in records if r["kind"] == "trend"),
+             "max_ratio": float(max(ratios))}
+    return {"records": records, "summary": _summary(records, extra)}
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(experiment="clr-survey"),
+    ExperimentConfig(experiment="clr-survey", trials=2, options={"refinements": [7, 7, 3]}),
+    ExperimentConfig(experiment="clr-survey", trials=1, options={"refinements": [5]}),
+    ExperimentConfig(experiment="clr-survey", trials=4,
+                     options={"refinements": [11, 5, 9], "amplitude": 900.0}),
+], ids=["default", "7-7-3x2", "5x1", "11-5-9x4-amp900"])
+def test_survey_cell_map_gives_the_per_ensemble_records(cfg):
+    rep = run_experiment(cfg)
+    want = json.dumps(_survey_by_ensemble(cfg))
+    assert json.dumps({"records": rep.records, "summary": rep.summary}) == want
+
+
+def test_survey_maps_every_cell_largest_box_first(monkeypatch):
+    import clrlab.harness.experiments as experiments
+
+    mapped = []
+    map_trials = experiments._map_trials
+
+    def spied(fn, cfg, indices):
+        mapped.append(list(indices))
+        return map_trials(fn, cfg, indices)
+
+    monkeypatch.setattr(experiments, "_map_trials", spied)
+    run_experiment(ExperimentConfig(experiment="clr-survey", trials=2,
+                                    options={"refinements": [5, 9, 3]}))
+    assert mapped == [[(0, 9), (1, 9), (0, 5), (1, 5), (0, 3), (1, 3)]]
+
+
 def test_holder_gate_reads_the_configured_slack_alone(monkeypatch, serial_trials):
     # lhs above rhs by 1e-9 (1 + rhs): holder_slack 1e-8 allows it and the
     # default 1e-10 does not; either way each trial is a holder record

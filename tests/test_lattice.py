@@ -1684,6 +1684,56 @@ def test_potential_json_rejects_other_boundaries():
         potential_from_json_dict(data)
 
 
+def _line_file(**fields):
+    """A potential file of a 4-site line with one scalar site, fields replaced."""
+    data = {
+        "grid": {"d": 1, "points": [4], "h": 0.5, "boundary": "dirichlet"},
+        "N": 1,
+        "sites": [{"index": [2], "matrix": [[3.0, 0.0]]}],
+    }
+    return {**data, **fields}
+
+
+def test_potential_json_rejects_a_site_listed_twice():
+    sites = [{"index": [0], "matrix": [[1.0, 0.0]]}, {"index": [0], "matrix": [[2.0, 0.0]]}]
+    with pytest.raises(ValueError, match=r"site index \[0\] is listed twice"):
+        potential_from_json_dict(_line_file(sites=sites))
+
+
+@pytest.mark.parametrize("index", [[0.5], [1.0], ["1"], [True]])
+def test_potential_json_rejects_a_non_integer_index(index):
+    with pytest.raises(ValueError, match="site index .* must list 1 integers"):
+        potential_from_json_dict(_line_file(sites=[{"index": index, "matrix": [[1.0, 0.0]]}]))
+
+
+@pytest.mark.parametrize("where", ["grid", "grid.boundary", "N"])
+def test_potential_json_names_a_missing_field(where):
+    data = _line_file()
+    if where == "grid.boundary":
+        data["grid"] = {key: value for key, value in data["grid"].items() if key != "boundary"}
+    else:
+        del data[where]
+    with pytest.raises(ValueError, match=f"missing {where}$"):
+        potential_from_json_dict(data)
+
+
+@pytest.mark.parametrize("grid", [
+    {"d": 1.5, "points": [4]}, {"d": 1, "points": [4.5]}, {"d": 1, "points": 4},
+    {"d": 1, "points": [4], "h": "0.5"}, {"d": 1, "points": [0]},
+])
+def test_potential_json_rejects_a_malformed_grid(grid):
+    data = _line_file()
+    data["grid"] = {**data["grid"], **grid}
+    with pytest.raises(ValueError, match="potential file: grid"):
+        potential_from_json_dict(data)
+
+
+def test_potential_json_rejects_n_zero():
+    data = _line_file(N=0, sites=[{"index": [2], "matrix": []}])
+    with pytest.raises(ValueError, match=r"N must be an integer in \[1, 16\], got 0"):
+        potential_from_json_dict(data)
+
+
 def test_potential_json_save_load(tmp_path):
     g = grid1d(4, 0.5)
     v = generate_potential(8, g, 1, "random-psd-field", 2.0)
@@ -1791,8 +1841,6 @@ def _random_hamiltonian(pts, N, seed=5):
 @pytest.mark.parametrize("pts, N, dtype", [
     ((200,), 1, np.float64),        # order 200, numpy path
     ((5, 5, 5), 2, np.complex128),  # 250
-    ((12, 12), 2, np.complex128),   # 288, in place
-    ((7, 7, 7), 1, np.float64),     # 343
 ])
 def test_dense_spectrum_matches_numpy_bit_for_bit(pts, N, dtype):
     _, op = _random_hamiltonian(pts, N)
@@ -1802,6 +1850,95 @@ def test_dense_spectrum_matches_numpy_bit_for_bit(pts, N, dtype):
     assert np.array_equal(lattice._dense_spectrum(op, "test"), want)
     after = (op.matrix.data, op.matrix.indices, op.matrix.indptr)
     assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+
+def _assert_matches_the_dense_oracle(op, w):
+    """w against np.linalg.eigvalsh of op's dense array: the same count below
+    -zero_tol, and every eigenvalue within 1e-13 |H|_inf."""
+    want = np.linalg.eigvalsh(op.toarray())
+    zero_tol = ZERO_BAND_RTOL * op.scale()
+    assert np.sum(w < -zero_tol) == np.sum(want < -zero_tol)
+    assert np.max(np.abs(w - want)) <= 1e-13 * op.scale()
+
+
+@pytest.mark.parametrize("pts, N, dtype", [
+    ((256,), 1, np.float64),          # order 256, bandwidth 1
+    ((300,), 2, np.complex128),       # 600
+    ((16, 16), 1, np.float64),        # 256
+    ((12, 12), 2, np.complex128),     # 288
+    ((7, 7, 7), 1, np.float64),       # 343
+    ((6, 6, 6), 3, np.complex128),    # 648
+    ((9, 9, 9), 1, np.float64),       # 729
+    ((9, 9, 9), 2, np.complex128),    # 1458, bandwidth 162
+    ((15, 15, 15), 1, np.float64),    # 3375
+])
+def test_band_spectrum_matches_the_dense_oracle(pts, N, dtype):
+    # from order 256 H's spectrum comes from its band
+    _, op = _random_hamiltonian(pts, N)
+    assert op.matrix.dtype == dtype and op.dim >= lattice._SIDE_BY_SIDE_ORDER
+    before = [a.copy() for a in (op.matrix.data, op.matrix.indices, op.matrix.indptr)]
+    _assert_matches_the_dense_oracle(op, lattice._dense_spectrum(op, "test"))
+    after = (op.matrix.data, op.matrix.indices, op.matrix.indptr)
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+
+@pytest.mark.parametrize("pts, N", [((7, 7, 7), 1), ((9, 9, 9), 2)])
+def test_dense_path_without_the_band_routines_gives_the_same_counts(monkeypatch, pts, N):
+    _, op = _random_hamiltonian(pts, N)
+    zero_tol = ZERO_BAND_RTOL * op.scale()
+    band = lattice._dense_spectrum(op, "test")
+    monkeypatch.setattr(lattice, "_band_routines", lambda: None)
+    orders = []
+    spectrum = lattice._spectrum
+    monkeypatch.setattr(lattice, "_spectrum", lambda a, overwrite_a=False:
+                        orders.append(a.shape) or spectrum(a, overwrite_a))
+    dense = lattice._dense_spectrum(op, "test")
+    assert orders == [(op.dim, op.dim)]
+    assert np.sum(dense < -zero_tol) == np.sum(band < -zero_tol) > 0
+    assert np.max(np.abs(dense - band)) <= 1e-13 * op.scale()
+
+
+@pytest.mark.parametrize("pts, N", [((16, 16), 1), ((9, 9, 9), 2)])
+def test_band_spectrum_allocates_no_order_n_array(monkeypatch, pts, N):
+    # neither numpy's allocator (tracemalloc sees it) nor a mapping holds
+    # an n x n array, and no dense path runs
+    import mmap
+    import tracemalloc
+
+    if lattice._band_routines() is None:
+        pytest.skip("no band routines on this platform")
+    _, op = _random_hamiltonian(pts, N)
+    square = op.dim**2 * op.matrix.dtype.itemsize
+    mapped, new_mapping = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda fileno, length, **kwargs:
+                        mapped.append(length) or new_mapping(fileno, length, **kwargs))
+
+    def dense(*args, **kwargs):
+        raise AssertionError("H's spectrum took a dense path")
+
+    monkeypatch.setattr(lattice, "_operator_buffer", dense)
+    monkeypatch.setattr(lattice, "_spectrum", dense)
+    tracemalloc.start()
+    try:
+        w = lattice._dense_spectrum(op, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (op.dim,)
+    assert len(mapped) == 2 and max(mapped) < square / 2  # the band and the work array
+    assert peak < square / 2
+
+
+def test_band_failure_raises_with_info(monkeypatch):
+    def failing(*args):  # info is the last reference, before the two string lengths
+        args[-3]._obj.value = 9
+
+    monkeypatch.setattr(lattice, "_band_routines",
+                        lambda: {"dsbevd_2stage": failing, "zhbevd_2stage": failing})
+    for N, name in ((1, "dsbevd_2stage"), (2, "zhbevd_2stage")):
+        _, op = _random_hamiltonian((16, 16), N)
+        with pytest.raises(np.linalg.LinAlgError, match=f"{name} failed: info 9"):
+            lattice._dense_spectrum(op, "test")
 
 
 def _force_overlap(monkeypatch, on):
@@ -1877,7 +2014,7 @@ def test_h_and_k_spectra_sequential_on_one_usable_cpu(monkeypatch):
 
     monkeypatch.setattr(lattice, "ThreadPoolExecutor", no_thread)
     w, lam = h_and_k_spectra(op, v)
-    assert np.array_equal(w, np.linalg.eigvalsh(op.toarray()))
+    _assert_matches_the_dense_oracle(op, w)
 
 
 # ---------------------------------------------------------------------------
@@ -1899,6 +2036,9 @@ def test_two_stage_routines_found_with_the_scipy_wheel_openblas():
     routines = lattice._lapacke_routines()
     assert routines is not None
     assert set(routines) == {"dsyevd", "zheevd", "dsyevd_2stage", "zheevd_2stage"}
+    band = lattice._band_routines()
+    assert band is not None
+    assert set(band) == {"dsbevd_2stage", "zhbevd_2stage"}
 
 
 @pytest.mark.parametrize("pts, N, dtype", [
@@ -1922,7 +2062,9 @@ def test_two_stage_spectra_match_numpy(pts, N, dtype):
 
 
 def _without_two_stage(monkeypatch):
+    # neither LAPACKE's dense drivers nor the band solver: numpy takes every spectrum
     monkeypatch.setattr(lattice, "_lapacke_routines", lambda: None)
+    monkeypatch.setattr(lattice, "_band_routines", lambda: None)
 
 
 def test_bs_equivalence_counts_same_without_two_stage(monkeypatch):
@@ -2082,12 +2224,15 @@ def test_operator_buffer_has_its_own_private_mapping_from_order_256():
 
 
 def test_routine_works_in_the_operators_own_buffers_at_order_729(monkeypatch):
-    # no threshold patched: a real order-729 H and K take the one-stage
-    # dsyevd in the very buffers _dense_spectrum and birman_schwinger built
+    # no threshold patched: a real order-729 K takes the one-stage dsyevd
+    # in the very buffer birman_schwinger built; H's spectrum comes from
+    # its band
     import mmap
 
     calls = _spied_routines(monkeypatch)
     v, op = _random_hamiltonian((9, 9, 9), 1)
+    _assert_matches_the_dense_oracle(op, lattice._dense_spectrum(op, "test"))
+    calls.clear()
     built = []
     spectrum, assemble = lattice._spectrum, lattice.birman_schwinger
 
@@ -2098,15 +2243,12 @@ def test_routine_works_in_the_operators_own_buffers_at_order_729(monkeypatch):
     monkeypatch.setattr(lattice, "_spectrum", spied_spectrum)
     monkeypatch.setattr(lattice, "birman_schwinger",
                         lambda V: built.append((k := assemble(V)).ctypes.data) or k)
-    assert np.array_equal(lattice._dense_spectrum(op, "test"),
-                          np.linalg.eigvalsh(op.toarray()))
     lam = k_spectrum(v)
     assert v.support().size == 729
-    assert [name for name, _ in calls] == ["dsyevd", "dsyevd"]
-    (h_buffer, *h_flags), k_buffer, (k_spectrum_buffer, *k_flags) = built
-    assert h_flags == k_flags == [True, True]
-    assert [address for _, address in calls] == [h_buffer, k_buffer] == [
-        h_buffer, k_spectrum_buffer]
+    assert [name for name, _ in calls] == ["dsyevd"]
+    k_buffer, (k_spectrum_buffer, *k_flags) = built
+    assert k_flags == [True, True]
+    assert [address for _, address in calls] == [k_buffer] == [k_spectrum_buffer]
     assert np.array_equal(lam, np.maximum(np.linalg.eigvalsh(assemble(v)), 0.0))
 
 
@@ -2125,9 +2267,11 @@ def test_only_owned_contiguous_float64_or_complex128_reach_the_routine(monkeypat
     monkeypatch.setattr(lattice, "_TWO_STAGE_ORDER", 1)
     monkeypatch.setattr(lattice, "_lapacke_routines",
                         lambda: {name: spy(r) for name, r in routines.items()})
-    # at order 729 the routine works in the very buffer that _dense_spectrum
-    # densified H into and that birman_schwinger built K in
+    # at order 729 the routine works in the very buffer that birman_schwinger
+    # built K in
     v, op = _random_hamiltonian((9, 9, 9), 1)
+    _assert_matches_the_dense_oracle(op, lattice._dense_spectrum(op, "test"))
+    buffers.clear()
     built = []
     spectrum, assemble = lattice._spectrum, lattice.birman_schwinger
     with monkeypatch.context() as m:
@@ -2136,11 +2280,8 @@ def test_only_owned_contiguous_float64_or_complex128_reach_the_routine(monkeypat
                   or spectrum(a, overwrite_a))
         m.setattr(lattice, "birman_schwinger",
                   lambda V: built.append((k := assemble(V)).ctypes.data) or k)
-        lattice._dense_spectrum(op, "test")
-        assert buffers == built[:1]
-        buffers.clear()
         k_spectrum(v)
-        assert v.support().size == 729 and buffers == built[1:2] == built[2:]
+        assert v.support().size == 729 and buffers == built[:1] == built[1:]
     sym, herm = _hermitian(12, np.float64), _hermitian(12, np.complex128)
     spaced = np.zeros((24, 24))
     spaced[::2, ::2] = sym
